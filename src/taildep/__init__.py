@@ -10,13 +10,10 @@ weak (the whole quadrant).
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
-    PolarPoint,
     RadialOrder,
     acf,
     cone_distance,
     cone_distances,
-    generalized_polar,
-    l1_polar,
     log_returns,
     radial_order,
 )
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularCone",
     "BivariateSample",
-    "PolarPoint",
     "RadialOrder",
     "MixtureSpec",
     "StatisticValue",
@@ -76,10 +72,8 @@ __all__ = [
     "example2",
     "f_quantile",
     "full_dependence_test",
-    "generalized_polar",
     "generate",
     "hill",
-    "l1_polar",
     "log_returns",
     "masked_angle_weighted_hill",
     "normal_quantile",

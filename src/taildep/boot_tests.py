@@ -134,7 +134,13 @@ def _full_sample_hill(r: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     rk = r[order[k - 1]]
     if rk <= 0:
         raise ValueError(f"R_({k}) must be positive")
-    return float(np.mean(np.log(r[order[:k]] / rk))), order
+    hill = float(np.mean(np.log(r[order[:k]] / rk)))
+    if hill == 0.0:
+        raise ValueError(
+            f"the {k} largest radii are all tied, so the Hill estimate is 0 "
+            "and the tests are undefined"
+        )
+    return hill, order
 
 
 def _resample_stats(
@@ -335,6 +341,11 @@ def weak_dependence_test(
     )
     var_plain = float(np.var(stats_plain, ddof=1))
     var_masked = float(np.var(stats_masked, ddof=1))
+    if var_masked == 0.0:
+        raise ValueError(
+            f"the cone [{cone.a}, {cone.b}] holds no top-{k_m} mass in any resample, "
+            "so the masked statistic has zero variance and the F ratio is undefined"
+        )
     statistic = var_plain / var_masked
     lo = f_quantile(cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)
     hi = f_quantile(1.0 - cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)

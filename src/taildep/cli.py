@@ -27,7 +27,7 @@ from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, MixtureSpec, generate
 from taildep.support_fit import SupportFitOptions, estimate_support
 from taildep.tail_core import AngularCone, BivariateSample, acf, log_returns, radial_order
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
 
 
@@ -167,8 +167,7 @@ def cmd_support(args) -> int:
     sample = BivariateSample(x, y)
     ordered = radial_order(sample)
     k = args.k if args.k is not None else _default_k(sample.n)
-    opts = SupportFitOptions(lam=args.lam, grid_size=args.grid_size)
-    est = estimate_support(ordered, k, opts)
+    est = estimate_support(ordered, k, SupportFitOptions(lam=args.lam))
     _emit_report(
         args.output,
         {
@@ -178,7 +177,6 @@ def cmd_support(args) -> int:
             "k": k,
             "lambda": args.lam,
             "n": sample.n,
-            "evaluations": len(est.trace),
         },
         args.format,
     )
@@ -245,6 +243,8 @@ def cmd_diamond(args) -> int:
     if not np.any(norm > 0):
         raise ValueError("all points are at the origin")
     k = args.k if args.k is not None else _default_k(x.size)
+    if k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
     k = min(k, x.size)
     top = np.argsort(-norm, kind="stable")[:k]
     mx = x[top] / norm[top]
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     supp = sub.add_parser("support", help="estimate the angular support [a, b]")
     _add_common_data_flags(supp)
     _add_test_flags(supp)
-    supp.add_argument("--grid-size", type=int, default=51)
     supp.add_argument("--output", required=True)
     supp.add_argument("--format", choices=("json", "csv"), default="json")
     supp.set_defaults(func=cmd_support)

@@ -2,38 +2,30 @@
 
 Minimizes g(a, b) = (b - a) + lambda * sqrt(k) * |D(a, b) - H| over the
 triangle 0 <= a <= b <= 1, where D is the cone-adjusted Hill statistic
-and H the plain Hill estimator. Because D >= H and the penalty term is
-piecewise-smooth with flat regions, the search runs an exhaustive
-coarse grid first and then a Nelder-Mead refinement whose infeasible
-vertices are projected back onto the triangle. Both stages are fully
-deterministic.
+and H the plain Hill estimator. The minimum is found exactly: g splits
+into a part in a and a part in b, each piecewise of a closed form
+between consecutive top-k angles, so it lies in a finite candidate set
+(see estimate_support).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.estimators import _check_k, _log_ratios
-from taildep.tail_core import AngularCone, RadialOrder, cone_distances
+from taildep.estimators import _check_k, _log_ratios, cone_adjusted_hill, hill
+from taildep.tail_core import AngularCone, RadialOrder
 
 
 @dataclass(frozen=True)
 class SupportFitOptions:
     lam: float = 1.0
-    grid_size: int = 51
-    refine_iters: int = 400
-    tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.grid_size < 11:
-            raise ValueError("grid_size must be at least 11")
-        if self.refine_iters < 1 or self.tol <= 0:
-            raise ValueError("refine_iters and tol must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 @dataclass
@@ -41,25 +33,6 @@ class SupportEstimate:
     a_hat: float
     b_hat: float
     objective_value: float
-    trace: list = field(default_factory=list)
-
-
-def _gap_fn(ord: RadialOrder, k: int):
-    """Closure computing (1/k) sum (d_i / R_(k)) log(R_(i)/R_(k)) at (a, b)."""
-    logr = _log_ratios(ord, k)
-    rk = ord.sorted_r[k - 1]
-    xk = ord.x[:k]
-    yk = ord.y[:k]
-
-    def gap(a: float, b: float) -> float:
-        d = cone_distances(xk, yk, AngularCone(a, b))
-        with np.errstate(invalid="ignore"):
-            terms = (d / rk) * logr
-        # inf * 0 at a zero log ratio: the log factor wins, the term is 0
-        terms = np.nan_to_num(terms, nan=0.0, posinf=np.inf)
-        return float(np.mean(terms))
-
-    return gap
 
 
 def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) -> float:
@@ -69,103 +42,62 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     """
     if not (0.0 <= a <= b <= 1.0):
         raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    _check_k(ord, k)
-    return (b - a) + lam * math.sqrt(k) * _gap_fn(ord, k)(a, b)
-
-
-def _project(a: float, b: float) -> tuple[float, float]:
-    """Euclidean projection onto {0 <= a <= b <= 1}."""
-    if a > b:
-        a = b = 0.5 * (a + b)
-    a = min(max(a, 0.0), 1.0)
-    b = min(max(b, 0.0), 1.0)
-    if a > b:
-        a = b
-    return a, b
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    d = cone_adjusted_hill(ord, k, AngularCone(a, b)).value
+    return (b - a) + lam * math.sqrt(k) * abs(d - hill(ord, k).value)
 
 
 def estimate_support(
     ord: RadialOrder, k: int, opts: SupportFitOptions = SupportFitOptions()
 ) -> SupportEstimate:
-    """Two-stage minimization of the support objective.
+    """Exact minimizer of the support objective.
 
-    Stage 1 evaluates an exhaustive grid on the feasible triangle; ties
-    prefer the narrowest interval, then the smallest a. Stage 2 runs a
-    Nelder-Mead refinement from the best grid point with every vertex
-    projected onto the triangle, so the result never loses to the grid.
+    With w_i = (R_(i)/R_(k)) log(R_(i)/R_(k)) / k and s = lam sqrt(k),
+    tail_core.cone_distances gives, for a <= b,
+
+        g(a, b) = [-a + s sum_{theta_i < a} w_i (1 - theta_i / a)]
+                + [ b + s sum_{theta_i > b} w_i (theta_i / b - 1)].
+
+    Between consecutive top-k angles the a-part is concave, so its
+    minimum is at an angle, 0 or 1; the b-part is convex, so its minimum
+    is at an angle, 1, 0 (where the theta = 0 ray convention applies) or
+    b = sqrt(s sum_{theta_i > b} w_i theta_i); on the diagonal a = b, g
+    is monotone. The fit takes the best feasible pair of these
+    candidates; ties prefer the narrowest interval, then the smallest a.
     """
     _check_k(ord, k)
-    gap = _gap_fn(ord, k)
-    scale = opts.lam * math.sqrt(k)
-    trace: list[tuple[float, float, float]] = []
+    s = opts.lam * math.sqrt(k)
+    logr = _log_ratios(ord, k)
+    order = np.argsort(ord.theta[:k], kind="stable")
+    theta = ord.theta[:k][order]
+    w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
+    wt = w * theta
+    # sums over theta[:i] and over theta[i:], i = 0..k
+    w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
+    w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))
 
-    best_val = math.inf
-    best_key = None
-    best_ab = (0.0, 1.0)
+    a = np.unique(np.concatenate(([0.0, 1.0], theta)))
+    lo = np.searchsorted(theta, a[1:], side="left")
+    # no angle lies below a = 0, so the a-part is 0 there
+    a_part = np.concatenate(([0.0], -a[1:] + s * (w_lo[lo] - wt_lo[lo] / a[1:])))
 
-    def evaluate(a: float, b: float) -> float:
-        nonlocal best_val, best_key, best_ab
-        val = (b - a) + scale * gap(a, b)
-        trace.append((a, b, val))
-        key = (val, b - a, a)
-        if best_key is None or key < best_key:
-            best_val, best_key, best_ab = val, key, (a, b)
-        return val
+    # the b-part's stationary point on the piece right of each breakpoint;
+    # one that falls outside its piece is still a feasible candidate
+    stationary = np.sqrt(s * wt_hi[np.searchsorted(theta, a, side="right")])
+    b = np.unique(np.concatenate((a, np.minimum(stationary, 1.0))))
+    hi = np.searchsorted(theta, b[1:], side="right")
+    # b = 0 is the theta = 0 ray: finite only if no weighted angle lies above it
+    b0 = math.inf if w_hi[np.searchsorted(theta, 0.0, side="right")] > 0 else 0.0
+    b_part = np.concatenate(([b0], b[1:] + s * (wt_hi[hi] / b[1:] - w_hi[hi])))
 
-    grid = np.linspace(0.0, 1.0, opts.grid_size)
-    for i, a in enumerate(grid):
-        for b in grid[i:]:
-            evaluate(float(a), float(b))
-
-    # Nelder-Mead on the triangle, projected
-    step = 1.0 / (opts.grid_size - 1)
-    simplex = [
-        _project(best_ab[0], best_ab[1]),
-        _project(best_ab[0] + step, best_ab[1]),
-        _project(best_ab[0], best_ab[1] - step),
-    ]
-    values = [evaluate(a, b) for a, b in simplex]
-
-    for _ in range(opts.refine_iters):
-        order = sorted(range(3), key=lambda i: (values[i], simplex[i]))
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(
-            abs(simplex[2][0] - simplex[0][0]), abs(simplex[2][1] - simplex[0][1])
-        )
-        if spread < opts.tol and values[2] - values[0] < opts.tol:
-            break
-        cx = 0.5 * (simplex[0][0] + simplex[1][0])
-        cy = 0.5 * (simplex[0][1] + simplex[1][1])
-        wx, wy = simplex[2]
-        refl = _project(cx + (cx - wx), cy + (cy - wy))
-        f_refl = evaluate(*refl)
-        if f_refl < values[0]:
-            exp_pt = _project(cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy))
-            f_exp = evaluate(*exp_pt)
-            if f_exp < f_refl:
-                simplex[2], values[2] = exp_pt, f_exp
-            else:
-                simplex[2], values[2] = refl, f_refl
-        elif f_refl < values[1]:
-            simplex[2], values[2] = refl, f_refl
-        else:
-            contr = _project(cx + 0.5 * (wx - cx), cy + 0.5 * (wy - cy))
-            f_contr = evaluate(*contr)
-            if f_contr < values[2]:
-                simplex[2], values[2] = contr, f_contr
-            else:
-                # shrink toward the best vertex
-                for j in (1, 2):
-                    pt = _project(
-                        simplex[0][0] + 0.5 * (simplex[j][0] - simplex[0][0]),
-                        simplex[0][1] + 0.5 * (simplex[j][1] - simplex[0][1]),
-                    )
-                    simplex[j] = pt
-                    values[j] = evaluate(*pt)
-
+    g = a_part[:, None] + b_part[None, :]
+    g[a[:, None] > b[None, :]] = math.inf
+    ia, ib = np.nonzero(g == g.min())
+    best = np.lexsort((a[ia], b[ib] - a[ia]))[0]
+    a_hat, b_hat = float(a[ia[best]]), float(b[ib[best]])
     return SupportEstimate(
-        a_hat=best_ab[0], b_hat=best_ab[1], objective_value=best_val, trace=trace
+        a_hat=a_hat,
+        b_hat=b_hat,
+        objective_value=support_objective(ord, k, a_hat, b_hat, opts.lam),
     )

@@ -1,7 +1,8 @@
 """Geometry and bookkeeping for heavy-tail data.
 
-L1-polar transforms, the scaled distance to an angular cone, order
-statistics with concomitants, and time-series preparation helpers.
+L1-polar radii and angles, the scaled distance to an angular cone,
+order statistics with concomitants, and time-series preparation
+helpers.
 All functions here are pure; the container types are immutable after
 construction and safe to share across threads.
 """
@@ -9,19 +10,9 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
-
-
-class PolarPoint(NamedTuple):
-    """L1-polar coordinates: radius r = x + y, angle theta = x / (x + y)."""
-
-    r: float
-    theta: float
-
-    def to_cartesian(self) -> tuple[float, float]:
-        return (self.r * self.theta, self.r * (1.0 - self.theta))
 
 
 @dataclass(frozen=True)
@@ -129,17 +120,6 @@ class RadialOrder:
         return int(self.sorted_r.size)
 
 
-def l1_polar(p: tuple[float, float]) -> PolarPoint:
-    """Map a nonzero first-quadrant point to (r, theta) = (x+y, x/(x+y))."""
-    x, y = float(p[0]), float(p[1])
-    if x < 0 or y < 0 or not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError(f"point must be finite and nonnegative, got {p}")
-    r = x + y
-    if r == 0.0:
-        raise ValueError("L1-polar transform is undefined at the origin")
-    return PolarPoint(r, x / r)
-
-
 def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
     """Scaled distance from points (x, y) to the cone, vectorized.
 
@@ -169,21 +149,6 @@ def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
     if x < 0 or y < 0:
         raise ValueError(f"point must be nonnegative, got {p}")
     return float(cone_distances(np.array([x]), np.array([y]), cone)[0])
-
-
-def generalized_polar(
-    p: tuple[float, float], cone: AngularCone
-) -> tuple[float, tuple[float, float]]:
-    """Generalized polar coordinates off the cone.
-
-    Returns (d, p/d) where d is the scaled cone distance; the direction
-    component lies on the unit-distance locus around the cone. Defined
-    only for points strictly off the cone.
-    """
-    d = cone_distance(p, cone)
-    if d == 0.0:
-        raise ValueError("generalized polar coordinates are undefined on the cone")
-    return d, (p[0] / d, p[1] / d)
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:

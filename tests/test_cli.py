@@ -122,7 +122,7 @@ class TestSupport:
         assert run(["support", "--input", ex1_csv, "--k", 100, "--lambda", 1.0,
                     "--output", out]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["a_hat"] == pytest.approx(0.25, abs=0.01)
         assert rep["b_hat"] == pytest.approx(0.75, abs=0.01)
 
@@ -209,6 +209,13 @@ class TestTest:
         payload = json.loads(out.read_text())
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_tied_radii_error(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, np.ones(1000), np.ones(1000))
+        assert run(["test", "--input", src, "--which", "full", "--k", 10,
+                    "--B", 20, "--output", tmp_path / "o.json"]) == 1
+        assert "error: the 10 largest radii are all tied" in capsys.readouterr().err
+
     def test_seed_env_default_and_flag_override(self, tmp_path, monkeypatch):
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(9))
@@ -255,3 +262,11 @@ class TestDiamond:
         inside = (hist[:, 0] >= 0.25) & (hist[:, 1] <= 0.75)
         assert hist[inside, 2].sum() / hist[:, 2].sum() >= 0.9
         assert hist[:, 2].sum() == 100
+
+    def test_k_below_one_errors(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0], [1.0, 0.5])
+        assert run(["diamond", "--input", src, "--k", 0,
+                    "--output", tmp_path / "out"]) == 1
+        assert "error: --k must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

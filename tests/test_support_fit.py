@@ -3,12 +3,17 @@ import pytest
 
 from taildep.datagen import MixtureSpec, example1, example2, generate
 from taildep.support_fit import SupportFitOptions, estimate_support, support_objective
-from taildep.tail_core import AngularCone, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, radial_order
 
 RAY_SPEC = MixtureSpec(
     alpha_main=2.0, alpha_hidden=4.0, cone=AngularCone(0.5, 0.5),
     z_p=1.0, z_q=1.0, mix_prob=1.0,
 )
+EXACTNESS_DATA = {
+    "example1": lambda seed: example1(3000, seed),
+    "example2": lambda seed: example2(3000, seed),
+    "one_ray": lambda seed: generate(RAY_SPEC, 3000, seed),
+}
 
 
 class TestObjective:
@@ -70,21 +75,6 @@ class TestEstimateSupport:
             assert est.b_hat == pytest.approx(0.5, abs=0.02)
             assert est.a_hat <= est.b_hat
 
-    def test_feasibility_of_every_iterate(self):
-        o = radial_order(example1(3000, 1))
-        est = estimate_support(o, 50, SupportFitOptions(grid_size=21))
-        assert 0.0 <= est.a_hat <= est.b_hat <= 1.0
-        for a, b, _ in est.trace:
-            assert 0.0 <= a <= b <= 1.0
-
-    def test_refinement_never_loses_to_grid(self):
-        o = radial_order(example1(3000, 2))
-        opts = SupportFitOptions(grid_size=21)
-        est = estimate_support(o, 50, opts)
-        n_grid = opts.grid_size * (opts.grid_size + 1) // 2
-        grid_vals = [v for _, _, v in est.trace[:n_grid]]
-        assert est.objective_value <= min(grid_vals)
-
     def test_deterministic(self):
         o = radial_order(example1(3000, 3))
         e1 = estimate_support(o, 50, SupportFitOptions())
@@ -107,7 +97,79 @@ class TestEstimateSupport:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SupportFitOptions(lam=0.0)
-        with pytest.raises(ValueError):
-            SupportFitOptions(grid_size=5)
-        with pytest.raises(ValueError):
-            SupportFitOptions(tol=0.0)
+        for lam in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                SupportFitOptions(lam=lam)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_DATA))
+    def test_no_grid_or_angle_pair_is_lower(self, name):
+        # every pair of a 101-point grid and of the top-k angles; g is
+        # evaluated once at lambda = 1 and rescaled, since
+        # g_lambda = (b - a) + lambda * (g_1 - (b - a))
+        k = 50
+        grid = np.linspace(0.0, 1.0, 101)
+        for seed in range(10):
+            o = radial_order(EXACTNESS_DATA[name](seed))
+            pairs = [
+                (float(a), float(b))
+                for pts in (grid, np.unique(o.theta[:k]))
+                for i, a in enumerate(pts) for b in pts[i:]
+            ]
+            width = np.array([b - a for a, b in pairs])
+            g1 = np.array([support_objective(o, k, a, b, 1.0) for a, b in pairs])
+            for lam in (1.0, 4.0, 16.0):
+                est = estimate_support(o, k, SupportFitOptions(lam=lam))
+                ref = float(np.min(width + lam * (g1 - width)))
+                assert est.objective_value <= ref + 1e-12 * abs(ref), (seed, lam)
+
+    def test_objective_value_is_the_objective(self):
+        o = radial_order(example1(3000, 4))
+        est = estimate_support(o, 50, SupportFitOptions(lam=4.0))
+        assert est.objective_value == support_objective(o, 50, est.a_hat, est.b_hat, 4.0)
+
+
+class TestEndpoints:
+    def test_all_mass_on_theta_zero_ray(self):
+        # x == 0: the b = 0 ray convention makes (0, 0) free of any gap
+        y = (1 - np.random.Generator(np.random.Philox(1)).random(1000)) ** -0.5
+        o = radial_order(BivariateSample(np.zeros(1000), y))
+        est = estimate_support(o, 50, SupportFitOptions(lam=4.0))
+        assert (est.a_hat, est.b_hat, est.objective_value) == (0.0, 0.0, 0.0)
+
+    def test_all_mass_on_theta_one_ray(self):
+        x = (1 - np.random.Generator(np.random.Philox(2)).random(1000)) ** -0.5
+        o = radial_order(BivariateSample(x, np.zeros(1000)))
+        est = estimate_support(o, 50, SupportFitOptions(lam=4.0))
+        assert (est.a_hat, est.b_hat, est.objective_value) == (1.0, 1.0, 0.0)
+
+
+class TestTieRule:
+    def test_diagonal_tie_takes_smallest_a(self):
+        # equal top-k radii: every log ratio is 0, so g(a, b) = b - a and
+        # every a = b ties at 0
+        x = np.linspace(0.0, 2.0, 10)
+        o = radial_order(BivariateSample(x, 2.0 - x))
+        est = estimate_support(o, 5, SupportFitOptions(lam=4.0))
+        assert (est.a_hat, est.b_hat, est.objective_value) == (0.0, 0.0, 0.0)
+
+    def test_tie_takes_narrowest_interval(self):
+        # two top points of ratio r at theta = 0 and theta = 1, the rest
+        # at ratio 1 (weight 0); with k = 4 each has weight
+        # w = r log(r) / 4, and lambda is set so that lambda * 2 * w == 1
+        # exactly. Then g(0, 1) = 1 and g(1, 1) = lambda sqrt(k) w = 1,
+        # and every other pair is larger.
+        r = 3.0
+        w = r * np.log(r) / 4
+        lam = next(
+            float(c) for c in (0.5 / w, *np.nextafter(0.5 / w, [0.0, 1.0]))
+            if c * 2.0 * w == 1.0
+        )
+        o = radial_order(BivariateSample(
+            np.array([0.0, r] + [0.5] * 8), np.array([r, 0.0] + [0.5] * 8)
+        ))
+        est = estimate_support(o, 4, SupportFitOptions(lam=lam))
+        assert (est.a_hat, est.b_hat) == (1.0, 1.0)
+        assert support_objective(o, 4, 0.0, 1.0, lam) == 1.0
+        assert est.objective_value == pytest.approx(1.0, rel=1e-12)

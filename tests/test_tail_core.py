@@ -9,40 +9,9 @@ from taildep.tail_core import (
     acf,
     cone_distance,
     cone_distances,
-    generalized_polar,
-    l1_polar,
     log_returns,
     radial_order,
 )
-
-
-class TestL1Polar:
-    def test_symmetry_point(self):
-        assert l1_polar((1, 1)) == (2, 0.5)
-
-    def test_direct_arithmetic(self):
-        assert l1_polar((3, 1)) == (4, 0.75)
-
-    def test_axis_point(self):
-        assert l1_polar((0, 5)) == (5, 0.0)
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            l1_polar((0, 0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            l1_polar((-1, 2))
-
-    def test_round_trip_rational_grid(self):
-        for x in np.arange(0, 4, 0.25):
-            for y in np.arange(0, 4, 0.25):
-                if x + y == 0:
-                    continue
-                p = l1_polar((x, y))
-                back = p.to_cartesian()
-                assert back[0] == pytest.approx(x, rel=1e-12, abs=1e-15)
-                assert back[1] == pytest.approx(y, rel=1e-12, abs=1e-15)
 
 
 class TestConeDistance:
@@ -117,24 +86,6 @@ class TestConeDistance:
             AngularCone(0.6, 0.4)
         with pytest.raises(ValueError):
             AngularCone(-0.1, 0.5)
-
-
-class TestGeneralizedPolar:
-    def test_scaling(self):
-        assert generalized_polar((0, 2), AngularCone(0.25, 0.75)) == (2.0, (0.0, 1.0))
-
-    def test_unit_distance_point(self):
-        assert generalized_polar((2, 1), AngularCone(0.5, 0.5)) == (1.0, (2.0, 1.0))
-
-    def test_direction_is_normalized(self):
-        cone = AngularCone(0.25, 0.75)
-        for p in ((0, 3), (7, 0.1), (0.01, 5)):
-            _, direction = generalized_polar(p, cone)
-            assert cone_distance(direction, cone) == pytest.approx(1.0, rel=1e-12)
-
-    def test_on_cone_rejected(self):
-        with pytest.raises(ValueError):
-            generalized_polar((1, 1), AngularCone(0.25, 0.75))
 
 
 class TestBivariateSample:
