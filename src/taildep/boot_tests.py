@@ -14,33 +14,37 @@ Three procedures, all resampling m points with replacement B times:
   bootstrap variances of the plain and cone-masked angle-weighted
   statistics over two independent resample batches.
 
-Every resample draws from its own Philox substream keyed by
-(seed, test code, batch, slot, attempt), so serial and parallel runs
-agree bit-for-bit at any worker count.
+Every resample draws from its own Philox substream keyed by (seed, test
+code, batch, slot, attempt) and is scored by its statistic's row kernel
+in taildep.estimators. All of it runs on one thread; TestConfig.threads
+is accepted and changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from taildep.datagen import stream
+from taildep.estimators import (
+    RowValues,
+    _angle_weighted_hill_rows,
+    _cone_adjusted_hill_rows,
+    _masked_angle_weighted_hill_rows,
+    hill,
+)
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, cone_distances
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _MAX_ATTEMPTS = 10  # redraw budget per resample slot
+_CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
 
 REJECT = "reject"
 FAIL_TO_REJECT = "fail_to_reject"
-
-
-class DegenerateResample(Exception):
-    """A resample on which the requested statistic is undefined."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,8 @@ class TestConfig:
     """Tuning knobs shared by the three bootstrap tests.
 
     m_n defaults to round(n / k_n) and k_mn to max(5, round(0.05 * m_n))
-    when left unset.
+    when left unset. threads is validated but changes nothing: the
+    bootstrap runs on one thread.
     """
 
     k_n: int
@@ -56,7 +61,6 @@ class TestConfig:
     m_n: int | None = None
     k_mn: int | None = None
     B: int = 2000
-    lam: float = 1.0
     alpha_sig: float = 0.05
     threads: int = 1
 
@@ -67,8 +71,6 @@ class TestConfig:
             raise ValueError("B must be at least 2")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 
@@ -129,101 +131,48 @@ def resample(s: BivariateSample, m: int, gen: np.random.Generator) -> BivariateS
 # ---------------------------------------------------------------------------
 # internal machinery
 
-def _full_sample_hill(r: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    order = np.argsort(-r, kind="stable")
-    rk = r[order[k - 1]]
-    if rk <= 0:
-        raise ValueError(f"R_({k}) must be positive")
-    hill = float(np.mean(np.log(r[order[:k]] / rk)))
-    if hill == 0.0:
+def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder]:
+    ordered = radial_order(s)
+    value = hill(ordered, k).value
+    if value == 0.0:
         raise ValueError(
             f"the {k} largest radii are all tied, so the Hill estimate is 0 "
             "and the tests are undefined"
         )
-    return hill, order
+    return value, ordered
 
 
 def _resample_stats(
-    s: BivariateSample,
-    cfg: TestConfig,
-    test_code: int,
-    batch: int,
-    stat_fn: Callable[[np.ndarray, np.random.Generator], float],
-    m: int,
+    s: BivariateSample, cfg: TestConfig, test_code: int, batch: int, m: int,
+    kernel: Callable[[RadialOrder], RowValues],
 ) -> np.ndarray:
-    """Per-resample statistics for slots 0..B-1.
+    """A row kernel's values on resample slots 0..B-1, in chunks of rows.
 
-    Each slot has its own redraw chain: a degenerate resample moves to
-    the next attempt substream, keeping determinism under any thread
-    count. The reduction order is fixed by the output array.
+    Slot t draws m indices from stream(seed, test_code, batch, t, attempt)
+    and sorts them stably by decreasing radius, as radial_order does; a
+    slot whose value is undefined draws again at the next attempt.
     """
-    n = s.n
+    r, theta = s.radii, s.angles
     out = np.empty(cfg.B)
-
-    def run(t: int) -> None:
+    for start in range(0, cfg.B, _CHUNK_ROWS):
+        slots = np.arange(start, min(start + _CHUNK_ROWS, cfg.B))
         for attempt in range(_MAX_ATTEMPTS):
-            gen = stream(cfg.seed, test_code, batch, t, attempt)
-            idx = gen.integers(0, n, m)
-            try:
-                out[t] = stat_fn(idx, gen)
-                return
-            except DegenerateResample:
-                continue
-        raise RuntimeError(
-            f"resample slot {t} stayed degenerate after {_MAX_ATTEMPTS} redraws"
-        )
-
-    if cfg.threads == 1:
-        for t in range(cfg.B):
-            run(t)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(run, range(cfg.B)))
+            idx = np.array([
+                stream(cfg.seed, test_code, batch, int(t), attempt).integers(0, s.n, m)
+                for t in slots
+            ])
+            order = np.argsort(-r[idx], axis=1, kind="stable")
+            idx = np.take_along_axis(idx, order, axis=1)
+            values, defined = kernel(RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]))
+            out[slots[defined]] = values[defined]
+            slots = slots[~defined]
+            if slots.size == 0:
+                break
+        else:
+            raise RuntimeError(
+                f"resample slot {slots[0]} stayed degenerate after {_MAX_ATTEMPTS} redraws"
+            )
     return out
-
-
-def _top_k(r: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Indices of the k largest entries (stable descending) and the k-th value."""
-    order = np.argsort(-r, kind="stable")[:k]
-    return order, float(r[order[-1]])
-
-
-def _cone_adjusted_hill_on(idx, x, y, r, k, cone) -> float:
-    rs = r[idx]
-    top, rk = _top_k(rs, k)
-    if rk <= 0:
-        raise DegenerateResample
-    logr = np.log(rs[top] / rk)
-    d = cone_distances(x[idx][top], y[idx][top], cone)
-    return float(np.mean((1.0 + d / rk) * logr))
-
-
-def _angle_weighted_hill_on(idx, r, theta, k) -> float:
-    rs = r[idx]
-    top, rk = _top_k(rs, k)
-    if rk <= 0:
-        raise DegenerateResample
-    th = theta[idx][top]
-    denom = float(th.sum())
-    if denom <= 0:
-        raise DegenerateResample
-    return float(np.dot(th, np.log(rs[top] / rk))) / denom
-
-
-def _masked_angle_weighted_hill_on(idx, r, theta, k, cone) -> float:
-    th = theta[idx]
-    mask = cone.contains_angle(th)
-    rs = r[idx] * mask
-    top, rk = _top_k(rs, k)
-    th_top = (th * mask)[top]
-    denom = float(th_top.sum())
-    if denom <= 0:
-        return 1.0
-    if rk > 0:
-        terms = np.log(np.maximum(rs[top] / rk, 1.0))
-    else:
-        terms = np.zeros(k)
-    return float(np.dot(th_top, terms)) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +188,13 @@ def strong_dependence_test(
     estimate exceeds the significance level.
     """
     m, k_m = cfg.resolve(s.n)
-    r = s.radii
-    hill_full, _ = _full_sample_hill(r, cfg.k_n)
+    hill_full, _ = _full_sample_hill(s, cfg.k_n)
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 
-    x, y = s.x, s.y
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H1"], 0,
-        lambda idx, gen: _cone_adjusted_hill_on(idx, x, y, r, k_m, cone), m,
+        s, cfg, _TEST_CODES["H1"], 0, m,
+        lambda rows: _cone_adjusted_hill_rows(rows, k_m, cone),
     )
     flagged = np.abs(stats - hill_full) > band
     rate = float(np.mean(flagged))
@@ -280,16 +227,14 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     that catches false acceptances when the angular spread is small.
     """
     m, k_m = cfg.resolve(s.n)
-    r = s.radii
-    theta = s.angles
-    hill_full, order = _full_sample_hill(r, cfg.k_n)
-    theta0_hat = float(np.mean(theta[order[: cfg.k_n]]))
+    hill_full, ordered = _full_sample_hill(s, cfg.k_n)
+    theta0_hat = float(np.mean(ordered.theta[: cfg.k_n]))
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H2"], 0,
-        lambda idx, gen: _angle_weighted_hill_on(idx, r, theta, k_m), m,
+        s, cfg, _TEST_CODES["H2"], 0, m,
+        lambda rows: _angle_weighted_hill_rows(rows, k_m),
     )
     se_boot = float(np.std(stats, ddof=1))
     statistic = k_m * se_boot**2 / hill_full**2
@@ -327,17 +272,15 @@ def weak_dependence_test(
     if cone.is_full:
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
     m, k_m = cfg.resolve(s.n)
-    r = s.radii
-    theta = s.angles
-    hill_full, _ = _full_sample_hill(r, cfg.k_n)
+    hill_full, _ = _full_sample_hill(s, cfg.k_n)
 
     stats_plain = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 1,
-        lambda idx, gen: _angle_weighted_hill_on(idx, r, theta, k_m), m,
+        s, cfg, _TEST_CODES["H3"], 1, m,
+        lambda rows: _angle_weighted_hill_rows(rows, k_m),
     )
     stats_masked = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 2,
-        lambda idx, gen: _masked_angle_weighted_hill_on(idx, r, theta, k_m, cone), m,
+        s, cfg, _TEST_CODES["H3"], 2, m,
+        lambda rows: _masked_angle_weighted_hill_rows(rows, k_m, cone),
     )
     var_plain = float(np.var(stats_plain, ddof=1))
     var_masked = float(np.var(stats_masked, ddof=1))

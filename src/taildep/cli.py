@@ -102,15 +102,21 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_report(path: str, payload: dict, fmt: str) -> None:
+    # JSON has no NaN or infinity, so a report holding one is not written
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    if fmt == "json":
-        _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = ["key,value"]
-        for key in sorted(payload):
-            value = json.dumps(payload[key], sort_keys=True).replace('"', '""')
-            lines.append(f'{key},"{value}"')
-        _write_text(path, "\n".join(lines) + "\n")
+    try:
+        if fmt == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            lines = ["key,value"]
+            for key in sorted(payload):
+                value = json.dumps(payload[key], sort_keys=True, allow_nan=False)
+                value = value.replace('"', '""')
+                lines.append(f'{key},"{value}"')
+            text = "\n".join(lines) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-finite value, report not written ({exc})") from exc
+    _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +193,13 @@ def cmd_test(args) -> int:
     x, y = _load_pair(args)
     sample = BivariateSample(x, y)
     k = args.k if args.k is not None else _default_k(sample.n)
+    fit_opts = SupportFitOptions(lam=args.lam)
     cfg = TestConfig(
         k_n=k,
         seed=args.seed,
         m_n=args.mn,
         k_mn=args.kmn,
         B=args.B,
-        lam=args.lam,
         alpha_sig=args.alpha_sig,
         threads=args.threads,
     )
@@ -201,7 +207,7 @@ def cmd_test(args) -> int:
     cone_source = "flag"
     if cone is None and args.which in ("strong", "weak", "all"):
         ordered = radial_order(sample)
-        est = estimate_support(ordered, k, SupportFitOptions(lam=args.lam))
+        est = estimate_support(ordered, k, fit_opts)
         cone = AngularCone(est.a_hat, est.b_hat)
         cone_source = "estimated"
 
@@ -333,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--kmn", type=int, default=None)
     test.add_argument("--B", type=int, default=2000)
     test.add_argument("--alpha-sig", type=float, default=0.05)
-    test.add_argument("--threads", type=int, default=1)
+    test.add_argument("--threads", type=int, default=1,
+                      help="accepted for compatibility; the bootstrap runs on one thread")
     test.add_argument("--output", required=True)
     test.add_argument("--format", choices=("json", "csv"), default="json")
     test.set_defaults(func=cmd_test)

@@ -3,6 +3,10 @@
 All four statistics are functions of ratios R_(i)/R_(k) (and of the
 1-homogeneous cone distance scaled by R_(k)), so they are invariant to
 rescaling the whole sample.
+
+Each statistic has one implementation, a row kernel on stacked radial
+orders: the public functions run it on one row, the bootstrap on chunks
+of resamples.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from taildep.tail_core import AngularCone, RadialOrder, cone_distances
+
+RowValues = tuple[np.ndarray, np.ndarray]  # one value per row, and where it is defined
 
 
 @dataclass(frozen=True)
@@ -26,12 +32,84 @@ def _check_k(ord: RadialOrder, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
 
 
+def _log_ratio_rows(r: np.ndarray, k: int) -> RowValues:
+    """log(R_(i)/R_(k)), i = 1..k, on each row of decreasing radii, and the
+    rows where R_(k) > 0 (elsewhere the ratios are not finite)."""
+    rk = r[:, k - 1 : k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logr = np.log(r[:, :k] / rk)
+    return logr, rk[:, 0] > 0.0
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one np.dot per row rounds each row exactly as a 1-d np.dot does
+    return np.array([np.dot(u, v) for u, v in zip(a, b)])
+
+
 def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
     """log(R_(i)/R_(k)) for i = 1..k; requires R_(k) > 0."""
-    rk = ord.sorted_r[k - 1]
-    if rk <= 0.0:
-        raise ValueError(f"R_({k}) must be positive, got {rk}")
-    return np.log(ord.sorted_r[:k] / rk)
+    logr, defined = _log_ratio_rows(ord.sorted_r[None], k)
+    if not defined[0]:
+        raise ValueError(f"R_({k}) must be positive, got {ord.sorted_r[k - 1]}")
+    return logr[0]
+
+
+# ---------------------------------------------------------------------------
+# row kernels: rows is a RadialOrder whose arrays are stacked (rows, width),
+# each row sorted by decreasing radius with ties in sample order; each
+# kernel returns one value per row and the mask of rows where it is defined
+
+def _hill_rows(rows: RadialOrder, k: int) -> RowValues:
+    logr, defined = _log_ratio_rows(rows.sorted_r, k)
+    return logr.mean(axis=1), defined
+
+
+def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone) -> RowValues:
+    logr, defined = _log_ratio_rows(rows.sorted_r, k)
+    d = cone_distances(rows.x[:, :k], rows.y[:, :k], cone)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (1.0 + d / rows.sorted_r[:, k - 1 : k]) * logr
+    # inf * 0 at a zero log ratio: the log factor wins, the term is 0
+    terms = np.where(logr > 0.0, terms, 0.0)
+    return terms.mean(axis=1), defined
+
+
+def _angle_weighted_hill_rows(rows: RadialOrder, k: int) -> RowValues:
+    logr, defined = _log_ratio_rows(rows.sorted_r, k)
+    th = rows.theta[:, :k]
+    denom = th.sum(axis=1)
+    defined &= denom > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _row_dots(th, logr) / denom, defined
+
+
+def _masked_angle_weighted_hill_rows(
+    rows: RadialOrder, k: int, cone: AngularCone
+) -> RowValues:
+    mask = cone.contains_angle(rows.theta)
+    # the rows are in radius order, so a stable sort on the mask alone
+    # re-sorts the masked radii: in-cone points first, then zeroed ones
+    top = np.argsort(~mask, axis=1, kind="stable")[:, :k]
+    in_cone = np.take_along_axis(mask, top, axis=1)
+    r_top = np.where(in_cone, np.take_along_axis(rows.sorted_r, top, axis=1), 0.0)
+    th_top = np.where(in_cone, np.take_along_axis(rows.theta, top, axis=1), 0.0)
+    logr, rk_positive = _log_ratio_rows(r_top, k)
+    terms = np.maximum(np.where(rk_positive[:, None], logr, 0.0), 0.0)
+    denom = th_top.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(denom > 0.0, _row_dots(th_top, terms) / denom, 1.0)
+    return values, np.ones(values.size, dtype=bool)
+
+
+def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
+    """kernel on ord as a single row; raises where the value is undefined."""
+    _check_k(ord, k)
+    rows = RadialOrder(ord.sorted_r[None], ord.theta[None], ord.x[None], ord.y[None])
+    value, defined = kernel(rows, k, *args)
+    if not defined[0]:
+        _log_ratios(ord, k)  # raises if R_(k) <= 0; else the angle sum is 0
+        raise ValueError("top-k concomitant angles sum to zero")
+    return StatisticValue(float(value[0]), int(k), ord.n)
 
 
 def hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -39,8 +117,7 @@ def hill(ord: RadialOrder, k: int) -> StatisticValue:
 
     H = (1/k) sum_{i<=k} log(R_(i)/R_(k)); the i = k term is zero.
     """
-    _check_k(ord, k)
-    return StatisticValue(float(np.mean(_log_ratios(ord, k))), int(k), ord.n)
+    return _single_row(ord, k, _hill_rows)
 
 
 def cone_adjusted_hill(ord: RadialOrder, k: int, cone: AngularCone) -> StatisticValue:
@@ -52,15 +129,7 @@ def cone_adjusted_hill(ord: RadialOrder, k: int, cone: AngularCone) -> Statistic
     Hill estimator iff every contributing pair lies inside the cone; in
     particular the cone [0, 1] gives the Hill estimator exactly.
     """
-    _check_k(ord, k)
-    logr = _log_ratios(ord, k)
-    rk = ord.sorted_r[k - 1]
-    d = cone_distances(ord.x[:k], ord.y[:k], cone)
-    with np.errstate(invalid="ignore"):
-        terms = (1.0 + d / rk) * logr
-    # inf * 0 at a zero log ratio: the log factor wins, the term is 0
-    terms = np.nan_to_num(terms, nan=0.0, posinf=np.inf)
-    return StatisticValue(float(np.mean(terms)), int(k), ord.n)
+    return _single_row(ord, k, _cone_adjusted_hill_rows, cone)
 
 
 def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -69,13 +138,7 @@ def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
     T = sum_{i<=k} theta*_i log(R_(i)/R_(k)) / sum_{i<=k} theta*_i.
     Its sampling variance separates full from strong dependence.
     """
-    _check_k(ord, k)
-    logr = _log_ratios(ord, k)
-    th = ord.theta[:k]
-    denom = float(th.sum())
-    if denom <= 0.0:
-        raise ValueError("top-k concomitant angles sum to zero")
-    return StatisticValue(float(np.dot(th, logr)) / denom, int(k), ord.n)
+    return _single_row(ord, k, _angle_weighted_hill_rows)
 
 
 def masked_angle_weighted_hill(
@@ -89,19 +152,4 @@ def masked_angle_weighted_hill(
     0/0 == 1 convention. When the k-th masked radius is 0, each log
     term is taken as 0 (the minimal completion of the convention).
     """
-    _check_k(ord, k)
-    mask = cone.contains_angle(ord.theta)
-    r_masked = np.where(mask, ord.sorted_r, 0.0)
-    th_masked = np.where(mask, ord.theta, 0.0)
-    order = np.argsort(-r_masked, kind="stable")
-    r_top = r_masked[order][:k]
-    th_top = th_masked[order][:k]
-    denom = float(th_top.sum())
-    if denom <= 0.0:
-        return StatisticValue(1.0, int(k), ord.n)
-    rk = r_top[k - 1]
-    if rk > 0.0:
-        terms = np.log(np.maximum(r_top / rk, 1.0))
-    else:
-        terms = np.zeros(k)
-    return StatisticValue(float(np.dot(th_top, terms)) / denom, int(k), ord.n)
+    return _single_row(ord, k, _masked_angle_weighted_hill_rows, cone)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taildep import boot_tests
 from taildep.boot_tests import (
     FAIL_TO_REJECT,
     REJECT,
@@ -12,7 +13,12 @@ from taildep.boot_tests import (
     weak_dependence_test,
 )
 from taildep.datagen import MixtureSpec, example1, example2, generate, pareto, stream
-from taildep.tail_core import AngularCone, BivariateSample
+from taildep.estimators import (
+    angle_weighted_hill,
+    cone_adjusted_hill,
+    masked_angle_weighted_hill,
+)
+from taildep.tail_core import AngularCone, BivariateSample, radial_order
 
 CONE = AngularCone(0.25, 0.75)
 
@@ -249,6 +255,30 @@ class TestDeterminismAndInvariance:
         rep = full_dependence_test(s, cfg)
         assert len(rep.per_resample) == 100
         assert np.all(np.isfinite(rep.per_resample))
+
+    def test_each_slot_is_the_public_estimator_on_its_stream(self):
+        # slot t of (test code, batch) resamples with stream(seed, code,
+        # batch, t, 0); its value is the estimators function on that
+        # resample, bit for bit. B = 150 leaves a partial last chunk.
+        s = example1(3000, 12)
+        cfg = Config(k_n=60, seed=12, B=150)
+        assert cfg.B % boot_tests._CHUNK_ROWS != 0
+        m, k = cfg.resolve(s.n)
+        h1 = strong_dependence_test(s, CONE, cfg)
+        h2 = full_dependence_test(s, cfg)
+        h3 = weak_dependence_test(s, CONE, cfg)
+        cases = [
+            (h1.per_resample, 1, 0, lambda o: cone_adjusted_hill(o, k, CONE)),
+            (h2.per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
+            (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
+            (h3.auxiliary["per_resample_masked"], 3, 2,
+             lambda o: masked_angle_weighted_hill(o, k, CONE)),
+        ]
+        for per_resample, code, batch, statistic in cases:
+            assert len(per_resample) == cfg.B
+            for t, value in enumerate(per_resample):
+                ordered = radial_order(resample(s, m, stream(cfg.seed, code, batch, t, 0)))
+                assert value == statistic(ordered).value, (code, batch, t)
 
     def test_all_degenerate_errors_out(self):
         s = BivariateSample([0.0, 0.0, 0.0], [1.0, 1.5, 2.0])

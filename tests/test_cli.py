@@ -216,6 +216,28 @@ class TestTest:
                     "--B", 20, "--output", tmp_path / "o.json"]) == 1
         assert "error: the 10 largest radii are all tied" in capsys.readouterr().err
 
+    def test_nan_lambda_rejected_with_fixed_cone(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(10))
+        r = (1 - gen.random(500)) ** -0.5
+        write_sample_csv(src, 0.4 * r, 0.6 * r)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--k", 30, "--cone", "0.25,0.75",
+                    "--lambda", "nan", "--B", 20, "--output", out]) == 1
+        assert "error: lambda must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_statistic_fails_without_report(self, ex1_csv, tmp_path, capsys, fmt):
+        # on the theta = 0 ray every top-k point with x > 0 is infinitely
+        # far from the cone, so each cone-adjusted Hill value is +inf
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", ex1_csv, "--which", "strong", "--k", 100,
+                    "--cone", "0,0", "--B", 20, "--format", fmt, "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: non-finite value, report not written")
+        assert not out.exists()
+
     def test_seed_env_default_and_flag_override(self, tmp_path, monkeypatch):
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(9))

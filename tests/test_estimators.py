@@ -152,6 +152,31 @@ class TestMaskedAngleWeightedHill:
         s = BivariateSample.from_pairs([(1, 1), (0, 5), (0, 4)])
         assert masked_angle_weighted_hill(radial_order(s), 2, AngularCone(0.4, 0.6)).value == 0.0
 
+    def test_definition_on_tied_radii(self):
+        # small integers: many tied radii, points at the origin and angles
+        # on the cone's edges; the definition zeroes the points outside
+        # the cone and re-sorts the sample, ties kept in sample order
+        gen = np.random.Generator(np.random.Philox(17))
+        for _ in range(300):
+            n = int(gen.integers(3, 60))
+            x = gen.integers(0, 5, n).astype(float)
+            y = gen.integers(0, 5, n).astype(float)
+            x[0] += 1.0
+            s = BivariateSample(x, y)
+            cone = AngularCone(*np.sort(gen.integers(0, 9, 2) / 8.0))
+            k = int(gen.integers(1, n))
+            inside = cone.contains_angle(s.angles)
+            r = np.where(inside, s.radii, 0.0)
+            th = np.where(inside, s.angles, 0.0)
+            top = np.argsort(-r, kind="stable")[:k]
+            expected = 1.0
+            if th[top].sum() > 0:
+                rk = r[top[-1]]
+                terms = np.log(np.maximum(r[top] / rk, 1.0)) if rk > 0 else np.zeros(k)
+                expected = np.dot(th[top], terms) / th[top].sum()
+            value = masked_angle_weighted_hill(radial_order(s), k, cone).value
+            assert value == pytest.approx(expected, rel=1e-12)
+
 
 class TestSharedProperties:
     def test_scale_invariance(self):
