@@ -14,10 +14,17 @@ Three procedures, all resampling m points with replacement B times:
   bootstrap variances of the plain and cone-masked angle-weighted
   statistics over two independent resample batches.
 
-Every resample draws from its own Philox substream keyed by (seed, test
-code, batch, slot, attempt) and is scored by its statistic's row kernel
-in taildep.estimators. All of it runs on one thread; TestConfig.threads
-is accepted and changes nothing.
+Every resample draws from its own Philox substream,
+stream(seed, test code, batch, slot, attempt), and is scored by its
+statistic's row kernel in taildep.estimators on its k_mn largest radii.
+The substreams are the ones stream() builds; only the way there is
+cheaper. datagen.stream_keys derives the Philox keys of a whole block of
+slots in one numpy pass of SeedSequence's hash, and one Philox is reset
+to each key in turn. Each drawn point's key (dense radius rank in the
+full sample) * m + draw position orders a resample exactly as a stable
+sort by decreasing radius does, so a partition picks the k_mn largest
+without sorting the row. All of it runs on one thread;
+TestConfig.threads is accepted and changes nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from taildep.datagen import stream
+# stream is the per-slot contract; perfbench/tracer.py rebinds boot_tests.stream
+from taildep.datagen import stream, stream_keys  # noqa: F401
 from taildep.estimators import (
     RowValues,
     _angle_weighted_hill_rows,
@@ -67,6 +75,8 @@ class TestConfig:
     def __post_init__(self) -> None:
         if self.k_n < 1:
             raise ValueError("k_n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.B < 2:
             raise ValueError("B must be at least 2")
         if not (0.0 < self.alpha_sig < 1.0):
@@ -142,37 +152,69 @@ def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder]:
     return value, ordered
 
 
+def _require_positive_angle(s: BivariateSample) -> None:
+    if not np.any(s.angles > 0.0):
+        raise ValueError(
+            "no point has a positive angle (every x is 0), so the angle-weighted "
+            "statistic is undefined on theta == 0 data"
+        )
+
+
+def _draw_ranks(s: BivariateSample, cone: AngularCone | None = None) -> np.ndarray:
+    """Dense rank of each sample point's radius, 0 for the largest; tied
+    radii share a rank. With a cone, every point outside it ranks after
+    every point inside."""
+    rank = np.unique(-s.radii, return_inverse=True)[1]
+    if cone is not None:
+        rank = rank + np.where(cone.contains_angle(s.angles), 0, rank.max() + 1)
+    return rank
+
+
 def _resample_stats(
-    s: BivariateSample, cfg: TestConfig, test_code: int, batch: int, m: int,
-    kernel: Callable[[RadialOrder], RowValues],
+    s: BivariateSample, cfg: TestConfig, test_code: int, batch: int, m: int, k: int,
+    rank: np.ndarray, kernel: Callable[..., RowValues], *args,
 ) -> np.ndarray:
-    """A row kernel's values on resample slots 0..B-1, in chunks of rows.
+    """kernel(rows, k, *args) on resample slots 0..B-1, in chunks of rows.
 
     Slot t draws m indices from stream(seed, test_code, batch, t, attempt)
-    and sorts them stably by decreasing radius, as radial_order does; a
-    slot whose value is undefined draws again at the next attempt.
+    and keeps the k first of a stable sort by rank (by decreasing radius,
+    as radial_order sorts); a slot whose value is undefined draws again at
+    the next attempt. One Philox is reset to each slot's key (counter 0,
+    empty buffers), so it draws what a fresh stream(...) would.
     """
     r, theta = s.radii, s.angles
+    bits = np.random.Philox(key=np.zeros(2, np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    # rank * m + draw position is unique in a row and orders it as the
+    # stable sort does, so a partition finds the k first exactly
+    position = np.arange(m)
     out = np.empty(cfg.B)
-    for start in range(0, cfg.B, _CHUNK_ROWS):
-        slots = np.arange(start, min(start + _CHUNK_ROWS, cfg.B))
-        for attempt in range(_MAX_ATTEMPTS):
-            idx = np.array([
-                stream(cfg.seed, test_code, batch, int(t), attempt).integers(0, s.n, m)
-                for t in slots
-            ])
-            order = np.argsort(-r[idx], axis=1, kind="stable")
-            idx = np.take_along_axis(idx, order, axis=1)
-            values, defined = kernel(RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]))
-            out[slots[defined]] = values[defined]
-            slots = slots[~defined]
-            if slots.size == 0:
-                break
-        else:
-            raise RuntimeError(
-                f"resample slot {slots[0]} stayed degenerate after {_MAX_ATTEMPTS} redraws"
+    pending = np.arange(cfg.B)
+    for attempt in range(_MAX_ATTEMPTS):
+        keys = stream_keys(cfg.seed, test_code, batch, pending, attempt)
+        undefined = []
+        for start in range(0, pending.size, _CHUNK_ROWS):
+            slots = pending[start : start + _CHUNK_ROWS]
+            idx = np.empty((slots.size, m), dtype=np.int64)
+            for row, key in zip(idx, keys[start : start + _CHUNK_ROWS]):
+                fresh["state"]["key"] = key
+                bits.state = fresh
+                row[:] = gen.integers(0, s.n, m)
+            order_key = rank[idx] * m + position
+            top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
+            idx = np.take_along_axis(idx, top, axis=1)
+            values, defined = kernel(
+                RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]), k, *args
             )
-    return out
+            out[slots[defined]] = values[defined]
+            undefined.append(slots[~defined])
+        pending = np.concatenate(undefined)
+        if pending.size == 0:
+            return out
+    raise RuntimeError(
+        f"resample slot {pending[0]} stayed degenerate after {_MAX_ATTEMPTS} redraws"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +235,7 @@ def strong_dependence_test(
     band = z * hill_full / math.sqrt(k_m)
 
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H1"], 0, m,
-        lambda rows: _cone_adjusted_hill_rows(rows, k_m, cone),
+        s, cfg, _TEST_CODES["H1"], 0, m, k_m, _draw_ranks(s), _cone_adjusted_hill_rows, cone
     )
     flagged = np.abs(stats - hill_full) > band
     rate = float(np.mean(flagged))
@@ -228,13 +269,13 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     """
     m, k_m = cfg.resolve(s.n)
     hill_full, ordered = _full_sample_hill(s, cfg.k_n)
+    _require_positive_angle(s)
     theta0_hat = float(np.mean(ordered.theta[: cfg.k_n]))
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H2"], 0, m,
-        lambda rows: _angle_weighted_hill_rows(rows, k_m),
+        s, cfg, _TEST_CODES["H2"], 0, m, k_m, _draw_ranks(s), _angle_weighted_hill_rows
     )
     se_boot = float(np.std(stats, ddof=1))
     statistic = k_m * se_boot**2 / hill_full**2
@@ -273,14 +314,16 @@ def weak_dependence_test(
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
     m, k_m = cfg.resolve(s.n)
     hill_full, _ = _full_sample_hill(s, cfg.k_n)
+    _require_positive_angle(s)
 
     stats_plain = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 1, m,
-        lambda rows: _angle_weighted_hill_rows(rows, k_m),
+        s, cfg, _TEST_CODES["H3"], 1, m, k_m, _draw_ranks(s), _angle_weighted_hill_rows
     )
+    # out-of-cone points rank last, so the k first are the masked kernel's
+    # own top k: in-cone points by radius, then the zeroed ones
     stats_masked = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 2, m,
-        lambda rows: _masked_angle_weighted_hill_rows(rows, k_m, cone),
+        s, cfg, _TEST_CODES["H3"], 2, m, k_m, _draw_ranks(s, cone),
+        _masked_angle_weighted_hill_rows, cone,
     )
     var_plain = float(np.var(stats_plain, ddof=1))
     var_masked = float(np.var(stats_masked, ddof=1))

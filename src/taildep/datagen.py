@@ -35,6 +35,80 @@ def stream(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+# numpy's SeedSequence hash: pool of four uint32 words, hash and mix constants
+_POOL_WORDS = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _entropy_words(value) -> list:
+    """value as SeedSequence reads it: an int becomes its little-endian
+    uint32 words (0 is one word); an array of ints below 2**32 is one
+    word per row."""
+    if isinstance(value, np.ndarray):
+        if value.size and (value.min() < 0 or value.max() > _MASK32):
+            raise ValueError("array entropy must lie in [0, 2**32)")
+        return [value.astype(np.uint32)]
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: each call advances the hash constant."""
+    const = init
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> 16)
+
+    return hashmix
+
+
+def stream_keys(*entropy) -> np.ndarray:
+    """Philox keys of stream(*e) for a block of entropy tuples e, shape (rows, 2).
+
+    Each argument is an int, as in stream, or a 1-d array of ints below
+    2**32 that varies along the block. Row j equals
+    SeedSequence(e_j).generate_state(2, np.uint64), the key stream(*e_j)
+    gives its Philox, computed for every row at once with SeedSequence's
+    uint32 hash in wrapping numpy arithmetic.
+    """
+    cols = [w for value in entropy for w in _entropy_words(value)]
+    rows = max((c.size for c in cols if isinstance(c, np.ndarray)), default=1)
+    cols = [np.broadcast_to(np.uint32(c) if isinstance(c, int) else c, (rows,)) for c in cols]
+
+    def mix(x, y):
+        v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return v ^ (v >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(rows, np.uint32)
+    pool = [hashmix(cols[i] if i < len(cols) else zeros) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for col in cols[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(col))
+
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    output = _hasher(_INIT_B, _MULT_B)
+    w = [output(v).astype(np.uint64) for v in pool]
+    return np.stack([w[0] | w[1] << np.uint64(32), w[2] | w[3] << np.uint64(32)], axis=1)
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     """Parameters of the two-component angular mixture."""

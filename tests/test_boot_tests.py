@@ -18,7 +18,7 @@ from taildep.estimators import (
     cone_adjusted_hill,
     masked_angle_weighted_hill,
 )
-from taildep.tail_core import AngularCone, BivariateSample, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 CONE = AngularCone(0.25, 0.75)
 
@@ -67,6 +67,10 @@ class TestConfigAndReport:
             Config(k_n=100).resolve(100)
         with pytest.raises(ValueError):
             Config(k_n=10, m_n=5, k_mn=7).resolve(100)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            Config(k_n=10, seed=-1)
 
     def test_report_round_trip(self):
         rep = Report(
@@ -281,7 +285,79 @@ class TestDeterminismAndInvariance:
                 assert value == statistic(ordered).value, (code, batch, t)
 
     def test_all_degenerate_errors_out(self):
+        # every angle is 0, so no resample can be defined: both tests
+        # that use the angle-weighted statistic refuse before resampling
         s = BivariateSample([0.0, 0.0, 0.0], [1.0, 1.5, 2.0])
         cfg = Config(k_n=2, seed=11, m_n=3, k_mn=2, B=10)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="undefined on theta == 0 data"):
             full_dependence_test(s, cfg)
+        with pytest.raises(ValueError, match="undefined on theta == 0 data"):
+            weak_dependence_test(s, CONE, cfg)
+
+    def test_redraws_exhausted_errors_out(self):
+        # the one point with a positive angle has the smallest radius, so
+        # it enters the top 2 of 3 draws almost never: slot 0 runs out
+        s = BivariateSample(np.r_[np.zeros(999), 0.5], np.r_[np.arange(2.0, 1001.0), 0.5])
+        cfg = Config(k_n=2, seed=11, m_n=3, k_mn=2, B=10)
+        with pytest.raises(RuntimeError, match="slot 0 stayed degenerate after 10 redraws"):
+            full_dependence_test(s, cfg)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 41])
+    def test_chunk_size_independence(self, monkeypatch, chunk_rows):
+        # B + 1 = 41 puts every slot in one chunk
+        s = example1(2000, 13)
+        cfg = Config(k_n=50, seed=13, B=40)
+        # most slots of this sample redraw (see test_degenerate_resamples_are_redrawn)
+        s_redraw = BivariateSample([0.0, 0.0, 0.0, 1.2], [1.0, 1.5, 2.0, 1.3])
+        cfg_redraw = Config(k_n=2, seed=10, m_n=3, k_mn=2, B=40)
+
+        def all_values():
+            h3 = weak_dependence_test(s, CONE, cfg)
+            return [strong_dependence_test(s, CONE, cfg).per_resample,
+                    full_dependence_test(s, cfg).per_resample,
+                    h3.per_resample, h3.auxiliary["per_resample_masked"],
+                    full_dependence_test(s_redraw, cfg_redraw).per_resample]
+
+        before = all_values()
+        monkeypatch.setattr(boot_tests, "_CHUNK_ROWS", chunk_rows)
+        assert all_values() == before
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_heavy_sample_matches_stable_argsort(self, seed):
+        # small integer coordinates tie most radii; each slot is redrawn
+        # until defined and sorted by a stable argsort of the whole
+        # resample, then scored by the public estimator
+        gen = np.random.Generator(np.random.Philox(seed))
+        x = np.floor(pareto(1.5, 1500, gen)) - 1.0
+        y = np.floor(pareto(1.5, 1500, gen)) - 1.0
+        s = BivariateSample(x, y)
+        cone = AngularCone(0.3, 0.7)
+        cfg = Config(k_n=40, seed=seed, m_n=60, k_mn=9, B=120)
+        m, k = cfg.resolve(s.n)
+        r, theta = s.radii, s.angles
+
+        def reference(code, batch, statistic):
+            out = []
+            for t in range(cfg.B):
+                for attempt in range(10):
+                    idx = stream(cfg.seed, code, batch, t, attempt).integers(0, s.n, m)
+                    idx = idx[np.argsort(-r[idx], kind="stable")]
+                    ordered = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
+                    try:
+                        out.append(statistic(ordered).value)
+                        break
+                    except ValueError:
+                        continue
+            return out
+
+        h3 = weak_dependence_test(s, cone, cfg)
+        cases = [
+            (strong_dependence_test(s, cone, cfg).per_resample, 1, 0,
+             lambda o: cone_adjusted_hill(o, k, cone)),
+            (full_dependence_test(s, cfg).per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
+            (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
+            (h3.auxiliary["per_resample_masked"], 3, 2,
+             lambda o: masked_angle_weighted_hill(o, k, cone)),
+        ]
+        for per_resample, code, batch, statistic in cases:
+            assert per_resample == reference(code, batch, statistic), (code, batch)

@@ -238,6 +238,29 @@ class TestTest:
         assert err.startswith(f"error: {out}: non-finite value, report not written")
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(11))
+        r = (1 - gen.random(500)) ** -0.5
+        write_sample_csv(src, 0.4 * r, 0.6 * r)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--k", 30, "--B", 20,
+                    "--seed", -1, "--output", out]) == 1
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["full", "weak"])
+    def test_zero_angle_data_rejected(self, tmp_path, capsys, which):
+        # x = 0 throughout: every angle is 0
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(12))
+        write_sample_csv(src, np.zeros(3000), (1 - gen.random(3000)) ** -0.5)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--which", which, "--k", 100,
+                    "--B", 200, "--output", out]) == 1
+        assert "statistic is undefined on theta == 0 data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_env_default_and_flag_override(self, tmp_path, monkeypatch):
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(9))

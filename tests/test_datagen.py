@@ -13,6 +13,7 @@ from taildep.datagen import (
     pareto,
     sample_beta,
     stream,
+    stream_keys,
     uniform_off_cone,
 )
 from taildep.estimators import hill
@@ -159,3 +160,40 @@ class TestGenerate:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate(EXAMPLE1_SPEC, 0, 0)
+
+
+class TestStreamKeys:
+    # (test code, batch) of H1, H2 and H3's two batches
+    CODE_BATCHES = ((1, 0), (2, 0), (3, 1), (3, 2))
+
+    @pytest.mark.parametrize("seed", [0, 14, 2**32 - 1, 2**32, 2**40 + 7, 2**64, 2**70 + 3])
+    def test_equals_seed_sequence(self, seed):
+        # seeds from 2**32 up are two or more entropy words
+        slots = np.array([0, 1, 2, 63, 64, 65, 150, 1000, 1999, 2**31, 2**32 - 1])
+        for code, batch in self.CODE_BATCHES:
+            for attempt in range(10):
+                keys = stream_keys(seed, code, batch, slots, attempt)
+                assert keys.shape == (slots.size, 2) and keys.dtype == np.uint64
+                for key, t in zip(keys, slots):
+                    e = (seed, code, batch, int(t), attempt)
+                    assert np.array_equal(
+                        key, np.random.SeedSequence(e).generate_state(2, np.uint64)
+                    ), e
+
+    def test_short_entropy_and_stream_draws(self):
+        # fewer words than SeedSequence's pool of four
+        for e in [(0,), (5,), (7, 8), (2**64, 1)]:
+            (key,) = stream_keys(*e)
+            assert np.array_equal(key, np.random.SeedSequence(e).generate_state(2, np.uint64))
+        (key,) = stream_keys(3, 1, 0, np.array([17]), 2)
+        keyed = np.random.Generator(np.random.Philox(key=key))
+        expected = stream(3, 1, 0, 17, 2).integers(0, 1000, 50)
+        assert np.array_equal(keyed.integers(0, 1000, 50), expected)
+
+    def test_rejects_out_of_range_entropy(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            stream_keys(-1, 1, 0, np.arange(3), 0)
+        with pytest.raises(ValueError):
+            stream_keys(0, 1, 0, np.array([-1, 2]), 0)
+        with pytest.raises(ValueError):
+            stream_keys(0, 1, 0, np.array([2**32]), 0)
