@@ -5,14 +5,24 @@ Subcommands: simulate | prep | support | test | diamond. Every command
 is deterministic given its full flag set including --seed; reports are
 emitted as JSON (or flattened CSV) and plot data as plain CSV. Verdicts
 never affect the exit code; only failures to complete do.
+
+prep, support, test and diamond read their CSV input through
+_read_csv_columns, which parses the data rows of a regular file in one
+vectorised np.loadtxt pass. Its line loop is the error path: it runs when
+that pass fails or its result is refused, and it names the line at fault.
+It also reads a pipe or FIFO, which can be read only once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import lzma
+import math
 import os
+import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,33 +58,79 @@ def _parse_cone(text: str) -> AngularCone:
 
 
 def _read_csv_columns(path: str, names: list[str] | None = None) -> dict[str, np.ndarray]:
-    """Read a comma-separated file with a header row; returns named columns."""
+    """Read a comma-separated file with a header row; returns named columns.
+
+    Cells are parsed as Python's float parses them, blank lines are skipped,
+    and every error names the file and, for a data row, its line. The data
+    rows of a regular file are parsed by one np.loadtxt call; if it fails or
+    its result does not match the header or holds a non-finite value, or the
+    input is a pipe or FIFO, the line loop reads the rows after the header
+    from the same handle, and its result or error is the reader's.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
             raise ValueError(f"{path}: empty file")
         cols = [c.strip() for c in header.split(",")]
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise ValueError(f"{path}:{line_no}: expected {len(cols)} fields")
+        data = None
+        # loadtxt opens the path again, which only a regular file allows: a
+        # pipe's bytes that the header read buffered are gone for a new reader
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows)
+                with warnings.catch_warnings():
+                    # a file with no data rows is reported by the line loop
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    # comments=None: '#' is not a comment. Path(path): numpy
+                    # downloads a str that parses as a URL, and a Path's string
+                    # never does.
+                    data = np.loadtxt(Path(path), delimiter=",", skiprows=1, comments=None,
+                                      ndmin=2, encoding="utf-8")
+            except (ValueError, OSError, EOFError, lzma.LZMAError):
+                # left to the line loop: a cell that float accepts and loadtxt
+                # does not (1_0, a non-ASCII digit, a whitespace-only line), a
+                # bad one, or a text file named *.gz, *.bz2 or *.xz, which
+                # numpy opens as an archive
+                pass
+        non_finite = None
+        if data is None or not data.size or data.shape[1] != len(cols) or not np.isfinite(data).all():
+            data, non_finite = _read_csv_lines(fh, path, len(cols))
     table = {name: data[:, i] for i, name in enumerate(cols)}
     if names is not None:
         for name in names:
             if name not in table:
                 raise ValueError(f"{path}: missing column {name!r}")
+    if non_finite is not None:
+        raise ValueError(f"{path}:{non_finite[0]}: non-finite value {non_finite[1]!r}")
     return table
+
+
+def _read_csv_lines(fh, path: str, width: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The rows left in fh, an open text handle just past the header of the
+    file at path, parsed line by line, and the line number and text of the
+    first non-finite cell (None if there is none).
+
+    Raises the reader's row errors in file order; a non-finite cell is left
+    to the caller, so a file with another error anywhere reports that error.
+    """
+    rows = []
+    non_finite = None
+    for line_no, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{path}:{line_no}: expected {width} fields")
+        try:
+            row = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
+        if non_finite is None and not all(map(math.isfinite, row)):
+            non_finite = (line_no, next(v for v, f in zip(parts, row) if not math.isfinite(f)))
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows), non_finite
 
 
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:

@@ -200,6 +200,8 @@ def generate(spec: MixtureSpec, n: int, seed: int) -> BivariateSample:
     """Draw n iid points from the mixture, deterministically per seed."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     on_cone = stream(seed, _SUB_BERNOULLI).random(n) < spec.mix_prob
     z = sample_beta(spec.z_p, spec.z_q, n, stream(seed, _SUB_Z))
     theta1 = spec.cone.a + (spec.cone.b - spec.cone.a) * z

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from taildep import cli
 from taildep.cli import main
 
 
@@ -57,6 +63,13 @@ class TestSimulate:
         assert run(["simulate", "--n", 10, "--alpha-main", 4,
                     "--alpha-hidden", 2, "--output", out]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--example", 1, "--n", 10, "--seed", -1,
+                    "--output", out]) == 1
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPrep:
@@ -315,3 +328,251 @@ class TestDiamond:
                     "--output", tmp_path / "out"]) == 1
         assert "error: --k must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _reference_read(path, names=None):
+    """The reader before it parsed with np.loadtxt, verbatim."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        cols = [c.strip() for c in header.split(",")]
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(cols):
+                raise ValueError(f"{path}:{line_no}: expected {len(cols)} fields")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.asarray(rows)
+    table = {name: data[:, i] for i, name in enumerate(cols)}
+    if names is not None:
+        for name in names:
+            if name not in table:
+                raise ValueError(f"{path}: missing column {name!r}")
+    return table
+
+
+def _reference_read_finite(path, names=None):
+    """_reference_read plus the non-finite rule: a file it accepts is
+    refused at its first non-finite cell, in file order."""
+    table = _reference_read(path, names)
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            for cell in line.split(",") if line else []:
+                if not math.isfinite(float(cell)):
+                    raise ValueError(f"{path}:{line_no}: non-finite value {cell!r}")
+    return table
+
+
+def _outcome(reader, path, names):
+    try:
+        table = reader(str(path), names)
+    except ValueError as exc:
+        return "error", str(exc)
+    # bit patterns, so -0.0 and 0.0 differ
+    return "table", {k: (v.shape, v.view(np.uint64).tolist()) for k, v in table.items()}
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_JUNK = st.text(alphabet="0123456789.e+-_ \t#\"\u0663", max_size=6)
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "Infinity", " NaN ", "1e999", "1_0", "\u0663", "-0.0", "2#1"])
+_CELL = st.one_of(_NUMBER, _NUMBER, _JUNK, _SPECIAL)
+_ROW = st.one_of(
+    st.lists(_CELL, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\t ", "  "]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, names): a header of 1-3 columns, then rows that, in a
+    clean file, all match it; mixed line endings and an optional UTF-8 BOM."""
+    width = draw(st.integers(1, 3))
+    cols = ["x", "y", "z"][:width]
+    clean = draw(st.booleans())
+    cell = _NUMBER if clean else st.one_of(_NUMBER, _NUMBER, _NUMBER, _SPECIAL)
+    good_row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    other_row = st.just("") if clean else _ROW
+    rows = draw(st.lists(st.one_of(good_row, good_row, good_row, other_row), min_size=1, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(rows) + 1, max_size=len(rows) + 1))
+    text = ",".join(cols) + "".join(e + r for e, r in zip(ends, rows)) + ends[-1]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    names = draw(st.sampled_from([None, None, ["x"], ["x", "y"], ["y", "q"]]))
+    return text.encode("utf-8"), names
+
+
+class TestReader:
+    def _read_error(self, tmp_path, text, names=None, name="r.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            cli._read_csv_columns(str(path), names)
+        return path, str(info.value)
+
+    def test_empty_file(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "")
+        assert msg == f"{path}: empty file"
+
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y", "x,y\n\n \n\t\r\n\r\n", "price\n\n"])
+    def test_no_data_rows_without_warning(self, tmp_path, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path, msg = self._read_error(tmp_path, text)
+        assert msg == f"{path}: no data rows"
+        assert caught == []
+
+    def test_field_count_names_line_after_blank_lines(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\n1,2\n\n  \n3\n4,5\n")
+        assert msg == f"{path}:5: expected 2 fields"
+
+    def test_bad_cell_names_line_after_blank_lines(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\r\n1,2\r\n\r\n1,abc\r\n")
+        assert msg == f"{path}:4: could not convert string to float: 'abc'"
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\n1,2 # note\n")
+        assert msg == f"{path}:2: could not convert string to float: '2 # note'"
+        path, msg = self._read_error(tmp_path, "x,y\n# note\n1,2\n")
+        assert msg == f"{path}:2: expected 2 fields"
+
+    def test_missing_column(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\n1,2\n", ["x", "z"])
+        assert msg == f"{path}: missing column 'z'"
+
+    def test_non_finite_cell_names_line(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\n1,2\n\n3, inf\nnan,4\n")
+        assert msg == f"{path}:4: non-finite value ' inf'"
+
+    def test_other_errors_come_before_non_finite(self, tmp_path):
+        path, msg = self._read_error(tmp_path, "x,y\nnan,2\n3,4,5\n")
+        assert msg == f"{path}:3: expected 2 fields"
+        path, msg = self._read_error(tmp_path, "x,y\nnan,2\n", ["z"])
+        assert msg == f"{path}: missing column 'z'"
+
+    def test_one_column_and_one_row(self, tmp_path):
+        src = tmp_path / "p.csv"
+        src.write_text("price\n1.5\n\n2.5\n")
+        table = cli._read_csv_columns(str(src))
+        assert list(table) == ["price"] and table["price"].tolist() == [1.5, 2.5]
+        src.write_text("x,y\n1.5,-0.0\n")
+        table = cli._read_csv_columns(str(src))
+        assert table["x"].tolist() == [1.5] and table["y"].tolist() == [0.0]
+        assert math.copysign(1.0, table["y"][0]) == -1.0
+
+    def test_float_syntax_loadtxt_refuses(self, tmp_path):
+        # underscores, non-ASCII digits and whitespace-only lines parse as float does
+        src = tmp_path / "f.csv"
+        src.write_text("x,y\n1_0,\u0663\n \t \n2,3\n", encoding="utf-8")
+        table = cli._read_csv_columns(str(src))
+        assert table["x"].tolist() == [10.0, 2.0] and table["y"].tolist() == [3.0, 3.0]
+
+    def test_plain_text_with_archive_suffix(self, tmp_path):
+        src = tmp_path / "data.csv.gz"
+        src.write_text("x,y\n1,2\n")
+        assert cli._read_csv_columns(str(src))["y"].tolist() == [2.0]
+
+    def test_well_formed_file_skips_line_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line loop ran on a well-formed file")
+
+        monkeypatch.setattr(cli, "_read_csv_lines", refuse)
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
+        assert cli._read_csv_columns(str(src), ["y"])["y"].tolist() == [4.0, 5.0, 6.0]
+
+    @staticmethod
+    def _feed(open_writer, data):
+        """Write data from a thread into the pipe that open_writer() opens."""
+        def write():
+            try:
+                with open_writer() as fh:
+                    fh.write(data)
+            except BrokenPipeError:
+                pass  # the reader stopped at an error
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        return writer
+
+    # 3000 rows, about 40 KB: several of the header read's 8 KB buffers
+    _STREAM_ROWS = [f"{i}.25,{-i}e-3" for i in range(3000)]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("bad_line, bad_row", [(None, None), (2500, "1,2,3"), (2900, "nan,1")])
+    def test_fifo_read_once(self, tmp_path, bad_line, bad_row):
+        rows = list(self._STREAM_ROWS)
+        if bad_line is not None:
+            rows[bad_line - 2] = bad_row
+        data = ("x,y\n" + "\n".join(rows) + "\n").encode("utf-8")
+        fifo, src = tmp_path / "s.fifo", tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        src.write_bytes(data)
+        writer = self._feed(lambda: open(fifo, "wb"), data)
+        result = []
+        reader = threading.Thread(
+            target=lambda: result.append(_outcome(cli._read_csv_columns, fifo, None)), daemon=True)
+        reader.start()
+        reader.join(10)
+        # a reader that opens the FIFO a second time waits for a writer forever
+        assert not reader.is_alive(), "reader blocked on the FIFO"
+        writer.join(10)
+        outcome = result[0]
+        expected = _outcome(_reference_read_finite, src, None)
+        assert outcome == (expected[0], expected[1].replace(str(src), str(fifo))
+                           if expected[0] == "error" else expected[1])
+        if bad_line is None:
+            assert outcome[0] == "table" and len(outcome[1]["x"][1]) == len(rows)
+        else:
+            assert outcome[1].startswith(f"{fifo}:{bad_line}: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_through_dev_fd(self, tmp_path):
+        data = ("x,y\n" + "\n".join(self._STREAM_ROWS) + "\n").encode("utf-8")
+        src = tmp_path / "s.csv"
+        src.write_bytes(data)
+        read_fd, write_fd = os.pipe()
+        try:
+            # the writer closes write_fd, so the reader sees the end of the pipe
+            writer = self._feed(lambda: os.fdopen(write_fd, "wb"), data)
+            table = cli._read_csv_columns(f"/dev/fd/{read_fd}")
+            writer.join(10)
+        finally:
+            os.close(read_fd)
+        expected = _reference_read(str(src))
+        assert table.keys() == expected.keys()
+        for name in table:
+            assert np.array_equal(table[name], expected[name])
+
+    @pytest.mark.parametrize("cmd", ["prep", "support", "test", "diamond"])
+    def test_non_finite_cell_fails_every_command(self, tmp_path, capsys, cmd):
+        src = tmp_path / "s.csv"
+        if cmd == "prep":
+            src.write_text("price\n1.0\ninf\n3.0\n")
+        else:
+            src.write_text("x,y\n1,2\ninf,3\n4,5\n")
+        out = tmp_path / "out"
+        assert run([cmd, "--input", src, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {src}:3: non-finite value 'inf'\n"
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_csv_files())
+    def test_matches_line_loop(self, tmp_path_factory, case):
+        data, names = case
+        path = tmp_path_factory.getbasetemp() / "hypothesis.csv"
+        path.write_bytes(data)
+        expected = _outcome(_reference_read_finite, path, names)
+        assert _outcome(cli._read_csv_columns, path, names) == expected

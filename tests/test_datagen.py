@@ -161,6 +161,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(EXAMPLE1_SPEC, 0, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            generate(EXAMPLE1_SPEC, 10, -1)
+
 
 class TestStreamKeys:
     # (test code, batch) of H1, H2 and H3's two batches
