@@ -14,15 +14,19 @@ Three procedures, all resampling m points with replacement B times:
   bootstrap variances of the plain and cone-masked angle-weighted
   statistics over two independent resample batches.
 
-Every resample draws from its own Philox substream,
+Every resample draws integers(0, n, m) from its own Philox substream,
 stream(seed, test code, batch, slot, attempt), and is scored by its
 statistic's row kernel in taildep.estimators on its k_mn largest radii.
-The substreams are the ones stream() builds; only the way there is
-cheaper. datagen.stream_keys derives the Philox keys of a whole block of
-slots in one numpy pass of SeedSequence's hash, and one Philox is reset
-to each key in turn. Each drawn point's key (dense radius rank in the
-full sample) * m + draw position orders a resample exactly as a stable
-sort by decreasing radius does, so a partition picks the k_mn largest
+The substreams and the indices are the ones stream() and integers give;
+only the way there is cheaper. datagen.stream_keys derives the Philox
+keys of a whole block of slots in one numpy pass of SeedSequence's hash.
+One Philox is reset to each key in turn and returns raw 64-bit words,
+and one numpy pass per chunk of slots maps them to indices by the rule
+numpy's integers uses below 2**32: Lemire's multiply-shift with
+rejection on the 32-bit halves of each word, low half first
+(_SlotDraws). Each drawn point's key (dense radius rank in the full
+sample) * m + draw position orders a resample exactly as a stable sort
+by decreasing radius does, so a partition picks the k_mn largest
 without sorting the row. All of it runs on one thread;
 TestConfig.threads is accepted and changes nothing.
 """
@@ -42,6 +46,7 @@ from taildep.estimators import (
     _angle_weighted_hill_rows,
     _cone_adjusted_hill_rows,
     _masked_angle_weighted_hill_rows,
+    cone_adjusted_hill,
     hill,
 )
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
@@ -117,18 +122,6 @@ class TestReport:
             "auxiliary": dict(self.auxiliary),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TestReport":
-        thr = d["threshold"]
-        return cls(
-            test_id=d["test_id"],
-            verdict=d["verdict"],
-            statistic=d["statistic"],
-            threshold=tuple(thr) if isinstance(thr, list) else thr,
-            per_resample=list(d["per_resample"]),
-            auxiliary=dict(d["auxiliary"]),
-        )
-
 
 def resample(s: BivariateSample, m: int, gen: np.random.Generator) -> BivariateSample:
     """m points drawn with replacement, uniform over the sample."""
@@ -170,6 +163,72 @@ def _draw_ranks(s: BivariateSample, cone: AngularCone | None = None) -> np.ndarr
     return rank
 
 
+class _SlotDraws:
+    """Draws of Generator.integers(0, n, m) from per-slot Philox keys.
+
+    One Philox is reset to each key (counter 0, empty buffers) through its
+    state setter, so it starts where a fresh stream(...) with that key
+    starts, and returns raw 64-bit words. For n - 1 < 2**32 - 1 numpy's
+    bounded draw reads those words as 32-bit halves, low half first, and
+    applies Lemire's multiply-shift to each: the index is (u * n) >> 32,
+    and a half is rejected when (u * n) mod 2**32 < (2**32 - n) mod n.
+    The same rule, applied here to a whole block of rows at once, draws
+    the same indices.
+    """
+
+    def __init__(self, n: int, m: int) -> None:
+        if n >= 2**32:
+            raise ValueError(f"sample size {n} is too large: resample indices are drawn below 2**32")
+        self.n, self.m = n, m
+        # m + 1 or m + 2 halves: the spare ones absorb most rejections
+        self.words = m // 2 + 1
+        # the low 32 bits of u * n fall below this for a rejected half
+        self._threshold = np.uint32((2**32 - n) % n)
+        self._bits = np.random.Philox(key=np.zeros(2, np.uint64))
+        self._fresh = self._bits.state
+
+    def _raw(self, key: np.ndarray, words: int) -> np.ndarray:
+        self._fresh["state"]["key"] = key
+        self._bits.state = self._fresh
+        return self._bits.random_raw(words)
+
+    def _map(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices from rows of raw words: each row's first m accepted
+        halves, and the mask of rows that hold m accepted halves."""
+        m = self.m
+        # a word's low half is drawn first; "<u4" reads it so on any host
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        # u * n needs 64 bits; dtype= stops numpy 1.x from keeping it uint32
+        scaled = np.multiply(halves, np.uint64(self.n), dtype=np.uint64)
+        accepted = scaled.astype(np.uint32) >= self._threshold
+        # below 2**32, so the int64 view is the value
+        idx = (scaled[:, :m] >> np.uint64(32)).view(np.int64)
+        full = np.ones(len(raw), dtype=bool)
+        hit = np.flatnonzero(~accepted[:, :m].all(axis=1))
+        if hit.size:
+            # a stable sort on the rejection flag moves a row's accepted halves first
+            first = np.argsort(~accepted[hit], axis=1, kind="stable")[:, :m]
+            idx[hit] = np.take_along_axis(scaled[hit] >> np.uint64(32), first, axis=1).view(np.int64)
+            full[hit] = accepted[hit].sum(axis=1) >= m
+        return idx, full
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        """(rows, m) indices; row j is what integers(0, n, m) draws from a
+        Philox keyed by keys[j]."""
+        raw = np.empty((len(keys), self.words), np.uint64)
+        for row, key in zip(raw, keys):
+            row[:] = self._raw(key, self.words)
+        idx, full = self._map(raw)
+        for j in np.flatnonzero(~full):
+            # too many rejections: draw the row again with more words
+            words = self.words
+            while not full[j]:
+                words *= 2
+                row, row_full = self._map(self._raw(keys[j], words)[None])
+                idx[j], full[j] = row[0], row_full[0]
+        return idx
+
+
 def _resample_stats(
     s: BivariateSample, cfg: TestConfig, test_code: int, batch: int, m: int, k: int,
     rank: np.ndarray, kernel: Callable[..., RowValues], *args,
@@ -179,16 +238,16 @@ def _resample_stats(
     Slot t draws m indices from stream(seed, test_code, batch, t, attempt)
     and keeps the k first of a stable sort by rank (by decreasing radius,
     as radial_order sorts); a slot whose value is undefined draws again at
-    the next attempt. One Philox is reset to each slot's key (counter 0,
-    empty buffers), so it draws what a fresh stream(...) would.
+    the next attempt.
     """
     r, theta = s.radii, s.angles
-    bits = np.random.Philox(key=np.zeros(2, np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = bits.state
+    draw = _SlotDraws(s.n, m)
     # rank * m + draw position is unique in a row and orders it as the
-    # stable sort does, so a partition finds the k first exactly
-    position = np.arange(m)
+    # stable sort does, so a partition finds the k first exactly; int32
+    # where it fits halves the gather and partition traffic
+    dtype = np.int32 if (int(rank.max()) + 1) * m <= 2**31 else np.int64
+    rank_m = rank.astype(dtype) * dtype(m)
+    position = np.arange(m, dtype=dtype)
     out = np.empty(cfg.B)
     pending = np.arange(cfg.B)
     for attempt in range(_MAX_ATTEMPTS):
@@ -196,12 +255,8 @@ def _resample_stats(
         undefined = []
         for start in range(0, pending.size, _CHUNK_ROWS):
             slots = pending[start : start + _CHUNK_ROWS]
-            idx = np.empty((slots.size, m), dtype=np.int64)
-            for row, key in zip(idx, keys[start : start + _CHUNK_ROWS]):
-                fresh["state"]["key"] = key
-                bits.state = fresh
-                row[:] = gen.integers(0, s.n, m)
-            order_key = rank[idx] * m + position
+            idx = draw(keys[start : start + _CHUNK_ROWS])
+            order_key = rank_m[idx] + position
             top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
             idx = np.take_along_axis(idx, top, axis=1)
             values, defined = kernel(
@@ -230,7 +285,14 @@ def strong_dependence_test(
     estimate exceeds the significance level.
     """
     m, k_m = cfg.resolve(s.n)
-    hill_full, _ = _full_sample_hill(s, cfg.k_n)
+    hill_full, ordered = _full_sample_hill(s, cfg.k_n)
+    adjusted = cone_adjusted_hill(ordered, cfg.k_n, cone).value
+    if not math.isfinite(adjusted):
+        raise ValueError(
+            f"the cone [{cone.a}, {cone.b}] makes the full-sample cone-adjusted Hill "
+            f"value {adjusted} at k_n = {cfg.k_n} (the theta = 0 ray puts every point "
+            "with x > 0 at infinite distance), so the strong-dependence test is undefined"
+        )
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 

@@ -61,14 +61,16 @@ def _read_csv_columns(path: str, names: list[str] | None = None) -> dict[str, np
     """Read a comma-separated file with a header row; returns named columns.
 
     Cells are parsed as Python's float parses them, blank lines are skipped,
-    and every error names the file and, for a data row, its line. The data
+    a UTF-8 byte-order mark before the header is dropped, and every error
+    names the file and, for a data row, its line. The data
     rows of a regular file are parsed by one np.loadtxt call; if it fails or
     its result does not match the header or holds a non-finite value, or the
     input is a pipe or FIFO, the line loop reads the rows after the header
     from the same handle, and its result or error is the reader's.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        # spreadsheet exports often start with a byte-order mark
+        header = fh.readline().removeprefix("\ufeff").strip()
         if not header:
             raise ValueError(f"{path}: empty file")
         cols = [c.strip() for c in header.split(",")]

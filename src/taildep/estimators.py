@@ -42,8 +42,9 @@ def _log_ratio_rows(r: np.ndarray, k: int) -> RowValues:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one np.dot per row rounds each row exactly as a 1-d np.dot does
-    return np.array([np.dot(u, v) for u, v in zip(a, b)])
+    # matmul hands each row's vector-vector product to the dot a 1-d
+    # np.dot calls, so every row rounds exactly as np.dot(a[i], b[i])
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:

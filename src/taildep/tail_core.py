@@ -32,10 +32,6 @@ class AngularCone:
             raise ValueError(f"cone requires 0 <= a <= b <= 1, got [{self.a}, {self.b}]")
 
     @property
-    def is_ray(self) -> bool:
-        return self.a == self.b
-
-    @property
     def is_full(self) -> bool:
         return self.a == 0.0 and self.b == 1.0
 

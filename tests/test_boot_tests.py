@@ -6,13 +6,12 @@ from taildep.boot_tests import (
     FAIL_TO_REJECT,
     REJECT,
     TestConfig as Config,
-    TestReport as Report,
     full_dependence_test,
     resample,
     strong_dependence_test,
     weak_dependence_test,
 )
-from taildep.datagen import MixtureSpec, example1, example2, generate, pareto, stream
+from taildep.datagen import MixtureSpec, example1, example2, generate, pareto, stream, stream_keys
 from taildep.estimators import (
     angle_weighted_hill,
     cone_adjusted_hill,
@@ -72,15 +71,6 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             Config(k_n=10, seed=-1)
 
-    def test_report_round_trip(self):
-        rep = Report(
-            test_id="H3", verdict=REJECT, statistic=1.2, threshold=(0.9, 1.1),
-            per_resample=[1.0, 2.0], auxiliary={"hill": 0.5},
-        )
-        back = Report.from_dict(rep.to_dict())
-        assert back == rep
-        assert isinstance(back.threshold, tuple)
-
 
 class TestResample:
     def test_single_point_repeated(self):
@@ -108,6 +98,36 @@ class TestResample:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             resample(BivariateSample([1.0], [1.0]), 0, stream(0))
+
+
+class TestSlotDraws:
+    # 70 rows: more than one chunk of slots
+    KEYS = stream_keys(5, 1, 0, np.arange(70), 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30000, 1000003, 2**31 + 12345, 3 * 2**30, 2**32 - 1])
+    @pytest.mark.parametrize("m", [1, 2, 5, 500, 501])
+    def test_rows_are_what_integers_draws(self, n, m):
+        # row t is integers(0, n, m) from the stream whose key is row t of KEYS
+        idx = boot_tests._SlotDraws(n, m)(self.KEYS)
+        assert idx.shape == (len(self.KEYS), m)
+        for t, row in enumerate(idx):
+            assert row.tolist() == stream(5, 1, 0, t, 0).integers(0, n, m).tolist(), t
+
+    @pytest.mark.parametrize("m", [1, 5, 500])
+    def test_short_rows_are_redrawn_with_more_words(self, monkeypatch, m):
+        # about half the halves are rejected at this n, so some rows hold
+        # fewer than m accepted halves in the first words; the test above
+        # checks what those rows draw
+        draw = boot_tests._SlotDraws(2**31 + 12345, m)
+        sizes = []
+        raw = draw._raw
+        monkeypatch.setattr(draw, "_raw", lambda key, words: sizes.append(words) or raw(key, words))
+        draw(self.KEYS)
+        assert max(sizes) > draw.words
+
+    def test_sample_too_large_refused(self):
+        with pytest.raises(ValueError, match="sample size 4294967296 is too large"):
+            boot_tests._SlotDraws(2**32, 5)
 
 
 class TestStrongDependence:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taildep import cli
+from taildep import boot_tests, cli
 from taildep.cli import main
 
 
@@ -241,14 +241,38 @@ class TestTest:
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_statistic_fails_without_report(self, ex1_csv, tmp_path, capsys, fmt):
-        # on the theta = 0 ray every top-k point with x > 0 is infinitely
-        # far from the cone, so each cone-adjusted Hill value is +inf
+    def test_non_finite_statistic_fails_without_report(self, tmp_path, capsys, fmt):
+        # the 100 largest radii lie on the theta = 0 ray and the rest off
+        # it, so the full sample's cone-adjusted Hill value on that ray is
+        # finite, but a resample whose top k_mn holds a point with x > 0
+        # is infinitely far from the cone and its value is +inf
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(13))
+        r = (1 - gen.random(3000)) ** -0.5
+        top = r >= np.sort(r)[-100]
+        write_sample_csv(src, np.where(top, 0.0, 0.5 * r), np.where(top, r, 0.5 * r))
         out = tmp_path / "o.json"
-        assert run(["test", "--input", ex1_csv, "--which", "strong", "--k", 100,
+        assert run(["test", "--input", src, "--which", "strong", "--k", 100,
                     "--cone", "0,0", "--B", 20, "--format", fmt, "--output", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: non-finite value, report not written")
+        assert not out.exists()
+
+    def test_zero_ray_cone_refused_before_resampling(self, ex1_csv, tmp_path, capsys, monkeypatch):
+        # every top-k point of Example 1 has x > 0, so on the theta = 0 ray
+        # the full-sample cone-adjusted Hill value is already +inf
+        def refuse(*args):
+            raise AssertionError("resampled before refusing the cone")
+
+        monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", ex1_csv, "--which", "strong", "--k", 100,
+                    "--cone", "0,0", "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the cone [0.0, 0.0] makes the full-sample cone-adjusted Hill value inf "
+            "at k_n = 100 (the theta = 0 ray puts every point with x > 0 at infinite "
+            "distance), so the strong-dependence test is undefined\n"
+        )
         assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -331,9 +355,10 @@ class TestDiamond:
 
 
 def _reference_read(path, names=None):
-    """The reader before it parsed with np.loadtxt, verbatim."""
+    """The reader before it parsed with np.loadtxt, verbatim but for the
+    byte-order mark it strips from the header."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        header = fh.readline().removeprefix("\ufeff").strip()
         if not header:
             raise ValueError(f"{path}: empty file")
         cols = [c.strip() for c in header.split(",")]
@@ -477,6 +502,14 @@ class TestReader:
         src.write_text("x,y\n1_0,\u0663\n \t \n2,3\n", encoding="utf-8")
         table = cli._read_csv_columns(str(src))
         assert table["x"].tolist() == [10.0, 2.0] and table["y"].tolist() == [3.0, 3.0]
+
+    def test_byte_order_mark_stripped_from_header(self, tmp_path):
+        src = tmp_path / "bom.csv"
+        src.write_bytes("\ufeffx,y\n1,2\n3,4\n".encode("utf-8"))
+        table = cli._read_csv_columns(str(src), ["x", "y"])
+        assert list(table) == ["x", "y"] and table["x"].tolist() == [1.0, 3.0]
+        out = tmp_path / "supp.json"
+        assert run(["support", "--input", src, "--cols", "x,y", "--k", 1, "--output", out]) == 0
 
     def test_plain_text_with_archive_suffix(self, tmp_path):
         src = tmp_path / "data.csv.gz"

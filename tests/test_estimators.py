@@ -5,6 +5,7 @@ import pytest
 
 from taildep.datagen import example1, pareto, stream
 from taildep.estimators import (
+    _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
     hill,
@@ -219,3 +220,17 @@ class TestSharedProperties:
         o = radial_order(BivariateSample([1, 2, 3], [1, 2, 3]))
         v = hill(o, 2)
         assert v.k == 2 and v.n == 3
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("rows, width, k", [
+        (64, 500, 25), (64, 500, 1), (1, 500, 25), (1, 500, 1), (41, 60, 9), (3, 3, 3),
+    ])
+    def test_each_row_is_a_1d_dot(self, rows, width, k):
+        # the kernels pass [:, :k] slices of (rows, m) arrays: strided rows
+        gen = stream(31, rows, width, k)
+        a = gen.random((rows, width)) * 10.0 ** gen.uniform(-3.0, 3.0, (rows, width))
+        b = np.log1p(gen.pareto(2.0, (rows, width)))
+        a, b = a[:, :k], b[:, :k]
+        expected = np.array([np.dot(u, v) for u, v in zip(a, b)])
+        assert _row_dots(a, b).tolist() == expected.tolist()
