@@ -27,13 +27,13 @@ rejection on the 32-bit halves of each word, low half first
 (_SlotDraws). Each drawn point's key (dense radius rank in the full
 sample) * m + draw position orders a resample exactly as a stable sort
 by decreasing radius does, so a partition picks the k_mn largest
-without sorting the row. All of it runs on one thread;
-TestConfig.threads is accepted and changes nothing.
+without sorting the row. All of it runs on one thread.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,8 +65,7 @@ class TestConfig:
     """Tuning knobs shared by the three bootstrap tests.
 
     m_n defaults to round(n / k_n) and k_mn to max(5, round(0.05 * m_n))
-    when left unset. threads is validated but changes nothing: the
-    bootstrap runs on one thread.
+    when left unset. k_n, seed, m_n, k_mn and B must be integers.
     """
 
     k_n: int
@@ -75,9 +74,16 @@ class TestConfig:
     k_mn: int | None = None
     B: int = 2000
     alpha_sig: float = 0.05
-    threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("k_n", "seed", "m_n", "k_mn", "B"):
+            value = getattr(self, name)
+            if value is None and name in ("m_n", "k_mn"):
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.k_n < 1:
             raise ValueError("k_n must be positive")
         if self.seed < 0:
@@ -86,8 +92,6 @@ class TestConfig:
             raise ValueError("B must be at least 2")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Return (m_n, k_mn) with defaults filled in; validates against n."""

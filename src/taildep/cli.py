@@ -6,11 +6,11 @@ is deterministic given its full flag set including --seed; reports are
 emitted as JSON (or flattened CSV) and plot data as plain CSV. Verdicts
 never affect the exit code; only failures to complete do.
 
-prep, support, test and diamond read their CSV input through
-_read_csv_columns, which parses the data rows of a regular file in one
-vectorised np.loadtxt pass. Its line loop is the error path: it runs when
-that pass fails or its result is refused, and it names the line at fault.
-It also reads a pipe or FIFO, which can be read only once.
+prep, support, test and diamond take their columns from _read_columns,
+which reads through _read_csv_columns. That parses a regular file's rows
+in one vectorised np.loadtxt pass. Its line loop is the error path: it
+runs when that pass fails or its result is refused, and it names the
+line at fault. It also reads a pipe or FIFO, which can be read only once.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,14 @@ def _parse_cone(text: str) -> AngularCone:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("cone must be given as 'a,b'")
-    return AngularCone(float(parts[0]), float(parts[1]))
+    try:
+        a, b = map(float, parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    try:
+        return AngularCone(a, b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_csv_columns(path: str, names: list[str] | None = None) -> dict[str, np.ndarray]:
@@ -135,17 +143,21 @@ def _read_csv_lines(fh, path: str, width: int) -> tuple[np.ndarray, tuple[int, s
     return np.asarray(rows), non_finite
 
 
-def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
-    names = args.cols.split(",") if args.cols else None
-    if names is not None and len(names) != 2:
+def _read_columns(path: str, names: list[str] | None, count: int) -> list[np.ndarray]:
+    """The columns of the CSV at path that names lists, or its first count
+    (1 or 2) columns when names is None."""
+    if names is not None and len(names) != count:
         raise ValueError("--cols needs exactly two comma-separated names")
-    table = _read_csv_columns(args.input, names)
+    table = _read_csv_columns(path, names)
     if names is None:
-        names = list(table.keys())[:2]
-        if len(names) < 2:
-            raise ValueError(f"{args.input}: need at least two columns")
-    x = table[names[0]]
-    y = table[names[1]]
+        names = list(table)[:count]
+        if len(names) < count:
+            raise ValueError(f"{path}: need at least two columns")
+    return [table[name] for name in names]
+
+
+def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
+    x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     if args.abs:
         x = np.abs(x)
         y = np.abs(y)
@@ -154,9 +166,15 @@ def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
 
 def _write_text(path: str, text: str) -> None:
     out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="utf-8")
+
+
+def _write_csv(path: str, header: str, *columns) -> None:
+    """Write the columns, arrays of equal length, under a header line; a
+    cell is the repr of its Python number, so a float keeps every bit."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    _write_text(path, "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
 
 
 def _emit_report(path: str, payload: dict, fmt: str) -> None:
@@ -196,33 +214,24 @@ def cmd_simulate(args) -> int:
             mix_prob=args.mix_prob,
         )
     sample = generate(spec, args.n, args.seed)
-    lines = ["x,y"]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(sample.x, sample.y))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_csv(args.output, "x,y", sample.x, sample.y)
     return 0
 
 
 def cmd_prep(args) -> int:
-    table = _read_csv_columns(args.input, [args.price_col] if args.price_col else None)
-    col = args.price_col or list(table.keys())[0]
-    prices = table[col]
+    (prices,) = _read_columns(args.input, [args.price_col] if args.price_col else None, 1)
     returns = log_returns(prices, args.stride)
     abs_returns = np.abs(returns)
-    lines = ["log_return,abs_log_return"]
-    lines.extend(f"{float(r)!r},{float(a)!r}" for r, a in zip(returns, abs_returns))
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_text(str(outdir / "returns.csv"), "\n".join(lines) + "\n")
+    _write_csv(str(outdir / "returns.csv"), "log_return,abs_log_return", returns, abs_returns)
 
-    acf_lines = ["lag,acf_return,acf_abs_return"]
     try:
-        a_ret = acf(returns, args.max_lag)
-        a_abs = acf(abs_returns, args.max_lag)
-        for h in range(args.max_lag + 1):
-            acf_lines.append(f"{h},{float(a_ret[h])!r},{float(a_abs[h])!r}")
+        acf_columns = (np.arange(args.max_lag + 1), acf(returns, args.max_lag),
+                       acf(abs_returns, args.max_lag))
     except ValueError as exc:
         print(f"warning: autocorrelation unavailable: {exc}", file=sys.stderr)
-    _write_text(str(outdir / "acf.csv"), "\n".join(acf_lines) + "\n")
+        acf_columns = ()
+    _write_csv(str(outdir / "acf.csv"), "lag,acf_return,acf_abs_return", *acf_columns)
     return 0
 
 
@@ -252,6 +261,8 @@ def cmd_test(args) -> int:
     sample = BivariateSample(x, y)
     k = args.k if args.k is not None else _default_k(sample.n)
     fit_opts = SupportFitOptions(lam=args.lam)
+    if args.threads < 1:
+        raise ValueError("threads must be positive")
     cfg = TestConfig(
         k_n=k,
         seed=args.seed,
@@ -259,7 +270,6 @@ def cmd_test(args) -> int:
         k_mn=args.kmn,
         B=args.B,
         alpha_sig=args.alpha_sig,
-        threads=args.threads,
     )
     cone = args.cone
     cone_source = "flag"
@@ -281,15 +291,7 @@ def cmd_test(args) -> int:
         "which": args.which,
         "cone": [cone.a, cone.b] if cone is not None else None,
         "cone_source": cone_source if cone is not None else None,
-        "config": {
-            "k_n": k,
-            "seed": args.seed,
-            "m_n": args.mn,
-            "k_mn": args.kmn,
-            "B": args.B,
-            "lambda": args.lam,
-            "alpha_sig": args.alpha_sig,
-        },
+        "config": {**asdict(cfg), "lambda": args.lam},
         "reports": [r.to_dict() for r in reports],
     }
     _emit_report(args.output, payload, args.format)
@@ -297,39 +299,24 @@ def cmd_test(args) -> int:
 
 
 def cmd_diamond(args) -> int:
-    names = args.cols.split(",") if args.cols else None
-    table = _read_csv_columns(args.input, names)
-    if names is None:
-        names = list(table.keys())[:2]
-    x = table[names[0]]
-    y = table[names[1]]
+    x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     norm = np.abs(x) + np.abs(y)
-    if not np.any(norm > 0):
+    # a point at the origin has no direction; it sorts after every other point
+    nonzero = np.count_nonzero(norm)
+    if not nonzero:
         raise ValueError("all points are at the origin")
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    k = min(k, x.size)
-    top = np.argsort(-norm, kind="stable")[:k]
+    top = np.argsort(-norm, kind="stable")[:min(k, nonzero)]
     mx = x[top] / norm[top]
     my = y[top] / norm[top]
     theta = np.abs(x[top]) / norm[top]
+    counts, edges = np.histogram(theta, bins=args.bins, range=(0.0, 1.0))
 
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["x,y,theta"]
-    lines.extend(
-        f"{float(a)!r},{float(b)!r},{float(t)!r}" for a, b, t in zip(mx, my, theta)
-    )
-    _write_text(str(outdir / "diamond.csv"), "\n".join(lines) + "\n")
-
-    counts, edges = np.histogram(theta, bins=args.bins, range=(0.0, 1.0))
-    hist_lines = ["bin_left,bin_right,count"]
-    hist_lines.extend(
-        f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}"
-        for i, c in enumerate(counts)
-    )
-    _write_text(str(outdir / "angles.csv"), "\n".join(hist_lines) + "\n")
+    _write_csv(str(outdir / "diamond.csv"), "x,y,theta", mx, my, theta)
+    _write_csv(str(outdir / "angles.csv"), "bin_left,bin_right,count", edges[:-1], edges[1:], counts)
     return 0
 
 

@@ -28,6 +28,15 @@ class SupportFitOptions:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
+def _penalty_weight(lam: float, k: int) -> float:
+    """s = lam * sqrt(k), refused unless positive and finite: s = inf gives
+    inf * 0 = nan in the objective."""
+    s = lam * math.sqrt(k)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"lambda * sqrt(k) must be positive and finite, got lambda = {lam}, k = {k}")
+    return s
+
+
 @dataclass
 class SupportEstimate:
     a_hat: float
@@ -42,10 +51,8 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     """
     if not (0.0 <= a <= b <= 1.0):
         raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
     d = cone_adjusted_hill(ord, k, AngularCone(a, b)).value
-    return (b - a) + lam * math.sqrt(k) * abs(d - hill(ord, k).value)
+    return (b - a) + _penalty_weight(lam, k) * abs(d - hill(ord, k).value)
 
 
 def estimate_support(
@@ -67,7 +74,7 @@ def estimate_support(
     candidates; ties prefer the narrowest interval, then the smallest a.
     """
     _check_k(ord, k)
-    s = opts.lam * math.sqrt(k)
+    s = _penalty_weight(opts.lam, k)
     logr = _log_ratios(ord, k)
     order = np.argsort(ord.theta[:k], kind="stable")
     theta = ord.theta[:k][order]

@@ -167,6 +167,19 @@ class TestSupport:
         keys = {line.split(",")[0] for line in lines[1:]}
         assert {"a_hat", "b_hat", "schema_version"} <= keys
 
+    @pytest.mark.parametrize("cmd", [["support"], ["test", "--B", 20]])
+    def test_lambda_sqrt_k_overflow_refused(self, tmp_path, capsys, cmd):
+        # lambda * sqrt(20) overflows; test without --cone fits the support
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(14))
+        write_sample_csv(src, gen.random(500) + 0.1, gen.random(500) + 0.1)
+        out = tmp_path / "o.json"
+        assert run([*cmd, "--input", src, "--k", 20, "--lambda", "1e308",
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: lambda * sqrt(k) must be positive and finite, got lambda = 1e+308, k = 20\n")
+        assert not out.exists()
+
 
 class TestTest:
     def test_which_all_emits_three_reports(self, tmp_path):
@@ -286,6 +299,26 @@ class TestTest:
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--threads", 0, "--output", out]) == 1
+        assert capsys.readouterr().err == "error: threads must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cone, reason", [
+        ("0.5,0.2", "cone requires 0 <= a <= b <= 1, got [0.5, 0.2]"),
+        ("a,b", "not a number: 'a,b'"),
+    ], ids=["reversed", "not_numbers"])
+    def test_bad_cone_gives_its_reason(self, tmp_path, capsys, cone, reason):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])
+        with pytest.raises(SystemExit) as exc:
+            run(["test", "--input", src, "--cone", cone, "--output", tmp_path / "o.json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --cone: {reason}\n")
+
     @pytest.mark.parametrize("which", ["full", "weak"])
     def test_zero_angle_data_rejected(self, tmp_path, capsys, which):
         # x = 0 throughout: every angle is 0
@@ -352,6 +385,63 @@ class TestDiamond:
                     "--output", tmp_path / "out"]) == 1
         assert "error: --k must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, cols, message", [
+        ("x\n1.0\n2.0\n", None, "{src}: need at least two columns"),
+        ("x,y\n1.0,2.0\n", "x", "--cols needs exactly two comma-separated names"),
+    ], ids=["one_column", "one_name"])
+    def test_fewer_than_two_columns(self, tmp_path, capsys, text, cols, message):
+        src = tmp_path / "s.csv"
+        src.write_text(text, encoding="utf-8")
+        flags = ["--cols", cols] if cols else []
+        assert run(["diamond", "--input", src, *flags, "--output", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(src=src)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_origin_points_never_in_top_k(self, tmp_path):
+        # two of four points lie at the origin, where x / (|x| + |y|) is
+        # 0 / 0; asking for all four gives the two with a direction
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n0,0\n3,-1\n-0.0,0\n0.5,0.25\n", encoding="utf-8")
+        assert run(["diamond", "--input", src, "--k", 4, "--bins", 4,
+                    "--output", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "diamond.csv").read_text() == (
+            "x,y,theta\n0.75,-0.25,0.75\n"
+            "0.6666666666666666,0.3333333333333333,0.6666666666666666\n")
+        assert (tmp_path / "out" / "angles.csv").read_text() == (
+            "bin_left,bin_right,count\n0.0,0.25,0\n0.25,0.5,0\n0.5,0.75,1\n0.75,1.0,1\n")
+
+    def test_bad_bins_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0], [1.0, 0.5])
+        assert run(["diamond", "--input", src, "--bins", 0,
+                    "--output", tmp_path / "out"]) == 1
+        assert "bins" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestWriteCsv:
+    def test_cells_keep_every_bit(self, tmp_path):
+        out = tmp_path / "sub" / "t.csv"
+        values = np.array([-0.0, 0.1 + 0.2, 1 / 3, 5e-324, -1.7976931348623157e308])
+        cli._write_csv(str(out), "lag,value,count", np.arange(5), values,
+                       np.array([0, 1, 2, 10**12, 7], dtype=np.int64))
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "lag,value,count",
+            "0,-0.0,0",
+            "1,0.30000000000000004,1",
+            "2,0.3333333333333333,2",
+            "3,5e-324,1000000000000",
+            "4,-1.7976931348623157e+308,7",
+        ]
+        back = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert back.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+    def test_header_only_without_columns(self, tmp_path):
+        out = tmp_path / "t.csv"
+        cli._write_csv(str(out), "lag,acf_return,acf_abs_return")
+        assert out.read_text(encoding="utf-8") == "lag,acf_return,acf_abs_return\n"
 
 
 def _reference_read(path, names=None):

@@ -29,6 +29,15 @@ class TestObjective:
         with pytest.raises(ValueError):
             support_objective(o, 10, 0.2, 0.8, 0.0)
 
+    def test_lambda_sqrt_k_overflow_refused(self):
+        # lambda * sqrt(20) overflows, and inf * 0 would be nan
+        o = radial_order(example1(100, 0))
+        match = r"lambda \* sqrt\(k\) must be positive and finite, got lambda = 1e\+308, k = 20"
+        with pytest.raises(ValueError, match=match):
+            support_objective(o, 20, 0.2, 0.8, 1e308)
+        with pytest.raises(ValueError, match=match):
+            estimate_support(o, 20, SupportFitOptions(lam=1e308))
+
     def test_true_support_beats_wider(self):
         wins = 0
         for seed in range(10):
