@@ -25,8 +25,9 @@ and one numpy pass per chunk of slots maps them to indices by the rule
 numpy's integers uses below 2**32: Lemire's multiply-shift with
 rejection on the 32-bit halves of each word, low half first
 (_SlotDraws). Each drawn point's key (dense radius rank in the full
-sample) * m + draw position orders a resample exactly as a stable sort
-by decreasing radius does, so a partition picks the k_mn largest
+sample, from the same sort that gives the test its radial order) * m +
+draw position orders a resample exactly as a stable sort by decreasing
+radius does, so a partition picks the k_mn largest
 without sorting the row. All of it runs on one thread.
 """
 
@@ -50,7 +51,7 @@ from taildep.estimators import (
     hill,
 )
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _MAX_ATTEMPTS = 10  # redraw budget per resample slot
@@ -138,15 +139,20 @@ def resample(s: BivariateSample, m: int, gen: np.random.Generator) -> BivariateS
 # ---------------------------------------------------------------------------
 # internal machinery
 
-def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder]:
-    ordered = radial_order(s)
+def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder, np.ndarray]:
+    """The Hill estimate at k, the radial order, and the dense rank of each
+    sample point's radius (0 for the largest; tied radii share a rank),
+    all from one sort."""
+    ordered, order, dense = _radial_order(s)
     value = hill(ordered, k).value
     if value == 0.0:
         raise ValueError(
             f"the {k} largest radii are all tied, so the Hill estimate is 0 "
             "and the tests are undefined"
         )
-    return value, ordered
+    rank = np.empty_like(dense)
+    rank[order] = dense
+    return value, ordered, rank
 
 
 def _require_positive_angle(s: BivariateSample) -> None:
@@ -155,16 +161,6 @@ def _require_positive_angle(s: BivariateSample) -> None:
             "no point has a positive angle (every x is 0), so the angle-weighted "
             "statistic is undefined on theta == 0 data"
         )
-
-
-def _draw_ranks(s: BivariateSample, cone: AngularCone | None = None) -> np.ndarray:
-    """Dense rank of each sample point's radius, 0 for the largest; tied
-    radii share a rank. With a cone, every point outside it ranks after
-    every point inside."""
-    rank = np.unique(-s.radii, return_inverse=True)[1]
-    if cone is not None:
-        rank = rank + np.where(cone.contains_angle(s.angles), 0, rank.max() + 1)
-    return rank
 
 
 class _SlotDraws:
@@ -289,7 +285,7 @@ def strong_dependence_test(
     estimate exceeds the significance level.
     """
     m, k_m = cfg.resolve(s.n)
-    hill_full, ordered = _full_sample_hill(s, cfg.k_n)
+    hill_full, ordered, rank = _full_sample_hill(s, cfg.k_n)
     adjusted = cone_adjusted_hill(ordered, cfg.k_n, cone).value
     if not math.isfinite(adjusted):
         raise ValueError(
@@ -297,11 +293,18 @@ def strong_dependence_test(
             f"value {adjusted} at k_n = {cfg.k_n} (the theta = 0 ray puts every point "
             "with x > 0 at infinite distance), so the strong-dependence test is undefined"
         )
+    if cone.b == 0.0 and np.any(s.x > 0.0):
+        raise ValueError(
+            f"the cone [{cone.a}, {cone.b}] is the theta = 0 ray, which puts each of the "
+            f"{np.count_nonzero(s.x > 0.0)} points with x > 0 at infinite distance; a resample "
+            f"that ranks one above its k_mn-th radius has an infinite cone-adjusted Hill "
+            "value, so the strong-dependence test is undefined"
+        )
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H1"], 0, m, k_m, _draw_ranks(s), _cone_adjusted_hill_rows, cone
+        s, cfg, _TEST_CODES["H1"], 0, m, k_m, rank, _cone_adjusted_hill_rows, cone
     )
     flagged = np.abs(stats - hill_full) > band
     rate = float(np.mean(flagged))
@@ -334,14 +337,14 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     that catches false acceptances when the angular spread is small.
     """
     m, k_m = cfg.resolve(s.n)
-    hill_full, ordered = _full_sample_hill(s, cfg.k_n)
+    hill_full, ordered, rank = _full_sample_hill(s, cfg.k_n)
     _require_positive_angle(s)
     theta0_hat = float(np.mean(ordered.theta[: cfg.k_n]))
     z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
     band = z * hill_full / math.sqrt(k_m)
 
     stats = _resample_stats(
-        s, cfg, _TEST_CODES["H2"], 0, m, k_m, _draw_ranks(s), _angle_weighted_hill_rows
+        s, cfg, _TEST_CODES["H2"], 0, m, k_m, rank, _angle_weighted_hill_rows
     )
     se_boot = float(np.std(stats, ddof=1))
     statistic = k_m * se_boot**2 / hill_full**2
@@ -379,16 +382,17 @@ def weak_dependence_test(
     if cone.is_full:
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
     m, k_m = cfg.resolve(s.n)
-    hill_full, _ = _full_sample_hill(s, cfg.k_n)
+    hill_full, _, rank = _full_sample_hill(s, cfg.k_n)
     _require_positive_angle(s)
 
     stats_plain = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 1, m, k_m, _draw_ranks(s), _angle_weighted_hill_rows
+        s, cfg, _TEST_CODES["H3"], 1, m, k_m, rank, _angle_weighted_hill_rows
     )
     # out-of-cone points rank last, so the k first are the masked kernel's
     # own top k: in-cone points by radius, then the zeroed ones
+    masked_rank = rank + np.where(cone.contains_angle(s.angles), 0, rank.max() + 1)
     stats_masked = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 2, m, k_m, _draw_ranks(s, cone),
+        s, cfg, _TEST_CODES["H3"], 2, m, k_m, masked_rank,
         _masked_angle_weighted_hill_rows, cone,
     )
     var_plain = float(np.var(stats_plain, ddof=1))

@@ -36,7 +36,14 @@ from taildep.boot_tests import (
 )
 from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, MixtureSpec, generate
 from taildep.support_fit import SupportFitOptions, estimate_support
-from taildep.tail_core import AngularCone, BivariateSample, acf, log_returns, radial_order
+from taildep.tail_core import (
+    AngularCone,
+    BivariateSample,
+    _decreasing_order,
+    acf,
+    log_returns,
+    radial_order,
+)
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
@@ -300,7 +307,8 @@ def cmd_test(args) -> int:
 
 def cmd_diamond(args) -> int:
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
-    norm = np.abs(x) + np.abs(y)
+    # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
+    norm = BivariateSample(np.abs(x), np.abs(y)).radii
     # a point at the origin has no direction; it sorts after every other point
     nonzero = np.count_nonzero(norm)
     if not nonzero:
@@ -308,7 +316,7 @@ def cmd_diamond(args) -> int:
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    top = np.argsort(-norm, kind="stable")[:min(k, nonzero)]
+    top = _decreasing_order(norm)[0][:min(k, nonzero)]
     mx = x[top] / norm[top]
     my = y[top] / norm[top]
     theta = np.abs(x[top]) / norm[top]

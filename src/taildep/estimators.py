@@ -11,6 +11,7 @@ of resamples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,24 @@ class StatisticValue:
 
 
 def _check_k(ord: RadialOrder, k: int) -> None:
+    """Refuse k outside 1 <= k < n, and a top k whose ratio R_(1)/R_(k)
+    overflows: every statistic takes its logarithm."""
     if int(k) != k or not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
+    # Python floats overflow to inf without a warning
+    r1, rk = float(ord.sorted_r[0]), float(ord.sorted_r[k - 1])
+    if rk > 0.0 and r1 / rk == math.inf:
+        raise ValueError(
+            f"R_(1)/R_({k}) = {r1!r}/{rk!r} overflows, so the log ratios are not finite"
+        )
 
 
 def _log_ratio_rows(r: np.ndarray, k: int) -> RowValues:
     """log(R_(i)/R_(k)), i = 1..k, on each row of decreasing radii, and the
-    rows where R_(k) > 0 (elsewhere the ratios are not finite)."""
+    rows where R_(k) > 0 (elsewhere the ratios are not finite). A ratio
+    that overflows gives an infinite log, so its row's value is not finite."""
     rk = r[:, k - 1 : k]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logr = np.log(r[:, :k] / rk)
     return logr, rk[:, 0] > 0.0
 

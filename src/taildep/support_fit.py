@@ -55,6 +55,8 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     return (b - a) + _penalty_weight(lam, k) * abs(d - hill(ord, k).value)
 
 
+# s times a finite sum of weights may overflow: that candidate is +inf and loses
+@np.errstate(over="ignore")
 def estimate_support(
     ord: RadialOrder, k: int, opts: SupportFitOptions = SupportFitOptions()
 ) -> SupportEstimate:
@@ -83,6 +85,12 @@ def estimate_support(
     # sums over theta[:i] and over theta[i:], i = 0..k
     w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
     w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))
+    if not (math.isfinite(w_lo[-1]) and math.isfinite(w_hi[0])):
+        raise ValueError(
+            f"the weights (R_(i)/R_({k})) log(R_(i)/R_({k})) / k overflow "
+            f"(R_(1)/R_({k}) = {float(ord.sorted_r[0])!r}/{float(ord.sorted_r[k - 1])!r}), "
+            "so the support objective is not finite"
+        )
 
     a = np.unique(np.concatenate(([0.0, 1.0], theta)))
     lo = np.searchsorted(theta, a[1:], side="left")

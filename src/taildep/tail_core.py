@@ -56,6 +56,13 @@ class BivariateSample:
             raise ValueError("sample contains non-finite values")
         if np.any(x < 0) or np.any(y < 0):
             raise ValueError("sample contains negative values")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(x + y))
+        if overflow.size:
+            i = overflow[0]
+            raise ValueError(
+                f"the radius x + y of point {i} overflows (x = {float(x[i])!r}, y = {float(y[i])!r})"
+            )
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -103,7 +110,7 @@ class RadialOrder:
 
     sorted_r[i] is the (i+1)-th largest radius; theta and (x, y) carry
     the concomitant angle and pair of that order statistic. Ties in r
-    keep the original sample order (stable sort).
+    keep the original sample order.
     """
 
     sorted_r: np.ndarray
@@ -147,22 +154,56 @@ def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
     return float(cone_distances(np.array([x]), np.array([y]), cone)[0])
 
 
+def _decreasing_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices that sort values in decreasing order, ties in sample order,
+    and each sorted position's dense rank (0 for the largest; equal values
+    share a rank).
+
+    numpy's default argsort may put tied values in any order. If any two
+    adjacent sorted values are equal, the key dense rank * n + index,
+    unique and below n**2 <= 2**64, is sorted once more: its order is the
+    stable one, so the result does not depend on the sort numpy picks.
+    """
+    n = values.size
+    if n >= 2**32:
+        raise ValueError(f"{n} values are too many to sort: the tie key needs n < 2**32")
+    order = np.argsort(-values)
+    ranked = values[order]
+    step = ranked[1:] != ranked[:-1]
+    dense = np.zeros(n, dtype=np.int64)
+    np.cumsum(step, out=dense[1:])
+    if not step.all():
+        # a tie group's positions keep their dense rank; only its order changes
+        base = dense.astype(np.uint64) * np.uint64(n)
+        key = base + order.astype(np.uint64)
+        key.sort()
+        order = (key - base).view(np.int64)
+    return order, dense
+
+
+def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarray]:
+    """radial_order(s), with the sort order and the dense rank of each
+    sorted position that _decreasing_order returns."""
+    r = s.radii
+    if not np.any(r > 0):
+        raise ValueError("all points are at the origin; no radial order exists")
+    order, dense = _decreasing_order(r)
+    sorted_r, x, y = r[order], s.x[order], s.y[order]
+    # the same division as BivariateSample.angles, on the gathered arrays
+    theta = np.divide(x, sorted_r, out=np.zeros_like(sorted_r), where=sorted_r > 0)
+    out = RadialOrder(sorted_r=sorted_r, theta=theta, x=x, y=y)
+    for arr in (out.sorted_r, out.theta, out.x, out.y):
+        arr.setflags(write=False)
+    return out, order, dense
+
+
 def radial_order(s: BivariateSample) -> RadialOrder:
     """Sort the sample by decreasing radius, carrying concomitants.
 
     Ties in the radius are broken by original sample index, so the
     result is deterministic. Raises if every point is at the origin.
     """
-    r = s.radii
-    if not np.any(r > 0):
-        raise ValueError("all points are at the origin; no radial order exists")
-    order = np.argsort(-r, kind="stable")
-    sorted_r = r[order]
-    theta = s.angles[order]
-    out = RadialOrder(sorted_r=sorted_r, theta=theta, x=s.x[order], y=s.y[order])
-    for arr in (out.sorted_r, out.theta, out.x, out.y):
-        arr.setflags(write=False)
-    return out
+    return _radial_order(s)[0]
 
 
 def log_returns(prices, stride: int = 1) -> np.ndarray:

@@ -349,34 +349,52 @@ class TestDeterminismAndInvariance:
         gen = np.random.Generator(np.random.Philox(seed))
         x = np.floor(pareto(1.5, 1500, gen)) - 1.0
         y = np.floor(pareto(1.5, 1500, gen)) - 1.0
-        s = BivariateSample(x, y)
-        cone = AngularCone(0.3, 0.7)
         cfg = Config(k_n=40, seed=seed, m_n=60, k_mn=9, B=120)
-        m, k = cfg.resolve(s.n)
-        r, theta = s.radii, s.angles
+        _assert_slots_match_stable_argsort(BivariateSample(x, y), AngularCone(0.3, 0.7), cfg)
 
-        def reference(code, batch, statistic):
-            out = []
-            for t in range(cfg.B):
-                for attempt in range(10):
-                    idx = stream(cfg.seed, code, batch, t, attempt).integers(0, s.n, m)
-                    idx = idx[np.argsort(-r[idx], kind="stable")]
-                    ordered = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
-                    try:
-                        out.append(statistic(ordered).value)
-                        break
-                    except ValueError:
-                        continue
-            return out
+    def test_integer_degrees_match_stable_argsort(self):
+        # in/out-degree counts, as in the paper's network data: most
+        # radii tie in a few small values, a few are large
+        gen = np.random.Generator(np.random.Philox(31))
+        x = np.floor(pareto(1.2, 3000, gen) - 1.0) * (gen.random(3000) < 0.8)
+        y = np.floor(pareto(1.2, 3000, gen) - 1.0)
+        s = BivariateSample(x, y)
+        _, _, rank = boot_tests._full_sample_hill(s, 50)
+        assert np.array_equal(rank, np.unique(-s.radii, return_inverse=True)[1])
+        _assert_slots_match_stable_argsort(
+            s, AngularCone(0.2, 0.6), Config(k_n=50, seed=3, m_n=80, k_mn=10, B=100)
+        )
 
-        h3 = weak_dependence_test(s, cone, cfg)
-        cases = [
-            (strong_dependence_test(s, cone, cfg).per_resample, 1, 0,
-             lambda o: cone_adjusted_hill(o, k, cone)),
-            (full_dependence_test(s, cfg).per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
-            (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
-            (h3.auxiliary["per_resample_masked"], 3, 2,
-             lambda o: masked_angle_weighted_hill(o, k, cone)),
-        ]
-        for per_resample, code, batch, statistic in cases:
-            assert per_resample == reference(code, batch, statistic), (code, batch)
+
+def _assert_slots_match_stable_argsort(s, cone, cfg):
+    """H1/H2/H3 per_resample == the per-slot path: stream(...).integers,
+    a stable argsort of the resample, then the public estimator; a slot
+    whose value is undefined draws again at the next attempt."""
+    m, k = cfg.resolve(s.n)
+    r, theta = s.radii, s.angles
+
+    def reference(code, batch, statistic):
+        out = []
+        for t in range(cfg.B):
+            for attempt in range(10):
+                idx = stream(cfg.seed, code, batch, t, attempt).integers(0, s.n, m)
+                idx = idx[np.argsort(-r[idx], kind="stable")]
+                ordered = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
+                try:
+                    out.append(statistic(ordered).value)
+                    break
+                except ValueError:
+                    continue
+        return out
+
+    h3 = weak_dependence_test(s, cone, cfg)
+    cases = [
+        (strong_dependence_test(s, cone, cfg).per_resample, 1, 0,
+         lambda o: cone_adjusted_hill(o, k, cone)),
+        (full_dependence_test(s, cfg).per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
+        (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
+        (h3.auxiliary["per_resample_masked"], 3, 2,
+         lambda o: masked_angle_weighted_hill(o, k, cone)),
+    ]
+    for per_resample, code, batch, statistic in cases:
+        assert per_resample == reference(code, batch, statistic), (code, batch)

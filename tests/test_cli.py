@@ -181,6 +181,35 @@ class TestSupport:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("cmd", [["support"], ["test", "--B", 20]])
+    def test_radius_overflow_refused(self, tmp_path, capsys, cmd):
+        # both cells are finite, their sum is not
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n1,2\n1e308,1e308\n3,4\n", encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run([*cmd, "--input", src, "--k", 1, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the radius x + y of point 1 overflows (x = 1e+308, y = 1e+308)\n")
+        assert not out.exists()
+
+    def test_huge_lambda_weight_overflow_without_warning(self, tmp_path):
+        # lambda * sqrt(k) is finite, lambda * sqrt(k) times the weight of
+        # the 1e250 radius is not; the fit still picks a finite pair
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(3))
+        r = (1 - gen.random(300)) ** -0.5
+        theta = gen.random(300)
+        r[np.argmax(r)] = 1e250
+        write_sample_csv(src, r * theta, r * (1 - theta))
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["support", "--input", src, "--k", 20, "--lambda", "1e300",
+                        "--output", out]) == 0
+        rep = json.loads(out.read_text())
+        assert 0.0 <= rep["a_hat"] <= rep["b_hat"] <= 1.0
+
+
 class TestTest:
     def test_which_all_emits_three_reports(self, tmp_path):
         src = tmp_path / "s.csv"
@@ -254,11 +283,16 @@ class TestTest:
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_statistic_fails_without_report(self, tmp_path, capsys, fmt):
+    def test_non_finite_statistic_fails_without_report(self, tmp_path, capsys, monkeypatch, fmt):
         # the 100 largest radii lie on the theta = 0 ray and the rest off
         # it, so the full sample's cone-adjusted Hill value on that ray is
         # finite, but a resample whose top k_mn holds a point with x > 0
-        # is infinitely far from the cone and its value is +inf
+        # is infinitely far from the cone and its value is +inf: the cone
+        # is refused before any resampling
+        def refuse(*args):
+            raise AssertionError("resampled before refusing the cone")
+
+        monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(13))
         r = (1 - gen.random(3000)) ** -0.5
@@ -267,8 +301,20 @@ class TestTest:
         out = tmp_path / "o.json"
         assert run(["test", "--input", src, "--which", "strong", "--k", 100,
                     "--cone", "0,0", "--B", 20, "--format", fmt, "--output", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {out}: non-finite value, report not written")
+        assert capsys.readouterr().err == (
+            "error: the cone [0.0, 0.0] is the theta = 0 ray, which puts each of the 2900 "
+            "points with x > 0 at infinite distance; a resample that ranks one above its "
+            "k_mn-th radius has an infinite cone-adjusted Hill value, so the "
+            "strong-dependence test is undefined\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_is_not_written(self, tmp_path, fmt):
+        out = tmp_path / "o.json"
+        with pytest.raises(ValueError) as exc:
+            cli._emit_report(str(out), {"reports": [{"per_resample": [1.0, math.inf]}]}, fmt)
+        assert str(exc.value).startswith(f"{out}: non-finite value, report not written")
         assert not out.exists()
 
     def test_zero_ray_cone_refused_before_resampling(self, ex1_csv, tmp_path, capsys, monkeypatch):
@@ -410,6 +456,39 @@ class TestDiamond:
             "0.6666666666666666,0.3333333333333333,0.6666666666666666\n")
         assert (tmp_path / "out" / "angles.csv").read_text() == (
             "bin_left,bin_right,count\n0.0,0.25,0\n0.25,0.5,0\n0.5,0.75,1\n0.75,1.0,1\n")
+
+    def test_ties_keep_input_order(self, tmp_path):
+        # four points tie at |x| + |y| = 2 behind one at 3; they come out
+        # in input order, however numpy's sort orders equal keys
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n1,1\n2,0\n0,2\n-1,1\n0,3\n", encoding="utf-8")
+        assert run(["diamond", "--input", src, "--k", 4, "--bins", 2,
+                    "--output", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "diamond.csv").read_text() == (
+            "x,y,theta\n0.0,1.0,0.0\n0.5,0.5,0.5\n1.0,0.0,1.0\n0.0,1.0,0.0\n")
+
+    def test_tie_heavy_output_matches_stable_argsort(self, tmp_path):
+        # integer coordinates of both signs: most norms tie
+        gen = np.random.Generator(np.random.Philox(17))
+        x = gen.integers(-6, 7, 5000).astype(float)
+        y = gen.integers(-6, 7, 5000).astype(float)
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, x, y)
+        assert run(["diamond", "--input", src, "--k", 3000, "--output", tmp_path / "out"]) == 0
+        norm = np.abs(x) + np.abs(y)
+        top = np.argsort(-norm, kind="stable")[:3000]
+        rows = zip(*(v.tolist() for v in (x[top] / norm[top], y[top] / norm[top],
+                                          np.abs(x[top]) / norm[top])))
+        assert (tmp_path / "out" / "diamond.csv").read_text().splitlines() == [
+            "x,y,theta", *(f"{a!r},{b!r},{t!r}" for a, b, t in rows)]
+
+    def test_norm_overflow_refused(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n1,2\n-1e308,1e308\n", encoding="utf-8")
+        assert run(["diamond", "--input", src, "--output", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the radius x + y of point 1 overflows (x = 1e+308, y = 1e+308)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_bins_writes_nothing(self, tmp_path, capsys):
         src = tmp_path / "s.csv"

@@ -5,13 +5,14 @@ import pytest
 
 from taildep.datagen import example1, pareto, stream
 from taildep.estimators import (
+    _hill_rows,
     _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
     hill,
     masked_angle_weighted_hill,
 )
-from taildep.tail_core import AngularCone, BivariateSample, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 
 def _sample_from_polar(r, theta):
@@ -234,3 +235,25 @@ class TestRowDots:
         a, b = a[:, :k], b[:, :k]
         expected = np.array([np.dot(u, v) for u, v in zip(a, b)])
         assert _row_dots(a, b).tolist() == expected.tolist()
+
+
+class TestRatioOverflow:
+    # R_(1) = 1e300 over a k-th radius near 1e-10: the ratio overflows
+    R = np.r_[1e300, 1e-10 * (1.0 + np.arange(299.0) / 299.0)]
+
+    @pytest.mark.parametrize("statistic", [
+        hill,
+        angle_weighted_hill,
+        lambda o, k: cone_adjusted_hill(o, k, AngularCone(0.25, 0.75)),
+        lambda o, k: masked_angle_weighted_hill(o, k, AngularCone(0.25, 0.75)),
+    ], ids=["hill", "angle_weighted", "cone_adjusted", "masked"])
+    def test_public_estimators_refuse(self, statistic):
+        o = radial_order(_sample_from_polar(self.R, np.full(self.R.size, 0.5)))
+        with pytest.raises(ValueError, match=r"^R_\(1\)/R_\(20\) = 1e\+300/.* overflows"):
+            statistic(o, 20)
+
+    def test_row_kernel_gives_inf_without_warning(self):
+        # the bootstrap's rows: the value is not finite, so the report is refused
+        r = np.sort(self.R)[::-1][None]
+        values, defined = _hill_rows(RadialOrder(r, r * 0.5, r * 0.5, r * 0.5), 20)
+        assert values.tolist() == [math.inf] and defined.tolist() == [True]

@@ -182,3 +182,31 @@ class TestTieRule:
         assert (est.a_hat, est.b_hat) == (1.0, 1.0)
         assert support_objective(o, 4, 0.0, 1.0, lam) == 1.0
         assert est.objective_value == pytest.approx(1.0, rel=1e-12)
+
+
+class TestOverflow:
+    def test_candidate_overflow_loses_without_warning(self):
+        # s = 1e300 * sqrt(20) is finite, but s times the weight of the
+        # 1e250 radius is not: those candidates are +inf and lose
+        gen = np.random.Generator(np.random.Philox(3))
+        r = (1 - gen.random(300)) ** -0.5
+        theta = gen.random(300)
+        r[np.argmax(r)] = 1e250
+        o = radial_order(BivariateSample(r * theta, r * (1 - theta)))
+        est = estimate_support(o, 20, SupportFitOptions(lam=1e300))
+        assert 0.0 <= est.a_hat <= est.b_hat <= 1.0
+        assert est.objective_value == support_objective(o, 20, est.a_hat, est.b_hat, 1e300)
+        assert est.objective_value <= support_objective(o, 20, 0.0, 1.0, 1e300) == 1.0
+
+    def test_ratio_overflow_refused(self):
+        r = np.r_[1e300, 1e-10 * (1.0 + np.arange(299.0) / 299.0)]
+        o = radial_order(BivariateSample(0.5 * r, 0.5 * r))
+        with pytest.raises(ValueError, match=r"^R_\(1\)/R_\(20\) = 1e\+300/.* overflows"):
+            estimate_support(o, 20)
+
+    def test_weight_overflow_refused(self):
+        # R_(1)/R_(k) = 1e307 is finite, but times its log it is not
+        r = np.r_[1e307, np.ones(99)]
+        o = radial_order(BivariateSample(0.5 * r, 0.5 * r))
+        with pytest.raises(ValueError, match=r"^the weights .* overflow \(R_\(1\)/R_\(20\) = "):
+            estimate_support(o, 20)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
+    RadialOrder,
+    _decreasing_order,
     acf,
     cone_distance,
     cone_distances,
@@ -114,6 +118,12 @@ class TestBivariateSample:
         s = BivariateSample.from_pairs([(1, 2), (3, 4)])
         assert s.x.tolist() == [1, 3] and s.y.tolist() == [2, 4]
 
+    def test_radius_overflow_names_first_point(self):
+        # each coordinate is finite, but x + y is not
+        with pytest.raises(ValueError, match=r"^the radius x \+ y of point 1 overflows "
+                                             r"\(x = 1e\+308, y = 1e\+308\)$"):
+            BivariateSample([1.0, 1e308, 1.7e308], [2.0, 1e308, 1e308])
+
 
 class TestRadialOrder:
     def test_hand_sort(self):
@@ -141,6 +151,54 @@ class TestRadialOrder:
     def test_all_origin_rejected(self):
         with pytest.raises(ValueError):
             radial_order(BivariateSample([0, 0], [0, 0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_stable_argsort(self, data):
+        # ties, zeros (of either sign), one point, all-equal radii and
+        # integer degrees: the order is the stable one, bit for bit
+        n = data.draw(st.integers(1, 60), label="n")
+        cell = data.draw(st.sampled_from([
+            st.integers(0, 3).map(float),
+            st.integers(0, 40).map(float),
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+            st.floats(0.0, 1e6, allow_subnormal=True),
+        ]), label="cell")
+        x = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="x"))
+        y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="y"))
+        s = BivariateSample(x, y)
+        r = s.radii
+        if not np.any(r > 0):
+            with pytest.raises(ValueError, match="all points are at the origin"):
+                radial_order(s)
+            return
+        stable = np.argsort(-r, kind="stable")
+        expected = RadialOrder(r[stable], s.angles[stable], s.x[stable], s.y[stable])
+        got = radial_order(s)
+        for name in ("sorted_r", "theta", "x", "y"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 200000])
+    @pytest.mark.parametrize("kind", ["distinct", "degrees", "all_equal"])
+    def test_decreasing_order_and_dense_ranks(self, n, kind):
+        gen = np.random.Generator(np.random.Philox(n))
+        values = {
+            "distinct": gen.random(n),
+            # in/out-degree counts: integers, most of them small and tied
+            "degrees": np.floor(gen.pareto(1.2, n)),
+            "all_equal": np.full(n, 7.0),
+        }[kind]
+        order, dense = _decreasing_order(values)
+        assert np.array_equal(order, np.argsort(-values, kind="stable"))
+        rank = np.empty_like(dense)
+        rank[order] = dense
+        assert np.array_equal(rank, np.unique(-values, return_inverse=True)[1])
+
+    def test_decreasing_order_refuses_2_to_the_32_values(self):
+        # a broadcast view holds 2**32 values in one float of memory
+        with pytest.raises(ValueError, match="the tie key needs n < 2\\*\\*32"):
+            _decreasing_order(np.broadcast_to(np.zeros(1), (2**32,)))
 
 
 class TestLogReturns:
