@@ -35,7 +35,6 @@ from taildep.boot_tests import (
     TestConfig,
     TestReport,
     full_dependence_test,
-    resample,
     strong_dependence_test,
     weak_dependence_test,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "normal_quantile",
     "pareto",
     "radial_order",
-    "resample",
     "sample_beta",
     "strong_dependence_test",
     "support_objective",

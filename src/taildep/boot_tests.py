@@ -66,7 +66,8 @@ class TestConfig:
     """Tuning knobs shared by the three bootstrap tests.
 
     m_n defaults to round(n / k_n) and k_mn to max(5, round(0.05 * m_n))
-    when left unset. k_n, seed, m_n, k_mn and B must be integers.
+    when left unset. k_n, seed, m_n, k_mn and B must be integers, k_n and
+    k_mn at least 2 (the default k_mn always is).
     """
 
     k_n: int
@@ -85,8 +86,9 @@ class TestConfig:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.k_n < 1:
-            raise ValueError("k_n must be positive")
+            if name in ("k_n", "k_mn") and value < 2:
+                raise ValueError(f"{name} must be at least 2, got {value}: on one radius every "
+                                 "Hill-type statistic is log(R_(1)/R_(1)) = 0")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.B < 2:
@@ -100,8 +102,8 @@ class TestConfig:
             raise ValueError(f"k_n = {self.k_n} must be below the sample size {n}")
         m = self.m_n if self.m_n is not None else max(2, round(n / self.k_n))
         k = self.k_mn if self.k_mn is not None else max(5, round(0.05 * m))
-        if not (1 <= k < m):
-            raise ValueError(f"need 1 <= k_mn < m_n, got k_mn={k}, m_n={m}")
+        if k >= m:
+            raise ValueError(f"need k_mn < m_n, got k_mn={k}, m_n={m}")
         return int(m), int(k)
 
 
@@ -128,14 +130,6 @@ class TestReport:
         }
 
 
-def resample(s: BivariateSample, m: int, gen: np.random.Generator) -> BivariateSample:
-    """m points drawn with replacement, uniform over the sample."""
-    if m < 1:
-        raise ValueError("resample size must be positive")
-    idx = gen.integers(0, s.n, m)
-    return BivariateSample(s.x[idx], s.y[idx])
-
-
 # ---------------------------------------------------------------------------
 # internal machinery
 
@@ -153,6 +147,11 @@ def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder, n
     rank = np.empty_like(dense)
     rank[order] = dense
     return value, ordered, rank
+
+
+def _require_proper_cone(cone: AngularCone) -> None:
+    if cone.is_full:
+        raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
 
 
 def _require_positive_angle(s: BivariateSample) -> None:
@@ -379,8 +378,7 @@ def weak_dependence_test(
     angle-weighted statistics; equal variances (ratio inside the F
     band) support the angular support being [a, b].
     """
-    if cone.is_full:
-        raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
+    _require_proper_cone(cone)
     m, k_m = cfg.resolve(s.n)
     hill_full, _, rank = _full_sample_hill(s, cfg.k_n)
     _require_positive_angle(s)

@@ -2,9 +2,9 @@
 plot-data emission.
 
 Subcommands: simulate | prep | support | test | diamond. Every command
-is deterministic given its full flag set including --seed; reports are
-emitted as JSON (or flattened CSV) and plot data as plain CSV. Verdicts
-never affect the exit code; only failures to complete do.
+is deterministic given its flags (simulate and test take --seed); reports
+are emitted as JSON (or flattened CSV) and plot data as plain CSV.
+Verdicts never affect the exit code; only failures to complete do.
 
 prep, support, test and diamond take their columns from _read_columns,
 which reads through _read_csv_columns. That parses a regular file's rows
@@ -30,6 +30,8 @@ import numpy as np
 
 from taildep.boot_tests import (
     TestConfig,
+    _require_positive_angle,
+    _require_proper_cone,
     full_dependence_test,
     strong_dependence_test,
     weak_dependence_test,
@@ -47,10 +49,6 @@ from taildep.tail_core import (
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
 
 
 def _default_k(n: int) -> int:
@@ -285,6 +283,11 @@ def cmd_test(args) -> int:
         est = estimate_support(ordered, k, fit_opts)
         cone = AngularCone(est.a_hat, est.b_hat)
         cone_source = "estimated"
+    # the checks that need no resampling run before the first test resamples
+    if args.which in ("weak", "all"):
+        _require_proper_cone(cone)
+    if args.which in ("full", "weak", "all"):
+        _require_positive_angle(sample)
 
     reports = []
     if args.which in ("strong", "all"):
@@ -339,11 +342,10 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-abs", dest="abs", action="store_false")
 
 
-def _add_test_flags(p: argparse.ArgumentParser) -> None:
+def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None,
                    help="upper order statistics (default: min(ceil(n/10), 100), a heuristic)")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,12 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify asymptotic dependence of bivariate heavy-tailed data.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # argparse passes a string default through type only when --seed is
+    # absent, so a malformed TAILDEP_SEED is a usage error of simulate and test
+    seed = dict(type=int, default=os.environ.get(DEFAULT_SEED_ENV, "0"))
 
     sim = sub.add_parser("simulate", help="emit a synthetic sample as CSV")
     sim.add_argument("--example", type=int, choices=(1, 2), default=None,
                      help="built-in generator preset; omit for custom flags")
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=_default_seed())
+    sim.add_argument("--seed", **seed)
     sim.add_argument("--alpha-main", type=float, default=2.0)
     sim.add_argument("--alpha-hidden", type=float, default=4.0)
     sim.add_argument("--cone", type=_parse_cone, default=None)
@@ -377,14 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     supp = sub.add_parser("support", help="estimate the angular support [a, b]")
     _add_common_data_flags(supp)
-    _add_test_flags(supp)
+    _add_fit_flags(supp)
     supp.add_argument("--output", required=True)
     supp.add_argument("--format", choices=("json", "csv"), default="json")
     supp.set_defaults(func=cmd_support)
 
     test = sub.add_parser("test", help="run the bootstrap dependence tests")
     _add_common_data_flags(test)
-    _add_test_flags(test)
+    _add_fit_flags(test)
+    test.add_argument("--seed", **seed)
     test.add_argument("--which", choices=("strong", "full", "weak", "all"), default="all")
     test.add_argument("--cone", type=_parse_cone, default=None,
                       help="fixed cone 'a,b'; omitted: estimated from the data")

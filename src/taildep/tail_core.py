@@ -93,16 +93,6 @@ class BivariateSample:
             theta = np.where(r > 0, self.x / np.where(r > 0, r, 1.0), 0.0)
         return theta
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BivariateSample)
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-        )
-
 
 @dataclass(frozen=True)
 class RadialOrder:
@@ -130,20 +120,26 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
     0 exactly on the cone, positive off it, and 1-homogeneous. For a
     degenerate cone a == b it reduces to |(1/a - 1) x - y|.
 
-    Endpoint conventions: a == 0 drops the above-cone term and b == 0
-    (the theta = 0 ray) puts every point with x > 0 at distance +inf.
+    Endpoint conventions: a == 0 drops the above-cone term; an infinite
+    slope 1/c - 1 (c == 0, or 1/c overflows) times x is +inf for x > 0 and
+    0 for x == 0, so b == 0 (the theta = 0 ray) puts every x > 0 at +inf.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if cone.a == 0.0:
         above = np.full(np.broadcast(x, y).shape, -np.inf)
     else:
-        above = y - (1.0 / cone.a - 1.0) * x
-    if cone.b == 0.0:
-        below = np.where(x > 0, np.inf, -y)
-    else:
-        below = (1.0 / cone.b - 1.0) * x - y
+        above = y - _slope_times(cone.a, x)
+    below = _slope_times(cone.b, x) - y
     return np.maximum(np.maximum(above, below), 0.0)
+
+
+def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
+    """(1/c - 1) * x, with 1/0 = +inf, 0 (not inf * 0 = nan) where x == 0
+    and +inf where the product overflows."""
+    with np.errstate(over="ignore"):
+        return np.multiply(np.inf if c == 0.0 else 1.0 / c - 1.0, x,
+                           out=np.zeros(x.shape), where=x != 0.0)
 
 
 def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:

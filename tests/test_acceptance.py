@@ -15,14 +15,16 @@ import pytest
 
 from taildep.boot_tests import (
     FAIL_TO_REJECT,
+    _SlotDraws,
     TestConfig as Config,
     full_dependence_test,
-    resample,
     strong_dependence_test,
     weak_dependence_test,
 )
 from taildep.cli import main as cli_main
-from taildep.datagen import EXAMPLE2_SPEC, example1, example2, pareto, sample_beta, stream
+from taildep.datagen import (
+    EXAMPLE2_SPEC, example1, example2, pareto, sample_beta, stream, stream_keys,
+)
 from taildep.estimators import (
     angle_weighted_hill,
     cone_adjusted_hill,
@@ -348,12 +350,10 @@ def test_criterion_10_property_suites():
             d1, d2 = (float(gen.uniform(1, 3000)) for _ in range(2))
             ok &= abs(f_cdf(f_quantile(p, d1, d2), d1, d2) - p) < 1e-7
 
-    # resampler index frequencies -- 10000 resamples of 100 from 10 points
-    s = BivariateSample(np.arange(10.0), np.ones(10))
-    rng = stream(1013)
-    counts = np.zeros(10)
-    for _ in range(10000):
-        counts += np.bincount(resample(s, 100, rng).x.astype(int), minlength=10)
+    # resampler index frequencies -- 10000 resamples of 100 from 10 points,
+    # drawn as the bootstrap draws them: one row per slot key
+    draws = _SlotDraws(10, 100)(stream_keys(1013, np.arange(10000)))
+    counts = np.bincount(draws.ravel(), minlength=10)
     ok &= bool(np.all(np.abs(counts / 10**6 - 0.1) < 0.01))
 
     _check(10, "property suites (d*, scale invariance, quantile round trips, resampler)", ok)

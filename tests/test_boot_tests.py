@@ -7,7 +7,6 @@ from taildep.boot_tests import (
     REJECT,
     TestConfig as Config,
     full_dependence_test,
-    resample,
     strong_dependence_test,
     weak_dependence_test,
 )
@@ -69,6 +68,14 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             Config(k_n=10, seed=-1)
 
+    def test_one_radius_refused(self):
+        # on one radius every Hill-type statistic is log(R_(1)/R_(1)) = 0
+        with pytest.raises(ValueError, match=r"^k_n must be at least 2, got 1: on one radius"):
+            Config(k_n=1)
+        with pytest.raises(ValueError, match=r"^k_mn must be at least 2, got 1: on one radius"):
+            Config(k_n=10, k_mn=1)
+        assert Config(k_n=2, m_n=3, k_mn=2).resolve(4) == (3, 2)
+
     @pytest.mark.parametrize("field", ["k_n", "seed", "m_n", "k_mn", "B"])
     @pytest.mark.parametrize("value", [10.5, 40.0, "7", np.float64(20.0)])
     def test_integer_fields_take_integers_only(self, field, value):
@@ -79,34 +86,6 @@ class TestConfigAndReport:
         cfg = Config(k_n=np.int64(50), seed=np.uint32(3), m_n=np.int32(400), k_mn=np.int16(20),
                      B=np.int64(10))
         assert cfg.resolve(30000) == (400, 20)
-
-
-class TestResample:
-    def test_single_point_repeated(self):
-        s = BivariateSample([3.0], [4.0])
-        out = resample(s, 5, stream(0))
-        assert out.x.tolist() == [3.0] * 5
-
-    def test_same_stream_state_identical(self):
-        s = BivariateSample(np.arange(10.0), np.arange(10.0))
-        r1 = resample(s, 20, stream(77))
-        r2 = resample(s, 20, stream(77))
-        assert r1 == r2
-
-    def test_index_frequencies_uniform(self):
-        s = BivariateSample(np.arange(10.0), np.ones(10))
-        gen = stream(5)
-        counts = np.zeros(10)
-        B, m = 10000, 100
-        for _ in range(B):
-            out = resample(s, m, gen)
-            counts += np.bincount(out.x.astype(int), minlength=10)
-        freqs = counts / (B * m)
-        assert np.all(np.abs(freqs - 0.1) < 0.01)
-
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            resample(BivariateSample([1.0], [1.0]), 0, stream(0))
 
 
 class TestSlotDraws:
@@ -300,7 +279,8 @@ class TestDeterminismAndInvariance:
         for per_resample, code, batch, statistic in cases:
             assert len(per_resample) == cfg.B
             for t, value in enumerate(per_resample):
-                ordered = radial_order(resample(s, m, stream(cfg.seed, code, batch, t, 0)))
+                idx = stream(cfg.seed, code, batch, t, 0).integers(0, s.n, m)
+                ordered = radial_order(BivariateSample(s.x[idx], s.y[idx]))
                 assert value == statistic(ordered).value, (code, batch, t)
 
     def test_all_degenerate_errors_out(self):

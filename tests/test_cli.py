@@ -365,9 +365,14 @@ class TestTest:
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: argument --cone: {reason}\n")
 
-    @pytest.mark.parametrize("which", ["full", "weak"])
-    def test_zero_angle_data_rejected(self, tmp_path, capsys, which):
-        # x = 0 throughout: every angle is 0
+    @pytest.mark.parametrize("which", ["full", "weak", "all"])
+    def test_zero_angle_data_rejected(self, tmp_path, capsys, monkeypatch, which):
+        # x = 0 throughout: every angle is 0, which H2 and H3 refuse before
+        # any test resamples (with --which all, before H1)
+        def refuse(*args):
+            raise AssertionError("resampled before refusing theta == 0 data")
+
+        monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(12))
         write_sample_csv(src, np.zeros(3000), (1 - gen.random(3000)) ** -0.5)
@@ -375,6 +380,42 @@ class TestTest:
         assert run(["test", "--input", src, "--which", which, "--k", 100,
                     "--B", 200, "--output", out]) == 1
         assert "statistic is undefined on theta == 0 data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["weak", "all"])
+    def test_full_cone_refused_before_resampling(self, tmp_path, capsys, monkeypatch, which):
+        # in/out-degree counts with zeros, as in network data: the fitted
+        # cone is [0, 1], which H3 refuses before any test resamples
+        def refuse(*args):
+            raise AssertionError("resampled before refusing the cone")
+
+        monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
+        gen = np.random.Generator(np.random.Philox(0))
+        degrees = [np.floor((1 - gen.random(3000)) ** (-1 / 1.5)) * (gen.random(3000) < 0.7)
+                   for _ in range(2)]
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, *degrees)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--which", which, "--k", 100,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: weak-dependence test needs a proper cone [a, b] != [0, 1]\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, name", [(["--k", 1], "k_n"), (["--kmn", 1], "k_mn")])
+    def test_one_radius_refused(self, tmp_path, capsys, flags, name):
+        # on one radius every Hill-type statistic is 0: --kmn 1 --which full
+        # used to report fail_to_reject over all-zero resamples
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(15))
+        r = (1 - gen.random(500)) ** -0.5
+        write_sample_csv(src, 0.4 * r, 0.6 * r)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--which", "full", "--k", 30, *flags,
+                    "--B", 20, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} must be at least 2, got 1: on one radius every Hill-type "
+            "statistic is log(R_(1)/R_(1)) = 0\n")
         assert not out.exists()
 
     def test_seed_env_default_and_flag_override(self, tmp_path, monkeypatch):
@@ -391,6 +432,37 @@ class TestTest:
         monkeypatch.setenv("TAILDEP_SEED", "99")
         assert cfg_seed(tmp_path / "a.json", []) == 99
         assert cfg_seed(tmp_path / "b.json", ["--seed", "5"]) == 5
+
+    def test_malformed_seed_env_is_a_usage_error_only_where_read(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # only simulate and test draw random numbers, so only they take --seed
+        # and read TAILDEP_SEED; the others run whatever it holds
+        monkeypatch.setenv("TAILDEP_SEED", "abc")
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(16))
+        r = (1 - gen.random(500)) ** -0.5
+        write_sample_csv(src, 0.4 * r, 0.6 * r)
+        assert run(["prep", "--input", src, "--output", tmp_path / "prep"]) == 0
+        assert run(["support", "--input", src, "--k", 20, "--output", tmp_path / "s.json"]) == 0
+        assert run(["diamond", "--input", src, "--output", tmp_path / "dia"]) == 0
+        for cmd in (["simulate", "--example", 1, "--n", 10, "--output", tmp_path / "x.csv"],
+                    ["test", "--input", src, "--k", 20, "--B", 20, "--output", tmp_path / "t.json"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run(cmd)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: argument --seed: invalid int value: 'abc'\n")
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "t.json").exists()
+
+    def test_support_takes_no_seed(self, tmp_path, capsys):
+        # the support fit is exact and draws no random numbers
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])
+        with pytest.raises(SystemExit) as exc:
+            run(["support", "--input", src, "--seed", 1, "--output", tmp_path / "o.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestDiamond:

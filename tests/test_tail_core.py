@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,28 @@ class TestConeDistance:
         # theta = 0 ray: any point with x > 0 is at infinite scaled distance
         assert cone_distance((1, 1), AngularCone(0.0, 0.0)) == math.inf
         assert cone_distance((0, 3), AngularCone(0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("a, b, expected", [
+        (1e-320, 0.5, [1.0, 0.0, 2.0]),
+        (0.0, 1e-320, [0.0, math.inf, math.inf]),
+        (1e-320, 1e-320, [1.0, math.inf, math.inf]),
+    ])
+    def test_overflowing_slope_is_zero_on_the_y_axis(self, a, b, expected):
+        # 1/a or 1/b overflows to inf; a point with x = 0 takes 0 from that
+        # term, not inf * 0 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = cone_distances(np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 0.0]),
+                               AngularCone(a, b))
+        assert d.tolist() == expected
+
+    def test_overflowing_product_is_inf_without_warning(self):
+        # (1/a - 1) x = 1e300 * 1e10 overflows: the above-cone term is -inf
+        # and the below-cone term decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = cone_distances(np.array([1e10]), np.array([0.0]), AngularCone(1e-300, 0.5))
+        assert d.tolist() == [1e10]
 
     def test_vectorized_matches_scalar(self):
         cone = AngularCone(0.3, 0.6)
