@@ -25,10 +25,12 @@ and one numpy pass per chunk of slots maps them to indices by the rule
 numpy's integers uses below 2**32: Lemire's multiply-shift with
 rejection on the 32-bit halves of each word, low half first
 (_SlotDraws). Each drawn point's key (dense radius rank in the full
-sample, from the same sort that gives the test its radial order) * m +
-draw position orders a resample exactly as a stable sort by decreasing
-radius does, so a partition picks the k_mn largest
-without sorting the row. All of it runs on one thread.
+sample) * m + draw position orders a resample exactly as a stable sort
+by decreasing radius does, so a partition picks the k_mn largest
+without sorting the row. The ranks, the radial order and the Hill
+estimate come from one sort (_prepare); `taildep test` prepares the
+sample once and passes it to each test it runs, so a run sorts once.
+All of it runs on one thread.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class TestConfig:
         m = self.m_n if self.m_n is not None else max(2, round(n / self.k_n))
         k = self.k_mn if self.k_mn is not None else max(5, round(0.05 * m))
         if k >= m:
-            raise ValueError(f"need k_mn < m_n, got k_mn={k}, m_n={m}")
+            defaults = []
+            if self.m_n is None:
+                defaults.append("m_n = max(2, round(n / k_n))")
+            if self.k_mn is None:
+                defaults.append("k_mn = max(5, round(0.05 * m_n))")
+            note = f" from the default {' and '.join(defaults)} with n = {n}" if defaults else ""
+            raise ValueError(f"need k_mn < m_n, got k_mn={k}, m_n={m}{note}")
         return int(m), int(k)
 
 
@@ -133,33 +141,88 @@ class TestReport:
 # ---------------------------------------------------------------------------
 # internal machinery
 
-def _full_sample_hill(s: BivariateSample, k: int) -> tuple[float, RadialOrder, np.ndarray]:
-    """The Hill estimate at k, the radial order, and the dense rank of each
-    sample point's radius (0 for the largest; tied radii share a rank),
-    all from one sort."""
+@dataclass(frozen=True)
+class _Prepared:
+    """A sample prepared for the tests under cfg, from one sort: the
+    resolved (m_n, k_mn), the radial order, the dense rank of each sample
+    point's radius (0 for the largest; tied radii share a rank), the Hill
+    estimate at k_n and the half-width of the normal band around it by
+    which H1 and H2 flag resamples."""
+
+    sample: BivariateSample
+    cfg: TestConfig
+    m_n: int
+    k_mn: int
+    ordered: RadialOrder
+    rank: np.ndarray
+    hill: float
+    band: float
+
+
+def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
+    """s prepared for the tests under cfg. A value that _prepare returned
+    is returned unchanged, so a run that runs several tests can prepare
+    the sample once and pass the result to each test in its place."""
+    if isinstance(s, _Prepared):
+        return s
+    m, k_m = cfg.resolve(s.n)
     ordered, order, dense = _radial_order(s)
-    value = hill(ordered, k).value
+    value = hill(ordered, cfg.k_n).value
     if value == 0.0:
         raise ValueError(
-            f"the {k} largest radii are all tied, so the Hill estimate is 0 "
+            f"the {cfg.k_n} largest radii are all tied, so the Hill estimate is 0 "
             "and the tests are undefined"
         )
     rank = np.empty_like(dense)
     rank[order] = dense
-    return value, ordered, rank
+    band = normal_quantile(1.0 - cfg.alpha_sig / 2.0) * value / math.sqrt(k_m)
+    return _Prepared(s, cfg, m, k_m, ordered, rank, value, band)
 
 
-def _require_proper_cone(cone: AngularCone) -> None:
-    if cone.is_full:
+def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
+    """Raise the ValueError of any test in tests ("H1", "H2", "H3") that is
+    undefined on p and cone whatever it resamples. Every refusal that
+    needs no resampling is made here, so a run that checks all its tests
+    first refuses before any of them resamples."""
+    positive = p.ordered.theta > 0.0
+    if "H3" in tests and cone.is_full:
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
-
-
-def _require_positive_angle(s: BivariateSample) -> None:
-    if not np.any(s.angles > 0.0):
+    if ("H2" in tests or "H3" in tests) and not positive.any():
         raise ValueError(
             "no point has a positive angle (every x is 0), so the angle-weighted "
             "statistic is undefined on theta == 0 data"
         )
+    # a point at angle 0 weighs nothing in the masked statistic, so with no
+    # point of positive angle in the cone every masked resample is 1
+    if "H3" in tests and not np.any(cone.contains_angle(p.ordered.theta) & positive):
+        raise ValueError(
+            f"the cone [{cone.a}, {cone.b}] holds no top-{p.k_mn} mass in any resample: no "
+            "point with a positive angle lies in it, so the masked statistic is always 1 "
+            "and the F ratio is undefined"
+        )
+    if "H1" in tests:
+        adjusted = cone_adjusted_hill(p.ordered, p.cfg.k_n, cone).value
+        if not math.isfinite(adjusted):
+            raise ValueError(
+                f"the cone [{cone.a}, {cone.b}] makes the full-sample cone-adjusted Hill "
+                f"value {adjusted} at k_n = {p.cfg.k_n} (the theta = 0 ray puts every point "
+                "with x > 0 at infinite distance), so the strong-dependence test is undefined"
+            )
+        if cone.b == 0.0 and np.any(p.ordered.x > 0.0):
+            raise ValueError(
+                f"the cone [{cone.a}, {cone.b}] is the theta = 0 ray, which puts each of the "
+                f"{np.count_nonzero(p.ordered.x > 0.0)} points with x > 0 at infinite distance; "
+                "a resample that ranks one above its k_mn-th radius has an infinite "
+                "cone-adjusted Hill value, so the strong-dependence test is undefined"
+            )
+
+
+def _report(p: _Prepared, test_id: str, name: str, verdict: str, statistic: float,
+            threshold: float | tuple[float, float], stats: np.ndarray, **auxiliary) -> TestReport:
+    """The report of a test on p, with the full-sample entries every test shares."""
+    return TestReport(test_id, verdict, statistic, threshold, stats.tolist(), {
+        "name": name, "hill": p.hill, **auxiliary, "m_n": p.m_n, "k_mn": p.k_mn,
+    })
 
 
 class _SlotDraws:
@@ -229,16 +292,18 @@ class _SlotDraws:
 
 
 def _resample_stats(
-    s: BivariateSample, cfg: TestConfig, test_code: int, batch: int, m: int, k: int,
-    rank: np.ndarray, kernel: Callable[..., RowValues], *args,
+    p: _Prepared, test_id: str, batch: int, rank: np.ndarray,
+    kernel: Callable[..., RowValues], *args,
 ) -> np.ndarray:
-    """kernel(rows, k, *args) on resample slots 0..B-1, in chunks of rows.
+    """kernel(rows, k_mn, *args) on resample slots 0..B-1 of p's sample, in
+    chunks of rows.
 
-    Slot t draws m indices from stream(seed, test_code, batch, t, attempt)
-    and keeps the k first of a stable sort by rank (by decreasing radius,
+    Slot t draws m_n indices from stream(seed, test code, batch, t, attempt)
+    and keeps the k_mn first of a stable sort by rank (by decreasing radius,
     as radial_order sorts); a slot whose value is undefined draws again at
     the next attempt.
     """
+    s, cfg, m, k = p.sample, p.cfg, p.m_n, p.k_mn
     r, theta = s.radii, s.angles
     draw = _SlotDraws(s.n, m)
     # rank * m + draw position is unique in a row and orders it as the
@@ -250,7 +315,7 @@ def _resample_stats(
     out = np.empty(cfg.B)
     pending = np.arange(cfg.B)
     for attempt in range(_MAX_ATTEMPTS):
-        keys = stream_keys(cfg.seed, test_code, batch, pending, attempt)
+        keys = stream_keys(cfg.seed, _TEST_CODES[test_id], batch, pending, attempt)
         undefined = []
         for start in range(0, pending.size, _CHUNK_ROWS):
             slots = pending[start : start + _CHUNK_ROWS]
@@ -283,47 +348,13 @@ def strong_dependence_test(
     statistic leaves the normal band around the full-sample Hill
     estimate exceeds the significance level.
     """
-    m, k_m = cfg.resolve(s.n)
-    hill_full, ordered, rank = _full_sample_hill(s, cfg.k_n)
-    adjusted = cone_adjusted_hill(ordered, cfg.k_n, cone).value
-    if not math.isfinite(adjusted):
-        raise ValueError(
-            f"the cone [{cone.a}, {cone.b}] makes the full-sample cone-adjusted Hill "
-            f"value {adjusted} at k_n = {cfg.k_n} (the theta = 0 ray puts every point "
-            "with x > 0 at infinite distance), so the strong-dependence test is undefined"
-        )
-    if cone.b == 0.0 and np.any(s.x > 0.0):
-        raise ValueError(
-            f"the cone [{cone.a}, {cone.b}] is the theta = 0 ray, which puts each of the "
-            f"{np.count_nonzero(s.x > 0.0)} points with x > 0 at infinite distance; a resample "
-            f"that ranks one above its k_mn-th radius has an infinite cone-adjusted Hill "
-            "value, so the strong-dependence test is undefined"
-        )
-    z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
-    band = z * hill_full / math.sqrt(k_m)
-
-    stats = _resample_stats(
-        s, cfg, _TEST_CODES["H1"], 0, m, k_m, rank, _cone_adjusted_hill_rows, cone
-    )
-    flagged = np.abs(stats - hill_full) > band
-    rate = float(np.mean(flagged))
+    p = _prepare(s, cfg)
+    _refuse(p, cone, ("H1",))
+    stats = _resample_stats(p, "H1", 0, p.rank, _cone_adjusted_hill_rows, cone)
+    rate = float(np.mean(np.abs(stats - p.hill) > p.band))
     verdict = REJECT if rate > cfg.alpha_sig else FAIL_TO_REJECT
-    return TestReport(
-        test_id="H1",
-        verdict=verdict,
-        statistic=rate,
-        threshold=cfg.alpha_sig,
-        per_resample=stats.tolist(),
-        auxiliary={
-            "name": "strong_dependence",
-            "hill": hill_full,
-            "band_halfwidth": band,
-            "rejection_rate": rate,
-            "cone": [cone.a, cone.b],
-            "m_n": m,
-            "k_mn": k_m,
-        },
-    )
+    return _report(p, "H1", "strong_dependence", verdict, rate, cfg.alpha_sig, stats,
+                   band_halfwidth=p.band, rejection_rate=rate, cone=[cone.a, cone.b])
 
 
 def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
@@ -335,37 +366,19 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     angle-weighted statistic leaves the normal band, a secondary check
     that catches false acceptances when the angular spread is small.
     """
-    m, k_m = cfg.resolve(s.n)
-    hill_full, ordered, rank = _full_sample_hill(s, cfg.k_n)
-    _require_positive_angle(s)
-    theta0_hat = float(np.mean(ordered.theta[: cfg.k_n]))
-    z = normal_quantile(1.0 - cfg.alpha_sig / 2.0)
-    band = z * hill_full / math.sqrt(k_m)
-
-    stats = _resample_stats(
-        s, cfg, _TEST_CODES["H2"], 0, m, k_m, rank, _angle_weighted_hill_rows
-    )
+    p = _prepare(s, cfg)
+    _refuse(p, None, ("H2",))
+    stats = _resample_stats(p, "H2", 0, p.rank, _angle_weighted_hill_rows)
     se_boot = float(np.std(stats, ddof=1))
-    statistic = k_m * se_boot**2 / hill_full**2
+    statistic = p.k_mn * se_boot**2 / p.hill**2
     threshold = chisq_quantile(1.0 - cfg.alpha_sig, cfg.B - 1) / (cfg.B - 1)
-    proportion = float(np.mean(np.abs(stats - hill_full) > band))
+    proportion = float(np.mean(np.abs(stats - p.hill) > p.band))
     verdict = REJECT if statistic > threshold else FAIL_TO_REJECT
-    return TestReport(
-        test_id="H2",
-        verdict=verdict,
-        statistic=statistic,
-        threshold=threshold,
-        per_resample=stats.tolist(),
-        auxiliary={
-            "name": "full_dependence",
-            "hill": hill_full,
-            "se_boot": se_boot,
-            "proportion_rule_rate": proportion,
-            "proportion_rule_reject": proportion > cfg.alpha_sig,
-            "theta0_hat": theta0_hat,
-            "m_n": m,
-            "k_mn": k_m,
-        },
+    return _report(
+        p, "H2", "full_dependence", verdict, statistic, threshold, stats,
+        se_boot=se_boot, proportion_rule_rate=proportion,
+        proportion_rule_reject=proportion > cfg.alpha_sig,
+        theta0_hat=float(np.mean(p.ordered.theta[: cfg.k_n])),
     )
 
 
@@ -378,46 +391,30 @@ def weak_dependence_test(
     angle-weighted statistics; equal variances (ratio inside the F
     band) support the angular support being [a, b].
     """
-    _require_proper_cone(cone)
-    m, k_m = cfg.resolve(s.n)
-    hill_full, _, rank = _full_sample_hill(s, cfg.k_n)
-    _require_positive_angle(s)
-
-    stats_plain = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 1, m, k_m, rank, _angle_weighted_hill_rows
-    )
+    p = _prepare(s, cfg)
+    _refuse(p, cone, ("H3",))
+    stats_plain = _resample_stats(p, "H3", 1, p.rank, _angle_weighted_hill_rows)
     # out-of-cone points rank last, so the k first are the masked kernel's
     # own top k: in-cone points by radius, then the zeroed ones
-    masked_rank = rank + np.where(cone.contains_angle(s.angles), 0, rank.max() + 1)
+    masked_rank = p.rank + np.where(cone.contains_angle(p.sample.angles), 0, p.rank.max() + 1)
     stats_masked = _resample_stats(
-        s, cfg, _TEST_CODES["H3"], 2, m, k_m, masked_rank,
-        _masked_angle_weighted_hill_rows, cone,
+        p, "H3", 2, masked_rank, _masked_angle_weighted_hill_rows, cone
     )
     var_plain = float(np.var(stats_plain, ddof=1))
     var_masked = float(np.var(stats_masked, ddof=1))
+    # _refuse settles a cone without a point of positive angle; one whose
+    # points never reach a resample's top k_mn shows only here
     if var_masked == 0.0:
         raise ValueError(
-            f"the cone [{cone.a}, {cone.b}] holds no top-{k_m} mass in any resample, "
+            f"the cone [{cone.a}, {cone.b}] holds no top-{p.k_mn} mass in any resample, "
             "so the masked statistic has zero variance and the F ratio is undefined"
         )
     statistic = var_plain / var_masked
     lo = f_quantile(cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)
     hi = f_quantile(1.0 - cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)
     verdict = REJECT if (statistic < lo or statistic > hi) else FAIL_TO_REJECT
-    return TestReport(
-        test_id="H3",
-        verdict=verdict,
-        statistic=statistic,
-        threshold=(lo, hi),
-        per_resample=stats_plain.tolist(),
-        auxiliary={
-            "name": "weak_dependence",
-            "hill": hill_full,
-            "var_plain": var_plain,
-            "var_masked": var_masked,
-            "per_resample_masked": stats_masked.tolist(),
-            "cone": [cone.a, cone.b],
-            "m_n": m,
-            "k_mn": k_m,
-        },
+    return _report(
+        p, "H3", "weak_dependence", verdict, statistic, (lo, hi), stats_plain,
+        var_plain=var_plain, var_masked=var_masked,
+        per_resample_masked=stats_masked.tolist(), cone=[cone.a, cone.b],
     )

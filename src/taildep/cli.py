@@ -30,8 +30,8 @@ import numpy as np
 
 from taildep.boot_tests import (
     TestConfig,
-    _require_positive_angle,
-    _require_proper_cone,
+    _prepare,
+    _refuse,
     full_dependence_test,
     strong_dependence_test,
     weak_dependence_test,
@@ -41,7 +41,7 @@ from taildep.support_fit import SupportFitOptions, estimate_support
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
-    _decreasing_order,
+    _radial_order,
     acf,
     log_returns,
     radial_order,
@@ -49,6 +49,8 @@ from taildep.tail_core import (
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
+# the bootstrap tests that each --which value runs
+_TESTS = {"strong": ("H1",), "full": ("H2",), "weak": ("H3",), "all": ("H1", "H2", "H3")}
 
 
 def _default_k(n: int) -> int:
@@ -268,6 +270,9 @@ def cmd_test(args) -> int:
     fit_opts = SupportFitOptions(lam=args.lam)
     if args.threads < 1:
         raise ValueError("threads must be positive")
+    if args.k is None and k < 2:
+        raise ValueError(f"k_n must be at least 2, got {k} from the default "
+                         f"min(ceil(n/10), 100) with n = {sample.n}: give --k")
     cfg = TestConfig(
         k_n=k,
         seed=args.seed,
@@ -276,26 +281,25 @@ def cmd_test(args) -> int:
         B=args.B,
         alpha_sig=args.alpha_sig,
     )
+    tests = _TESTS[args.which]
+    # one sort serves the support fit and every test
+    prepared = _prepare(sample, cfg)
     cone = args.cone
     cone_source = "flag"
-    if cone is None and args.which in ("strong", "weak", "all"):
-        ordered = radial_order(sample)
-        est = estimate_support(ordered, k, fit_opts)
+    if cone is None and ("H1" in tests or "H3" in tests):
+        est = estimate_support(prepared.ordered, k, fit_opts)
         cone = AngularCone(est.a_hat, est.b_hat)
         cone_source = "estimated"
     # the checks that need no resampling run before the first test resamples
-    if args.which in ("weak", "all"):
-        _require_proper_cone(cone)
-    if args.which in ("full", "weak", "all"):
-        _require_positive_angle(sample)
+    _refuse(prepared, cone, tests)
 
     reports = []
-    if args.which in ("strong", "all"):
-        reports.append(strong_dependence_test(sample, cone, cfg))
-    if args.which in ("full", "all"):
-        reports.append(full_dependence_test(sample, cfg))
-    if args.which in ("weak", "all"):
-        reports.append(weak_dependence_test(sample, cone, cfg))
+    if "H1" in tests:
+        reports.append(strong_dependence_test(prepared, cone, cfg))
+    if "H2" in tests:
+        reports.append(full_dependence_test(prepared, cfg))
+    if "H3" in tests:
+        reports.append(weak_dependence_test(prepared, cone, cfg))
 
     payload = {
         "which": args.which,
@@ -311,18 +315,15 @@ def cmd_test(args) -> int:
 def cmd_diamond(args) -> int:
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
-    norm = BivariateSample(np.abs(x), np.abs(y)).radii
-    # a point at the origin has no direction; it sorts after every other point
-    nonzero = np.count_nonzero(norm)
-    if not nonzero:
-        raise ValueError("all points are at the origin")
+    ordered, order, _ = _radial_order(BivariateSample(np.abs(x), np.abs(y)))
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    top = _decreasing_order(norm)[0][:min(k, nonzero)]
-    mx = x[top] / norm[top]
-    my = y[top] / norm[top]
-    theta = np.abs(x[top]) / norm[top]
+    # a point at the origin has no direction; it sorts after every other point
+    top = order[:k][ordered.sorted_r[:k] > 0]
+    norm, theta = ordered.sorted_r[: top.size], ordered.theta[: top.size]
+    mx = x[top] / norm
+    my = y[top] / norm
     counts, edges = np.histogram(theta, bins=args.bins, range=(0.0, 1.0))
 
     outdir = Path(args.output)
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(test)
     _add_fit_flags(test)
     test.add_argument("--seed", **seed)
-    test.add_argument("--which", choices=("strong", "full", "weak", "all"), default="all")
+    test.add_argument("--which", choices=tuple(_TESTS), default="all")
     test.add_argument("--cone", type=_parse_cone, default=None,
                       help="fixed cone 'a,b'; omitted: estimated from the data")
     test.add_argument("--mn", type=int, default=None)

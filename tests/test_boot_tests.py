@@ -339,11 +339,10 @@ class TestDeterminismAndInvariance:
         x = np.floor(pareto(1.2, 3000, gen) - 1.0) * (gen.random(3000) < 0.8)
         y = np.floor(pareto(1.2, 3000, gen) - 1.0)
         s = BivariateSample(x, y)
-        _, _, rank = boot_tests._full_sample_hill(s, 50)
+        cfg = Config(k_n=50, seed=3, m_n=80, k_mn=10, B=100)
+        rank = boot_tests._prepare(s, cfg).rank
         assert np.array_equal(rank, np.unique(-s.radii, return_inverse=True)[1])
-        _assert_slots_match_stable_argsort(
-            s, AngularCone(0.2, 0.6), Config(k_n=50, seed=3, m_n=80, k_mn=10, B=100)
-        )
+        _assert_slots_match_stable_argsort(s, AngularCone(0.2, 0.6), cfg)
 
 
 def _assert_slots_match_stable_argsort(s, cone, cfg):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taildep import boot_tests, cli
+from taildep import boot_tests, cli, tail_core
 from taildep.cli import main
 
 
@@ -401,6 +401,65 @@ class TestTest:
         assert capsys.readouterr().err == (
             "error: weak-dependence test needs a proper cone [a, b] != [0, 1]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["weak", "all"])
+    @pytest.mark.parametrize("cone, x_zero", [("0.9,0.95", 0), ("0,0.1", 500)],
+                             ids=["no_point", "only_angle_0"])
+    def test_empty_cone_refused_before_resampling(self, tmp_path, capsys, monkeypatch,
+                                                  which, cone, x_zero):
+        # every angle is 0.5 but for x_zero points on the theta = 0 ray: no
+        # point of positive angle lies in the cone, so every masked resample
+        # is 1 and H3 refuses the cone before any test resamples
+        def refuse(*args):
+            raise AssertionError("resampled before refusing the cone")
+
+        monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
+        gen = np.random.Generator(np.random.Philox(17))
+        r = (1 - gen.random(3000)) ** -0.5
+        x = np.where(np.arange(3000) < x_zero, 0.0, 0.5 * r)
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, x, r - x)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--which", which, "--k", 100, "--cone", cone,
+                    "--output", out]) == 1
+        a, b = map(float, cone.split(","))
+        assert capsys.readouterr().err == (
+            f"error: the cone [{a}, {b}] holds no top-5 mass in any resample: no point with "
+            "a positive angle lies in it, so the masked statistic is always 1 and the F "
+            "ratio is undefined\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, flags, message", [
+        (4, [], "k_n must be at least 2, got 1 from the default min(ceil(n/10), 100) "
+                "with n = 4: give --k"),
+        (30, ["--k", 10], "need k_mn < m_n, got k_mn=5, m_n=3 from the default "
+                          "m_n = max(2, round(n / k_n)) and k_mn = max(5, round(0.05 * m_n)) "
+                          "with n = 30"),
+    ], ids=["default_k", "default_m_and_kmn"])
+    def test_refused_default_is_named(self, tmp_path, capsys, n, flags, message):
+        # a value the user did not give is named with the rule that chose it
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(18))
+        r = (1 - gen.random(n)) ** -0.5
+        write_sample_csv(src, 0.4 * r, 0.6 * r)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, *flags, "--B", 20, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--which", "all"],
+                                       ["--which", "all", "--cone", "0.25,0.75"],
+                                       ["--which", "weak"]],
+                             ids=["all_estimated", "all_flag", "weak_estimated"])
+    def test_one_sort_per_run(self, ex1_csv, tmp_path, monkeypatch, flags):
+        # the support fit and every test share the one sort of the sample
+        calls = []
+        sort = tail_core._decreasing_order
+        monkeypatch.setattr(tail_core, "_decreasing_order",
+                            lambda values: calls.append(values.size) or sort(values))
+        assert run(["test", "--input", ex1_csv, "--k", 100, "--B", 20, *flags,
+                    "--output", tmp_path / "o.json"]) == 0
+        assert calls == [30000]
 
     @pytest.mark.parametrize("flags, name", [(["--k", 1], "k_n"), (["--kmn", 1], "k_mn")])
     def test_one_radius_refused(self, tmp_path, capsys, flags, name):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taildep import tail_core
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
@@ -170,6 +171,17 @@ class TestRadialOrder:
             s = BivariateSample(gen.random(n), gen.random(n))
             o = radial_order(s)
             assert sorted(o.sorted_r) == sorted(s.radii)
+
+    def test_sorts_on_every_call(self, monkeypatch):
+        # no order is cached: each call sorts the sample again
+        calls = []
+        sort = tail_core._decreasing_order
+        monkeypatch.setattr(tail_core, "_decreasing_order",
+                            lambda values: calls.append(values.size) or sort(values))
+        s = BivariateSample.from_pairs([(1, 0), (3, 1), (0, 2)])
+        first, second = radial_order(s), radial_order(s)
+        assert calls == [3, 3]
+        assert np.array_equal(first.sorted_r, second.sorted_r)
 
     def test_all_origin_rejected(self):
         with pytest.raises(ValueError):
