@@ -72,8 +72,9 @@ def estimate_support(
     minimum is at an angle, 0 or 1; the b-part is convex, so its minimum
     is at an angle, 1, 0 (where the theta = 0 ray convention applies) or
     b = sqrt(s sum_{theta_i > b} w_i theta_i); on the diagonal a = b, g
-    is monotone. The fit takes the best feasible pair of these
-    candidates; ties prefer the narrowest interval, then the smallest a.
+    is monotone. The fit takes the best pair a <= b of these candidates
+    in O(k log k) time and O(k) memory, never forming all pairs; ties
+    prefer the narrowest interval, then the smallest a.
     """
     _check_k(ord, k)
     s = _penalty_weight(opts.lam, k)
@@ -92,7 +93,8 @@ def estimate_support(
             "so the support objective is not finite"
         )
 
-    a = np.unique(np.concatenate(([0.0, 1.0], theta)))
+    a = np.concatenate(([0.0], theta, [1.0]))  # ascending, as 0 <= theta <= 1
+    a = a[np.concatenate(([True], a[1:] != a[:-1]))]
     lo = np.searchsorted(theta, a[1:], side="left")
     # no angle lies below a = 0, so the a-part is 0 there
     a_part = np.concatenate(([0.0], -a[1:] + s * (w_lo[lo] - wt_lo[lo] / a[1:])))
@@ -100,17 +102,26 @@ def estimate_support(
     # the b-part's stationary point on the piece right of each breakpoint;
     # one that falls outside its piece is still a feasible candidate
     stationary = np.sqrt(s * wt_hi[np.searchsorted(theta, a, side="right")])
-    b = np.unique(np.concatenate((a, np.minimum(stationary, 1.0))))
+    b = np.sort(np.concatenate((a, np.minimum(stationary, 1.0))))
+    b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     hi = np.searchsorted(theta, b[1:], side="right")
     # b = 0 is the theta = 0 ray: finite only if no weighted angle lies above it
     b0 = math.inf if w_hi[np.searchsorted(theta, 0.0, side="right")] > 0 else 0.0
     b_part = np.concatenate(([b0], b[1:] + s * (wt_hi[hi] / b[1:] - w_hi[hi])))
 
-    g = a_part[:, None] + b_part[None, :]
-    g[a[:, None] > b[None, :]] = math.inf
-    ia, ib = np.nonzero(g == g.min())
-    best = np.lexsort((a[ia], b[ib] - a[ia]))[0]
-    a_hat, b_hat = float(a[ia[best]]), float(b[ib[best]])
+    # a[i] pairs with b[start[i]:]; rounded addition is monotone, so the least
+    # g(a[i], b) is a_part[i] + min(b_part[start[i]:]). Each a[i] that reaches
+    # the least g takes the first, narrowest, b that does (doubling windows).
+    start = np.searchsorted(b, a)
+    row_min = a_part + np.minimum.accumulate(b_part[::-1])[::-1][start]
+    best = []
+    for i in np.flatnonzero(row_min == (gmin := row_min.min())):
+        j, width = start[i], 1
+        while not (hit := np.flatnonzero(a_part[i] + b_part[j : j + width] == gmin)).size:
+            width *= 2
+        j += hit[0]
+        best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
+    _, a_hat, b_hat = min(best)
     return SupportEstimate(
         a_hat=a_hat,
         b_hat=b_hat,

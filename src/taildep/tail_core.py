@@ -54,8 +54,10 @@ class BivariateSample:
             raise ValueError("sample must contain at least one point")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("sample contains non-finite values")
-        if np.any(x < 0) or np.any(y < 0):
-            raise ValueError("sample contains negative values")
+        if np.any(np.signbit(x)) or np.any(np.signbit(y)):
+            if np.any(x < 0) or np.any(y < 0):
+                raise ValueError("sample contains negative values")
+            x, y = x + 0.0, y + 0.0  # -0.0 + 0.0 = +0.0, so no angle is -0.0
         with np.errstate(over="ignore"):
             overflow = np.flatnonzero(~np.isfinite(x + y))
         if overflow.size:
@@ -166,27 +168,29 @@ def _decreasing_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-values)
     ranked = values[order]
     step = ranked[1:] != ranked[:-1]
+    if step.all():
+        return order, np.arange(n)
     dense = np.zeros(n, dtype=np.int64)
     np.cumsum(step, out=dense[1:])
-    if not step.all():
-        # a tie group's positions keep their dense rank; only its order changes
-        base = dense.astype(np.uint64) * np.uint64(n)
-        key = base + order.astype(np.uint64)
-        key.sort()
-        order = (key - base).view(np.int64)
-    return order, dense
+    # a tie group's positions keep their dense rank; only its order changes
+    base = dense.astype(np.uint64) * np.uint64(n)
+    key = base + order.astype(np.uint64)
+    key.sort()
+    return (key - base).view(np.int64), dense
 
 
 def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarray]:
     """radial_order(s), with the sort order and the dense rank of each
     sorted position that _decreasing_order returns."""
-    r = s.radii
-    if not np.any(r > 0):
+    order, dense = _decreasing_order(s.radii)
+    x, y = s.x[order], s.y[order]
+    sorted_r = x + y  # r[order], bit for bit, without gathering r again
+    # the p positive radii come first; origin points, tied at 0, sort last
+    p = s.n if sorted_r[-1] > 0 else int(np.searchsorted(dense, dense[-1]))
+    if p == 0:
         raise ValueError("all points are at the origin; no radial order exists")
-    order, dense = _decreasing_order(r)
-    sorted_r, x, y = r[order], s.x[order], s.y[order]
-    # the same division as BivariateSample.angles, on the gathered arrays
-    theta = np.divide(x, sorted_r, out=np.zeros_like(sorted_r), where=sorted_r > 0)
+    theta = np.zeros(s.n)
+    np.divide(x[:p], sorted_r[:p], out=theta[:p])  # the division of BivariateSample.angles
     out = RadialOrder(sorted_r=sorted_r, theta=theta, x=x, y=y)
     for arr in (out.sorted_r, out.theta, out.x, out.y):
         arr.setflags(write=False)

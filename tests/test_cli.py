@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +169,36 @@ class TestSupport:
         assert lines[0] == "key,value"
         keys = {line.split(",")[0] for line in lines[1:]}
         assert {"a_hat", "b_hat", "schema_version"} <= keys
+
+    def test_negative_zero_x_reports_positive_a_hat(self, tmp_path):
+        # --no-abs keeps the -0.0 cells; the report once read "a_hat": -0.0
+        src = tmp_path / "s.csv"
+        gen = np.random.Generator(np.random.Philox(5))
+        r = (1 - gen.random(2000)) ** -0.5
+        theta = gen.random(2000)
+        x, y = r * theta, r * (1 - theta)
+        x[:1500], y[:1500] = -0.0, r[:1500]
+        write_sample_csv(src, x, y)
+        out = tmp_path / "o.json"
+        assert run(["support", "--input", src, "--k", 100, "--no-abs", "--output", out]) == 0
+        assert '"a_hat": 0.0,' in out.read_text()
+
+    @pytest.mark.parametrize("cmd", [["support"], ["test", "--B", 20]])
+    def test_no_numpy_ma_import(self, ex1_csv, tmp_path, cmd):
+        # np.unique imports numpy.ma, 9-13 ms of a run's start-up; no run needs it
+        script = (
+            "import sys\n"
+            "from taildep import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        args = [*cmd, "--input", ex1_csv, "--k", 100, "--output", tmp_path / "o.json"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("cmd", [["support"], ["test", "--B", 20]])
     def test_lambda_sqrt_k_overflow_refused(self, tmp_path, capsys, cmd):

@@ -1,8 +1,15 @@
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from taildep.datagen import MixtureSpec, example1, example2, generate
-from taildep.support_fit import SupportFitOptions, estimate_support, support_objective
+from taildep.estimators import _log_ratios
+from taildep.support_fit import (
+    SupportFitOptions, _penalty_weight, estimate_support, support_objective,
+)
 from taildep.tail_core import AngularCone, BivariateSample, radial_order
 
 RAY_SPEC = MixtureSpec(
@@ -154,6 +161,19 @@ class TestEndpoints:
         assert (est.a_hat, est.b_hat, est.objective_value) == (1.0, 1.0, 0.0)
 
 
+    def test_negative_zero_x_gives_positive_a_hat(self):
+        # 1500 of 2000 points at x = -0.0 put a_hat at -0.0 for every lambda
+        gen = np.random.Generator(np.random.Philox(5))
+        r = (1 - gen.random(2000)) ** -0.5
+        theta = gen.random(2000)
+        x, y = r * theta, r * (1 - theta)
+        x[:1500], y[:1500] = -0.0, r[:1500]
+        o = radial_order(BivariateSample(x, y))
+        for lam in (0.1, 1.0, 4.0, 16.0):
+            est = estimate_support(o, 100, SupportFitOptions(lam=lam))
+            assert bits([est.a_hat]) == bits([0.0]), lam
+
+
 class TestTieRule:
     def test_diagonal_tie_takes_smallest_a(self):
         # equal top-k radii: every log ratio is 0, so g(a, b) = b - a and
@@ -210,3 +230,97 @@ class TestOverflow:
         o = radial_order(BivariateSample(0.5 * r, 0.5 * r))
         with pytest.raises(ValueError, match=r"^the weights .* overflow \(R_\(1\)/R_\(20\) = "):
             estimate_support(o, 20)
+
+
+@np.errstate(over="ignore")
+def dense_fit(ord, k, lam):
+    """The support fit with the full (a, b) candidate matrix: every pair
+    is formed, infeasible pairs a > b are set to +inf, and the minimum's
+    ties go to the narrowest interval, then the smallest a. Quadratic in
+    k; the reference for estimate_support's selection."""
+    s = _penalty_weight(lam, k)
+    logr = _log_ratios(ord, k)
+    order = np.argsort(ord.theta[:k], kind="stable")
+    theta = ord.theta[:k][order]
+    w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
+    wt = w * theta
+    w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
+    w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))
+    a = np.unique(np.concatenate(([0.0, 1.0], theta)))
+    lo = np.searchsorted(theta, a[1:], side="left")
+    a_part = np.concatenate(([0.0], -a[1:] + s * (w_lo[lo] - wt_lo[lo] / a[1:])))
+    stationary = np.sqrt(s * wt_hi[np.searchsorted(theta, a, side="right")])
+    b = np.unique(np.concatenate((a, np.minimum(stationary, 1.0))))
+    hi = np.searchsorted(theta, b[1:], side="right")
+    b0 = math.inf if w_hi[np.searchsorted(theta, 0.0, side="right")] > 0 else 0.0
+    b_part = np.concatenate(([b0], b[1:] + s * (wt_hi[hi] / b[1:] - w_hi[hi])))
+    g = a_part[:, None] + b_part[None, :]
+    g[a[:, None] > b[None, :]] = math.inf
+    ia, ib = np.nonzero(g == g.min())
+    best = np.lexsort((a[ia], b[ib] - a[ia]))[0]
+    a_hat, b_hat = float(a[ia[best]]), float(b[ib[best]])
+    return a_hat, b_hat, support_objective(ord, k, a_hat, b_hat, lam)
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, where == does not
+    return [float(v).hex() for v in values]
+
+
+def degree_sample(seed, n=3000):
+    # integer in/out-degree pairs: radii and angles tie heavily
+    gen = np.random.Generator(np.random.Philox(seed))
+    return BivariateSample(np.floor(gen.pareto(1.2, n)), np.floor(gen.pareto(1.2, n)))
+
+
+def tied_radius_sample(seed, n):
+    # x + y == 1 exactly (x is dyadic), so every log ratio and weight is 0
+    x = np.random.Generator(np.random.Philox(seed)).integers(0, 2**20, n) / 2**20
+    return BivariateSample(x, 1.0 - x)
+
+
+class TestDenseOracle:
+    # the O(k) selection returns the dense matrix's pair, bit for bit
+
+    @pytest.mark.parametrize("shape", [example1, example2], ids=["example1", "example2"])
+    def test_matches_dense_fit(self, shape):
+        for seed in range(12):
+            o = radial_order(shape(3000, seed))
+            for k in (2, 5, 20, 100, 700):
+                for lam in (0.1, 1.0, 4.0, 16.0):
+                    est = estimate_support(o, k, SupportFitOptions(lam=lam))
+                    got = (est.a_hat, est.b_hat, est.objective_value)
+                    assert bits(got) == bits(dense_fit(o, k, lam)), (seed, k, lam)
+
+    @pytest.mark.parametrize("make, ks", [(degree_sample, (5, 20, 100)),
+                                          (lambda seed: tied_radius_sample(seed, 1000), (5, 100, 700))],
+                             ids=["integer_degrees", "all_top_radii_tied"])
+    def test_matches_dense_fit_on_ties(self, make, ks):
+        for seed in range(4):
+            o = radial_order(make(seed))
+            for k in ks:
+                for lam in (0.1, 1.0, 16.0):
+                    est = estimate_support(o, k, SupportFitOptions(lam=lam))
+                    got = (est.a_hat, est.b_hat, est.objective_value)
+                    assert bits(got) == bits(dense_fit(o, k, lam)), (seed, k, lam)
+
+
+class TestFitFootprint:
+    def test_memory_is_linear_in_k(self):
+        # the dense (k + 2) x (2k + 4) matrix alone would take 400 MB here
+        o = radial_order(example1(20000, 5))
+        tracemalloc.start()
+        try:
+            estimate_support(o, 5000, SupportFitOptions())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_every_row_tied(self):
+        # every a = b ties at g = 0; each tied row stops at its first b
+        o = radial_order(tied_radius_sample(0, 4000))
+        start = time.perf_counter()
+        est = estimate_support(o, 2000, SupportFitOptions(lam=4.0))
+        assert time.perf_counter() - start < 1.0
+        assert (est.a_hat, est.b_hat, est.objective_value) == (0.0, 0.0, 0.0)

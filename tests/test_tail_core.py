@@ -127,6 +127,21 @@ class TestBivariateSample:
         with pytest.raises(ValueError):
             BivariateSample([], [])
 
+    def test_negative_zero_stored_as_positive(self):
+        # -0.0 < 0 is false, so -0.0 passes the sign check; stored as is,
+        # it made the angle -0.0 and, through the fit, a_hat = -0.0
+        x, y = np.array([-0.0, 1.0, -0.0, 2.0]), np.array([3.0, -0.0, 1.0, 0.0])
+        s = BivariateSample(x, y)
+        assert s.x.tolist() == [0.0, 1.0, 0.0, 2.0] and s.y.tolist() == [3.0, 0.0, 1.0, 0.0]
+        assert not np.signbit(s.x).any() and not np.signbit(s.y).any()
+        assert not np.signbit(s.angles).any() and not np.signbit(radial_order(s).theta).any()
+        assert np.signbit(x[0]) and x.flags.writeable  # the caller's array is copied, not changed
+        with pytest.raises(ValueError, match="negative values"):
+            BivariateSample([-0.0, -1e-300], [1.0, 1.0])
+        # without a -0.0 nothing is copied
+        x = np.array([0.0, 1.0])
+        assert np.shares_memory(BivariateSample(x, np.ones(2)).x, x)
+
     def test_immutable(self):
         s = BivariateSample([1], [2])
         with pytest.raises(AttributeError):
