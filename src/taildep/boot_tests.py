@@ -103,6 +103,9 @@ class TestConfig:
         if self.k_n >= n:
             raise ValueError(f"k_n = {self.k_n} must be below the sample size {n}")
         m = self.m_n if self.m_n is not None else max(2, round(n / self.k_n))
+        if m > n:
+            raise ValueError(f"m_n = {m} must not exceed the sample size {n}: the "
+                             "m-out-of-n bootstrap resamples m_n <= n points")
         k = self.k_mn if self.k_mn is not None else max(5, round(0.05 * m))
         if k >= m:
             defaults = []
@@ -247,7 +250,11 @@ class _SlotDraws:
         # the low 32 bits of u * n fall below this for a rejected half
         self._threshold = np.uint32((2**32 - n) % n)
         self._bits = np.random.Philox(key=np.zeros(2, np.uint64))
-        self._fresh = self._bits.state
+        # a fresh state in Python ints, as __call__ passes the keys: the state
+        # setter reads them faster than numpy arrays
+        fresh = self._bits.state
+        self._fresh = {**fresh, "state": {name: v.tolist() for name, v in fresh["state"].items()},
+                       "buffer": fresh["buffer"].tolist()}
 
     def _raw(self, key: np.ndarray, words: int) -> np.ndarray:
         self._fresh["state"]["key"] = key
@@ -278,7 +285,7 @@ class _SlotDraws:
         """(rows, m) indices; row j is what integers(0, n, m) draws from a
         Philox keyed by keys[j]."""
         raw = np.empty((len(keys), self.words), np.uint64)
-        for row, key in zip(raw, keys):
+        for row, key in zip(raw, keys.tolist()):
             row[:] = self._raw(key, self.words)
         idx, full = self._map(raw)
         for j in np.flatnonzero(~full):

@@ -70,13 +70,14 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 # each row sorted by decreasing radius with ties in sample order; each
 # kernel returns one value per row and the mask of rows where it is defined
 
-def _hill_rows(rows: RadialOrder, k: int) -> RowValues:
-    logr, defined = _log_ratio_rows(rows.sorted_r, k)
+def _hill_rows(rows: RadialOrder, k: int, ratios: RowValues | None = None) -> RowValues:
+    logr, defined = ratios or _log_ratio_rows(rows.sorted_r, k)
     return logr.mean(axis=1), defined
 
 
-def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone) -> RowValues:
-    logr, defined = _log_ratio_rows(rows.sorted_r, k)
+def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone,
+                             ratios: RowValues | None = None) -> RowValues:
+    logr, defined = ratios or _log_ratio_rows(rows.sorted_r, k)
     d = cone_distances(rows.x[:, :k], rows.y[:, :k], cone)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (1.0 + d / rows.sorted_r[:, k - 1 : k]) * logr
@@ -112,11 +113,15 @@ def _masked_angle_weighted_hill_rows(
     return values, np.ones(values.size, dtype=bool)
 
 
+def _one_row(ord: RadialOrder, end: int | None = None) -> RadialOrder:
+    """ord's first end columns (all by default) as a stack of one row."""
+    return RadialOrder(*(v[None, :end] for v in (ord.sorted_r, ord.theta, ord.x, ord.y)))
+
+
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
     """kernel on ord as a single row; raises where the value is undefined."""
     _check_k(ord, k)
-    rows = RadialOrder(ord.sorted_r[None], ord.theta[None], ord.x[None], ord.y[None])
-    value, defined = kernel(rows, k, *args)
+    value, defined = kernel(_one_row(ord), k, *args)
     if not defined[0]:
         _log_ratios(ord, k)  # raises if R_(k) <= 0; else the angle sum is 0
         raise ValueError("top-k concomitant angles sum to zero")
@@ -161,6 +166,13 @@ def masked_angle_weighted_hill(
     before re-sorting, the log ratios are clamped below at 0, and the
     fully degenerate case (no mass in the cone) returns 1 by the
     0/0 == 1 convention. When the k-th masked radius is 0, each log
-    term is taken as 0 (the minimal completion of the convention).
+    term is taken as 0 (the minimal completion of the convention). Only the
+    first k in-cone points enter, so ord is read up to the k-th (or all of it).
     """
-    return _single_row(ord, k, _masked_angle_weighted_hill_rows, cone)
+    _check_k(ord, k)
+    end = 2 * k
+    while (inside := np.flatnonzero(cone.contains_angle(ord.theta[:end]))).size < k and end < ord.n:
+        end *= 2
+    end = int(inside[k - 1]) + 1 if inside.size >= k else None
+    (value,), _ = _masked_angle_weighted_hill_rows(_one_row(ord, end), k, cone)  # always defined
+    return StatisticValue(float(value), int(k), ord.n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.estimators import _check_k, _log_ratios, cone_adjusted_hill, hill
+from taildep.estimators import _check_k, _cone_adjusted_hill_rows, _hill_rows, _log_ratios, _one_row
 from taildep.tail_core import AngularCone, RadialOrder
 
 
@@ -51,8 +51,16 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     """
     if not (0.0 <= a <= b <= 1.0):
         raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
-    d = cone_adjusted_hill(ord, k, AngularCone(a, b)).value
-    return (b - a) + _penalty_weight(lam, k) * abs(d - hill(ord, k).value)
+    _check_k(ord, k)
+    return _objective(ord, k, a, b, _log_ratios(ord, k), _penalty_weight(lam, k))
+
+
+def _objective(ord: RadialOrder, k: int, a: float, b: float, logr: np.ndarray, s: float) -> float:
+    """g(a, b) given logr = _log_ratios(ord, k) and s = lam * sqrt(k): H and D share logr."""
+    rows, ratios = _one_row(ord), (logr[None], np.ones(1, dtype=bool))
+    (h,), _ = _hill_rows(rows, k, ratios)
+    (d,), _ = _cone_adjusted_hill_rows(rows, k, AngularCone(a, b), ratios)
+    return (b - a) + s * abs(float(d) - float(h))
 
 
 # s times a finite sum of weights may overflow: that candidate is +inf and loses
@@ -111,19 +119,16 @@ def estimate_support(
 
     # a[i] pairs with b[start[i]:]; rounded addition is monotone, so the least
     # g(a[i], b) is a_part[i] + min(b_part[start[i]:]). Each a[i] that reaches
-    # the least g takes the first, narrowest, b that does (doubling windows).
+    # the least g takes the first, narrowest, b that does: the first b whose
+    # b-part is that minimum, or an earlier one whose sum rounds to the same g.
     start = np.searchsorted(b, a)
-    row_min = a_part + np.minimum.accumulate(b_part[::-1])[::-1][start]
+    suffix_min = np.minimum.accumulate(b_part[::-1])[::-1]
+    at_min = np.where(b_part == suffix_min, np.arange(b.size), b.size)
+    first_min = np.minimum.accumulate(at_min[::-1])[::-1][start]
+    row_min = a_part + suffix_min[start]
     best = []
     for i in np.flatnonzero(row_min == (gmin := row_min.min())):
-        j, width = start[i], 1
-        while not (hit := np.flatnonzero(a_part[i] + b_part[j : j + width] == gmin)).size:
-            width *= 2
-        j += hit[0]
+        j = start[i] + np.argmax(a_part[i] + b_part[start[i] : first_min[i] + 1] == gmin)
         best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
     _, a_hat, b_hat = min(best)
-    return SupportEstimate(
-        a_hat=a_hat,
-        b_hat=b_hat,
-        objective_value=support_objective(ord, k, a_hat, b_hat, opts.lam),
-    )
+    return SupportEstimate(a_hat, b_hat, _objective(ord, k, a_hat, b_hat, logr, s))

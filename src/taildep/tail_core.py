@@ -65,6 +65,7 @@ class BivariateSample:
             raise ValueError(
                 f"the radius x + y of point {i} overflows (x = {float(x[i])!r}, y = {float(y[i])!r})"
             )
+        x, y = x.view(), y.view()  # read-only views: the caller's arrays stay writeable
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

@@ -64,6 +64,16 @@ class TestConfigAndReport:
         with pytest.raises(ValueError):
             Config(k_n=10, m_n=5, k_mn=7).resolve(100)
 
+    def test_m_n_above_n_refused(self):
+        # at m_n = 5e6 each chunk of slots would draw a (64, 2500001) block of words
+        match = (r"^m_n = 5000000 must not exceed the sample size 30000: "
+                 r"the m-out-of-n bootstrap resamples m_n <= n points$")
+        with pytest.raises(ValueError, match=match):
+            Config(k_n=100, m_n=5_000_000, k_mn=25).resolve(30000)
+        with pytest.raises(ValueError, match="^m_n = 31 must not exceed the sample size 30"):
+            Config(k_n=2, m_n=31).resolve(30)
+        assert Config(k_n=100, m_n=30000, k_mn=25).resolve(30000) == (30000, 25)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             Config(k_n=10, seed=-1)

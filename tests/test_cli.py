@@ -367,6 +367,21 @@ class TestTest:
         )
         assert not out.exists()
 
+    def test_m_n_above_n_refused_before_any_draw(self, ex1_csv, tmp_path, capsys, monkeypatch):
+        # m_n = 5e6 on 30000 points would draw a (64, 2500001) block of words per chunk
+        def refuse(*args):
+            raise AssertionError("drew resample indices before refusing m_n")
+
+        monkeypatch.setattr(boot_tests, "_SlotDraws", refuse)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", ex1_csv, "--which", "full", "--k", 100,
+                    "--mn", 5000000, "--kmn", 25, "--B", 100, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: m_n = 5000000 must not exceed the sample size 30000: "
+            "the m-out-of-n bootstrap resamples m_n <= n points\n"
+        )
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         gen = np.random.Generator(np.random.Philox(11))

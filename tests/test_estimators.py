@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from taildep.datagen import example1, pareto, stream
+from taildep.datagen import example1, example2, pareto, stream
 from taildep.estimators import (
     _hill_rows,
+    _masked_angle_weighted_hill_rows,
     _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
@@ -178,6 +179,69 @@ class TestMaskedAngleWeightedHill:
                 expected = np.dot(th[top], terms) / th[top].sum()
             value = masked_angle_weighted_hill(radial_order(s), k, cone).value
             assert value == pytest.approx(expected, rel=1e-12)
+
+
+def full_row_masked(ord, k, cone):
+    """The masked kernel on all of ord as one row: the reference for the
+    public statistic, which cuts the row at its k-th in-cone point."""
+    rows = RadialOrder(ord.sorted_r[None], ord.theta[None], ord.x[None], ord.y[None])
+    return float(_masked_angle_weighted_hill_rows(rows, k, cone)[0][0])
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+def _degree_sample(seed):
+    # integer in/out-degree pairs: ties, zeros and angles on cone edges
+    gen = np.random.Generator(np.random.Philox(seed))
+    return BivariateSample(np.floor(gen.pareto(1.2, 3000)), np.floor(gen.pareto(1.2, 3000)))
+
+
+class TestMaskedFullRowOracle:
+    CONES = [AngularCone(*c) for c in
+             ((0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.0, 0.3), (0.6, 1.0), (0.0, 0.0))]
+
+    @pytest.mark.parametrize("make", [lambda s: example1(3000, s), lambda s: example2(3000, s),
+                                      _degree_sample], ids=["example1", "example2", "integer_degrees"])
+    def test_matches_full_row_kernel(self, make):
+        for seed in range(3):
+            o = radial_order(make(seed))
+            for k in (2, 5, 25, 100, 700):
+                for cone in self.CONES:
+                    got = masked_angle_weighted_hill(o, k, cone).value
+                    assert _bits(got) == _bits(full_row_masked(o, k, cone)), (seed, k, cone)
+
+    def test_fewer_than_k_in_cone(self):
+        # 3 of 40 points in the cone: the whole row is read, zeroed points fill the top k
+        gen = np.random.Generator(np.random.Philox(21))
+        theta = np.full(40, 0.9)
+        theta[[4, 17, 33]] = 0.5
+        o = radial_order(_sample_from_polar(np.arange(40.0, 0.0, -1.0) + gen.random(40), theta))
+        cone = AngularCone(0.4, 0.6)
+        for k in (3, 4, 10, 39):
+            got = masked_angle_weighted_hill(o, k, cone).value
+            assert _bits(got) == _bits(full_row_masked(o, k, cone)), k
+        assert masked_angle_weighted_hill(o, 4, cone).value == 0.0  # R~_(4) = 0
+
+    def test_no_point_in_cone_is_one(self):
+        gen = np.random.Generator(np.random.Philox(22))
+        o = radial_order(_sample_from_polar(gen.pareto(2.0, 3000) + 1.0, 0.5 * gen.random(3000)))
+        cone = AngularCone(0.9, 0.95)
+        assert masked_angle_weighted_hill(o, 100, cone).value == 1.0 == full_row_masked(o, 100, cone)
+
+    def test_kth_in_cone_point_in_last_column(self):
+        # the k-th in-cone point has the smallest radius
+        r = np.arange(50.0, 0.0, -1.0)
+        theta = np.full(50, 0.1)
+        theta[[0, 7, 20, 49]] = [0.3, 0.45, 0.35, 0.4]
+        o = radial_order(_sample_from_polar(r, theta))
+        cone = AngularCone(0.3, 0.5)
+        got = masked_angle_weighted_hill(o, 4, cone).value
+        assert _bits(got) == _bits(full_row_masked(o, 4, cone))
+        r_in, th_in = r[[0, 7, 20, 49]], theta[[0, 7, 20, 49]]
+        expected = np.dot(th_in, np.log(r_in / r_in[-1])) / th_in.sum()
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestSharedProperties:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taildep.datagen import MixtureSpec, example1, example2, generate
-from taildep.estimators import _log_ratios
+from taildep.estimators import _log_ratios, cone_adjusted_hill, hill
 from taildep.support_fit import (
     SupportFitOptions, _penalty_weight, estimate_support, support_objective,
 )
@@ -324,3 +324,47 @@ class TestFitFootprint:
         est = estimate_support(o, 2000, SupportFitOptions(lam=4.0))
         assert time.perf_counter() - start < 1.0
         assert (est.a_hat, est.b_hat, est.objective_value) == (0.0, 0.0, 0.0)
+
+
+def two_call_objective(ord, k, a, b, lam):
+    """g(a, b) from two public estimator calls, each with its own check
+    and log-ratio pass; the reference for the one-pass objective's bits."""
+    d = cone_adjusted_hill(ord, k, AngularCone(a, b)).value
+    return (b - a) + _penalty_weight(lam, k) * abs(d - hill(ord, k).value)
+
+
+ORACLE_CONES = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.0, 0.3), (0.6, 1.0), (0.0, 0.0)]
+ORACLE_SAMPLES = {
+    "example1": lambda seed: example1(3000, seed),
+    "example2": lambda seed: example2(3000, seed),
+    "integer_degrees": degree_sample,
+}
+
+
+class TestObjectiveOracle:
+    # support_objective and the fit's objective_value take H and D from
+    # one log-ratio pass; they equal the two-call objective bit for bit
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SAMPLES))
+    def test_matches_two_call_objective(self, name):
+        for seed in range(3):
+            o = radial_order(ORACLE_SAMPLES[name](seed))
+            for k in (2, 5, 25, 100, 700):
+                for lam in (0.1, 1.0, 3.0, 4.0, 16.0):
+                    for a, b in ORACLE_CONES:
+                        assert bits([support_objective(o, k, a, b, lam)]) == bits(
+                            [two_call_objective(o, k, a, b, lam)]), (seed, k, lam, a, b)
+                    est = estimate_support(o, k, SupportFitOptions(lam=lam))
+                    assert bits([est.objective_value]) == bits(
+                        [two_call_objective(o, k, est.a_hat, est.b_hat, lam)]), (seed, k, lam)
+
+    def test_refusals_keep_their_order(self):
+        # k is checked first, then R_(k) > 0, then lambda * sqrt(k), as the
+        # two-call objective checks them
+        o = radial_order(BivariateSample([1.0] + [0.0] * 30, [1.0] + [0.0] * 30))
+        for k, match in ((31, "k must satisfy"), (20, r"R_\(20\) must be positive")):
+            for objective in (support_objective, two_call_objective):
+                with pytest.raises(ValueError, match=match):
+                    objective(o, k, 0.2, 0.8, 1e308)
+        with pytest.raises(ValueError, match=r"lambda \* sqrt\(k\) must be positive"):
+            support_objective(radial_order(example1(100, 0)), 20, 0.2, 0.8, 1e308)

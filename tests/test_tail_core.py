@@ -142,6 +142,16 @@ class TestBivariateSample:
         x = np.array([0.0, 1.0])
         assert np.shares_memory(BivariateSample(x, np.ones(2)).x, x)
 
+    def test_caller_arrays_stay_writeable(self):
+        # the sample keeps read-only views, so the caller's arrays are
+        # shared, not copied, and keep their flag
+        x, y = np.array([1.0, 2.0]), np.array([3.0, 0.5])
+        for s in (BivariateSample(x, x), BivariateSample(x, y)):
+            assert x.flags.writeable and y.flags.writeable
+            assert np.shares_memory(s.x, x)
+            assert not s.x.flags.writeable and not s.y.flags.writeable
+        assert np.shares_memory(s.y, y)
+
     def test_immutable(self):
         s = BivariateSample([1], [2])
         with pytest.raises(AttributeError):
