@@ -28,8 +28,8 @@ rejection on the 32-bit halves of each word, low half first
 sample) * m + draw position orders a resample exactly as a stable sort
 by decreasing radius does, so a partition picks the k_mn largest
 without sorting the row. The ranks, the radial order and the Hill
-estimate come from one sort (_prepare); `taildep test` prepares the
-sample once and passes it to each test it runs, so a run sorts once.
+estimate come from one uint64 key sort (_prepare); `taildep test`
+prepares the sample once and passes it to each test, so a run sorts once.
 All of it runs on one thread.
 """
 

@@ -12,6 +12,7 @@ of resamples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,13 @@ class StatisticValue:
 
 
 def _check_k(ord: RadialOrder, k: int) -> None:
-    """Refuse k outside 1 <= k < n, and a top k whose ratio R_(1)/R_(k)
-    overflows: every statistic takes its logarithm."""
-    if int(k) != k or not (1 <= k < ord.n):
+    """Refuse a non-integer k, k outside 1 <= k < n, and a top k whose
+    ratio R_(1)/R_(k) overflows: every statistic takes its logarithm."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
     # Python floats overflow to inf without a warning
     r1, rk = float(ord.sorted_r[0]), float(ord.sorted_r[k - 1])

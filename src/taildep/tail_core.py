@@ -129,20 +129,20 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if cone.a == 0.0:
-        above = np.full(np.broadcast(x, y).shape, -np.inf)
-    else:
-        above = y - _slope_times(cone.a, x)
-    below = _slope_times(cone.b, x) - y
-    return np.maximum(np.maximum(above, below), 0.0)
+    with np.errstate(over="ignore"):
+        below = _slope_times(cone.b, x) - y
+        if cone.a == 0.0:  # max(-inf, below, 0) is max(below, 0)
+            return np.maximum(below, 0.0)
+        return np.maximum(np.maximum(y - _slope_times(cone.a, x), below), 0.0)
 
 
 def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
     """(1/c - 1) * x, with 1/0 = +inf, 0 (not inf * 0 = nan) where x == 0
     and +inf where the product overflows."""
-    with np.errstate(over="ignore"):
-        return np.multiply(np.inf if c == 0.0 else 1.0 / c - 1.0, x,
-                           out=np.zeros(x.shape), where=x != 0.0)
+    slope = np.inf if c == 0.0 else 1.0 / c - 1.0
+    if slope < np.inf:
+        return slope * x
+    return np.multiply(slope, x, out=np.zeros(x.shape), where=x != 0.0)
 
 
 def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
@@ -154,30 +154,43 @@ def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
 
 
 def _decreasing_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices that sort values in decreasing order, ties in sample order,
-    and each sorted position's dense rank (0 for the largest; equal values
-    share a rank).
+    """Indices that sort values (nonnegative, no -0.0) in decreasing order,
+    ties in sample order, and each sorted position's dense rank (0 for the
+    largest; equal values share a rank).
 
-    numpy's default argsort may put tied values in any order. If any two
-    adjacent sorted values are equal, the key dense rank * n + index,
-    unique and below n**2 <= 2**64, is sorted once more: its order is the
-    stable one, so the result does not depend on the sort numpy picks.
+    One in-place sort of uint64 keys: a value's complemented bits, which
+    ascend as it descends, with the low bits replaced by its index. Values
+    that differ only in those bits come out in sample order, not by value;
+    one stable argsort re-sorts their runs, exactly, as runs are disjoint.
     """
     n = values.size
     if n >= 2**32:
         raise ValueError(f"{n} values are too many to sort: the tie key needs n < 2**32")
-    order = np.argsort(-values)
+    low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
+    key = np.bitwise_or(values.view(np.uint64), low)
+    np.invert(key, out=key)
+    np.bitwise_or(key, np.arange(n, dtype=np.uint64), out=key)
+    key.sort()
+    order = np.bitwise_and(key, low, out=key).view(np.int64)
     ranked = values[order]
+    bad = ranked[1:][ranked[1:] > ranked[:-1]].view(np.uint64)
+    if bad.size:
+        # a bad value's run holds the values whose bits match its own but for
+        # the low ones; reversed, ranked ascends run by run, so binary search
+        # counts the values past each run's ends
+        start, stop = (n - np.unique(np.searchsorted(ranked[::-1], end.view(float), side))[::-1]
+                       for end, side in ((bad | low, "right"), (bad & ~low, "left")))
+        size = stop - start
+        runs = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+        fixed = runs[np.argsort(-ranked[runs], kind="stable")]
+        order[runs], ranked[runs] = order[fixed], ranked[fixed]
     step = ranked[1:] != ranked[:-1]
+    del ranked  # order and the dense ranks are the only n-long arrays left
     if step.all():
         return order, np.arange(n)
     dense = np.zeros(n, dtype=np.int64)
-    np.cumsum(step, out=dense[1:])
-    # a tie group's positions keep their dense rank; only its order changes
-    base = dense.astype(np.uint64) * np.uint64(n)
-    key = base + order.astype(np.uint64)
-    key.sort()
-    return (key - base).view(np.int64), dense
+    dense[1:] = step  # cumsum of the bools would cast all of them to a temporary first
+    return order, np.cumsum(dense, out=dense)
 
 
 def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from taildep.estimators import (
     hill,
     masked_angle_weighted_hill,
 )
+from taildep.support_fit import estimate_support, support_objective
 from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 
@@ -321,3 +323,22 @@ class TestRatioOverflow:
         r = np.sort(self.R)[::-1][None]
         values, defined = _hill_rows(RadialOrder(r, r * 0.5, r * 0.5, r * 0.5), 20)
         assert values.tolist() == [math.inf] and defined.tolist() == [True]
+
+
+@pytest.mark.parametrize("k", [10.0, 2.5, np.float64(10.0)])
+@pytest.mark.parametrize("call", [
+    hill,
+    lambda o, k: masked_angle_weighted_hill(o, k, AngularCone(0.25, 0.75)),
+    lambda o, k: support_objective(o, k, 0.25, 0.75, 1.0),
+    estimate_support,
+], ids=["hill", "masked", "support_objective", "estimate_support"])
+def test_non_integer_k_refused(call, k):
+    # an integral float k would index the radii with a float: refused as a
+    # ValueError, as TestConfig refuses it, not an IndexError
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+        call(radial_order(example1(300, 0)), k)
+
+
+def test_numpy_integer_k_accepted():
+    o = radial_order(example1(300, 0))
+    assert hill(o, np.int64(10)) == hill(o, 10)

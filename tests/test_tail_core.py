@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -259,6 +260,78 @@ class TestRadialOrder:
         # a broadcast view holds 2**32 values in one float of memory
         with pytest.raises(ValueError, match="the tie key needs n < 2\\*\\*32"):
             _decreasing_order(np.broadcast_to(np.zeros(1), (2**32,)))
+
+
+def _check_decreasing_order(values):
+    order, dense = _decreasing_order(values)
+    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+    rank = np.empty_like(dense)
+    rank[order] = dense
+    assert np.array_equal(rank, np.unique(-values, return_inverse=True)[1])
+
+
+def _low_bits(n):
+    # the sort key keeps a value's index in its b low bits
+    return (1 << max(1, (n - 1).bit_length())) - 1
+
+
+class TestPackedKeySort:
+    """The packed key sorts by all but a value's b low bits, then by index;
+    values that differ only in those bits are re-sorted by value."""
+
+    # b grows by one bit from 1024 to 1025 and from 65536 to 65537 values
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 65536, 65537])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_low_bit_runs_among_ties_zeros_and_degrees(self, n, seed):
+        gen = np.random.Generator(np.random.Philox(seed))
+        low = _low_bits(n)
+        # eight shared prefixes, each followed by random low bits
+        heads = (1.0 + gen.integers(0, 8, n) / 8.0).view(np.uint64) & ~np.uint64(low)
+        near = (heads | gen.integers(0, low + 1, n, dtype=np.uint64)).view(float)
+        kind = gen.integers(0, 4, n)
+        values = np.select([kind == 0, kind == 1, kind == 2],
+                           [near, near[gen.integers(0, n, n)], 0.0],
+                           np.floor(gen.pareto(1.2, n)))
+        _check_decreasing_order(gen.permutation(values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_stable_argsort_on_low_bit_runs(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        low = _low_bits(n)
+        prefix = st.sampled_from([0.0, 1.0, 3.0, 2.0**-30, 1e300])
+        cell = st.tuples(prefix, st.integers(0, low)).map(
+            lambda p: float((np.float64(p[0]).view(np.uint64) | np.uint64(p[1])).view(np.float64)))
+        values = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="values"))
+        _check_decreasing_order(values)
+
+    def test_ulp_steps_take_the_repair(self, monkeypatch):
+        # 1 + i * 2**-52 share all but their low bits, so the key alone
+        # leaves them in sample order; shuffled, that order is wrong
+        n = 5000
+        values = np.random.Generator(np.random.Philox(3)).permutation(1.0 + np.arange(n) * 2.0**-52)
+        assert np.unique(values.view(np.uint64) & ~np.uint64(_low_bits(n))).size == 1
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: calls.append(a.size) or argsort(a, **kw))
+        _decreasing_order(values)
+        monkeypatch.undo()
+        assert calls == [n]
+        _check_decreasing_order(values)
+
+    @pytest.mark.parametrize("kind", ["random", "degrees"])
+    def test_peak_memory_is_three_arrays(self, kind):
+        n = 10**6
+        gen = np.random.Generator(np.random.Philox(4))
+        values = gen.random(n) if kind == "random" else np.floor(gen.pareto(1.2, n))
+        _decreasing_order(1.0 + np.arange(9.0) * 2.0**-52)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _decreasing_order(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n
 
 
 class TestLogReturns:
