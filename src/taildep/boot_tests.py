@@ -22,9 +22,10 @@ only the way there is cheaper. datagen.stream_keys derives the Philox
 keys of a whole block of slots in one numpy pass of SeedSequence's hash.
 One Philox is reset to each key in turn and returns raw 64-bit words,
 and one numpy pass per chunk of slots maps them to indices by the rule
-numpy's integers uses below 2**32: Lemire's multiply-shift with
-rejection on the 32-bit halves of each word, low half first
-(_SlotDraws). Each drawn point's key (dense radius rank in the full
+numpy's integers uses below 2**32: Lemire's multiply-shift on the 32-bit
+halves of each word, low half first (_SlotDraws). A row in which that
+rule rejects a half is drawn by numpy's integers itself, from the Philox
+reset to its key. Each drawn point's key (dense radius rank in the full
 sample) * m + draw position orders a resample exactly as a stable sort
 by decreasing radius does, so a partition picks the k_mn largest
 without sorting the row. The ranks, the radial order and the Hill
@@ -129,17 +130,6 @@ class TestReport:
     per_resample: list[float]
     auxiliary: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        thr = self.threshold
-        return {
-            "test_id": self.test_id,
-            "verdict": self.verdict,
-            "statistic": self.statistic,
-            "threshold": list(thr) if isinstance(thr, tuple) else thr,
-            "per_resample": list(self.per_resample),
-            "auxiliary": dict(self.auxiliary),
-        }
-
 
 # ---------------------------------------------------------------------------
 # internal machinery
@@ -164,9 +154,12 @@ class _Prepared:
 
 def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
     """s prepared for the tests under cfg. A value that _prepare returned
-    is returned unchanged, so a run that runs several tests can prepare
-    the sample once and pass the result to each test in its place."""
+    under cfg is returned unchanged, so a run that runs several tests can
+    prepare the sample once and pass the result to each test in its place."""
     if isinstance(s, _Prepared):
+        if s.cfg != cfg:
+            raise ValueError(f"the sample was prepared under {s.cfg}, not under {cfg}: "
+                             "its resamples and band would not follow cfg")
         return s
     m, k_m = cfg.resolve(s.n)
     ordered, order, dense = _radial_order(s)
@@ -233,20 +226,21 @@ class _SlotDraws:
 
     One Philox is reset to each key (counter 0, empty buffers) through its
     state setter, so it starts where a fresh stream(...) with that key
-    starts, and returns raw 64-bit words. For n - 1 < 2**32 - 1 numpy's
-    bounded draw reads those words as 32-bit halves, low half first, and
-    applies Lemire's multiply-shift to each: the index is (u * n) >> 32,
-    and a half is rejected when (u * n) mod 2**32 < (2**32 - n) mod n.
-    The same rule, applied here to a whole block of rows at once, draws
-    the same indices.
+    starts, and returns ceil(m / 2) raw 64-bit words. For n - 1 < 2**32 - 1
+    numpy's bounded draw reads those words as 32-bit halves, low half
+    first, and applies Lemire's multiply-shift to each: the index is
+    (u * n) >> 32, and a half is rejected when (u * n) mod 2**32 <
+    (2**32 - n) mod n. A row whose m halves are all accepted is mapped by
+    that rule here, a whole block of rows at once; a row with a rejected
+    half is numpy's own integers(0, n, m), drawn from the Philox reset to
+    its key.
     """
 
     def __init__(self, n: int, m: int) -> None:
         if n >= 2**32:
             raise ValueError(f"sample size {n} is too large: resample indices are drawn below 2**32")
         self.n, self.m = n, m
-        # m + 1 or m + 2 halves: the spare ones absorb most rejections
-        self.words = m // 2 + 1
+        self.words = -(-m // 2)
         # the low 32 bits of u * n fall below this for a rejected half
         self._threshold = np.uint32((2**32 - n) % n)
         self._bits = np.random.Philox(key=np.zeros(2, np.uint64))
@@ -255,46 +249,29 @@ class _SlotDraws:
         fresh = self._bits.state
         self._fresh = {**fresh, "state": {name: v.tolist() for name, v in fresh["state"].items()},
                        "buffer": fresh["buffer"].tolist()}
+        self._gen = np.random.Generator(self._bits)
 
-    def _raw(self, key: np.ndarray, words: int) -> np.ndarray:
+    def _reset(self, key: list) -> np.random.Philox:
         self._fresh["state"]["key"] = key
         self._bits.state = self._fresh
-        return self._bits.random_raw(words)
-
-    def _map(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices from rows of raw words: each row's first m accepted
-        halves, and the mask of rows that hold m accepted halves."""
-        m = self.m
-        # a word's low half is drawn first; "<u4" reads it so on any host
-        halves = raw.astype("<u8", copy=False).view("<u4")
-        # u * n needs 64 bits; dtype= stops numpy 1.x from keeping it uint32
-        scaled = np.multiply(halves, np.uint64(self.n), dtype=np.uint64)
-        accepted = scaled.astype(np.uint32) >= self._threshold
-        # below 2**32, so the int64 view is the value
-        idx = (scaled[:, :m] >> np.uint64(32)).view(np.int64)
-        full = np.ones(len(raw), dtype=bool)
-        hit = np.flatnonzero(~accepted[:, :m].all(axis=1))
-        if hit.size:
-            # a stable sort on the rejection flag moves a row's accepted halves first
-            first = np.argsort(~accepted[hit], axis=1, kind="stable")[:, :m]
-            idx[hit] = np.take_along_axis(scaled[hit] >> np.uint64(32), first, axis=1).view(np.int64)
-            full[hit] = accepted[hit].sum(axis=1) >= m
-        return idx, full
+        return self._bits
 
     def __call__(self, keys: np.ndarray) -> np.ndarray:
         """(rows, m) indices; row j is what integers(0, n, m) draws from a
         Philox keyed by keys[j]."""
         raw = np.empty((len(keys), self.words), np.uint64)
         for row, key in zip(raw, keys.tolist()):
-            row[:] = self._raw(key, self.words)
-        idx, full = self._map(raw)
-        for j in np.flatnonzero(~full):
-            # too many rejections: draw the row again with more words
-            words = self.words
-            while not full[j]:
-                words *= 2
-                row, row_full = self._map(self._raw(keys[j], words)[None])
-                idx[j], full[j] = row[0], row_full[0]
+            row[:] = self._reset(key).random_raw(self.words)
+        # a word's low half is drawn first; "<u4" reads it so on any host
+        halves = raw.astype("<u8", copy=False).view("<u4")[:, : self.m]
+        # u * n needs 64 bits; dtype= stops numpy 1.x from keeping it uint32
+        scaled = np.multiply(halves, np.uint64(self.n), dtype=np.uint64)
+        # below 2**32, so the int64 view is the value
+        idx = (scaled >> np.uint64(32)).view(np.int64)
+        for j in np.flatnonzero((scaled.astype(np.uint32) < self._threshold).any(axis=1)):
+            # a rejected half shifts the rest of the row; numpy's integers draws it
+            self._reset(keys[j].tolist())
+            idx[j] = self._gen.integers(0, self.n, self.m)
         return idx
 
 

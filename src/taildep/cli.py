@@ -243,11 +243,12 @@ def cmd_prep(args) -> int:
 
 
 def cmd_support(args) -> int:
+    fit_opts = SupportFitOptions(lam=args.lam)
     x, y = _load_pair(args)
     sample = BivariateSample(x, y)
     ordered = radial_order(sample)
     k = args.k if args.k is not None else _default_k(sample.n)
-    est = estimate_support(ordered, k, SupportFitOptions(lam=args.lam))
+    est = estimate_support(ordered, k, fit_opts)
     _emit_report(
         args.output,
         {
@@ -264,12 +265,12 @@ def cmd_support(args) -> int:
 
 
 def cmd_test(args) -> int:
-    x, y = _load_pair(args)
-    sample = BivariateSample(x, y)
-    k = args.k if args.k is not None else _default_k(sample.n)
     fit_opts = SupportFitOptions(lam=args.lam)
     if args.threads < 1:
         raise ValueError("threads must be positive")
+    x, y = _load_pair(args)
+    sample = BivariateSample(x, y)
+    k = args.k if args.k is not None else _default_k(sample.n)
     if args.k is None and k < 2:
         raise ValueError(f"k_n must be at least 2, got {k} from the default "
                          f"min(ceil(n/10), 100) with n = {sample.n}: give --k")
@@ -306,7 +307,8 @@ def cmd_test(args) -> int:
         "cone": [cone.a, cone.b] if cone is not None else None,
         "cone_source": cone_source if cone is not None else None,
         "config": {**asdict(cfg), "lambda": args.lam},
-        "reports": [r.to_dict() for r in reports],
+        # a report's own fields; asdict would deep-copy each per-resample float
+        "reports": [vars(r) for r in reports],
     }
     _emit_report(args.output, payload, args.format)
     return 0

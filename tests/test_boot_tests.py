@@ -92,6 +92,17 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             Config(**{"k_n": 50, field: value})
 
+    def test_prepared_sample_refused_under_another_config(self):
+        # the resamples would follow the preparing config (B = 2000) and the
+        # threshold and verdict the given one (B = 200)
+        s = example1(3000, 0)
+        p = boot_tests._prepare(s, Config(100, 0, 500, 25, 2000))
+        other = Config(100, 9, 500, 25, 200, 0.5)
+        with pytest.raises(ValueError, match=r"^the sample was prepared under TestConfig\(k_n=100, "
+                           r"seed=0, m_n=500, k_mn=25, B=2000, alpha_sig=0.05\), not under "):
+            full_dependence_test(p, other)
+        assert boot_tests._prepare(p, Config(100, 0, 500, 25, 2000)) is p
+
     def test_integer_fields_accept_numpy_integers(self):
         cfg = Config(k_n=np.int64(50), seed=np.uint32(3), m_n=np.int32(400), k_mn=np.int16(20),
                      B=np.int64(10))
@@ -111,17 +122,29 @@ class TestSlotDraws:
         for t, row in enumerate(idx):
             assert row.tolist() == stream(5, 1, 0, t, 0).integers(0, n, m).tolist(), t
 
+    @pytest.mark.parametrize("n", [2**31 + 12345, 2**14])
     @pytest.mark.parametrize("m", [1, 5, 500])
-    def test_short_rows_are_redrawn_with_more_words(self, monkeypatch, m):
-        # about half the halves are rejected at this n, so some rows hold
-        # fewer than m accepted halves in the first words; the test above
-        # checks what those rows draw
-        draw = boot_tests._SlotDraws(2**31 + 12345, m)
-        sizes = []
-        raw = draw._raw
-        monkeypatch.setattr(draw, "_raw", lambda key, words: sizes.append(words) or raw(key, words))
+    def test_rows_with_a_rejected_half_take_numpys_draw(self, monkeypatch, n, m):
+        # about half the halves are rejected at 2**31 + 12345; at 2**14 the
+        # threshold (2**32 - n) % n is 0, so none is. The test above checks
+        # what the rows draw; this one checks which rows numpy's integers draws
+        draw = boot_tests._SlotDraws(n, m)
+        gen, taken = draw._gen, []
+
+        class Spy:
+            def integers(self, *args):
+                taken.append(draw._bits.state["state"]["key"].tolist())
+                return gen.integers(*args)
+
+        monkeypatch.setattr(draw, "_gen", Spy())
         draw(self.KEYS)
-        assert max(sizes) > draw.words
+        rejecting = []
+        for key in self.KEYS:
+            halves = np.random.Philox(key=key).random_raw(m).astype("<u8").view("<u4")[:m]
+            if np.any(halves.astype(np.uint64) * n % 2**32 < (2**32 - n) % n):
+                rejecting.append(key.tolist())
+        assert taken == rejecting
+        assert (len(taken) > 0) == (n != 2**14)
 
     def test_sample_too_large_refused(self):
         with pytest.raises(ValueError, match="sample size 4294967296 is too large"):

@@ -401,6 +401,23 @@ class TestTest:
         assert capsys.readouterr().err == "error: threads must be positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, flags, error", [
+        ("test", ["--threads", 0], "threads must be positive"),
+        ("test", ["--lambda", "nan"], "lambda must be positive and finite, got nan"),
+        ("support", ["--lambda", "nan"], "lambda must be positive and finite, got nan"),
+        ("support", ["--lambda", 0], "lambda must be positive and finite, got 0.0"),
+    ])
+    def test_flag_values_checked_before_reading_the_input(self, tmp_path, capsys, monkeypatch,
+                                                          cmd, flags, error):
+        def refuse(*args):
+            raise ValueError("read the input before checking the flags")
+
+        monkeypatch.setattr(cli, "_read_csv_columns", refuse)
+        out = tmp_path / "o.json"
+        assert run([cmd, "--input", tmp_path / "s.csv", *flags, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cone, reason", [
         ("0.5,0.2", "cone requires 0 <= a <= b <= 1, got [0.5, 0.2]"),
         ("a,b", "not a number: 'a,b'"),
