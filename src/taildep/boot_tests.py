@@ -15,8 +15,9 @@ Three procedures, all resampling m points with replacement B times:
   statistics over two independent resample batches.
 
 Every resample draws integers(0, n, m) from its own Philox substream,
-stream(seed, test code, batch, slot, attempt), and is scored by its
-statistic's row kernel in taildep.estimators on its k_mn largest radii.
+stream(seed, test code, batch, slot, 0), and is scored once by its
+statistic's row kernel in taildep.estimators on its k_mn largest radii,
+which gives a degenerate resample the kernels' convention.
 The substreams and the indices are the ones stream() and integers give;
 only the way there is cheaper. datagen.stream_keys derives the Philox
 keys of a whole block of slots in one numpy pass of SeedSequence's hash.
@@ -46,7 +47,6 @@ import numpy as np
 # stream is the per-slot contract; perfbench/tracer.py rebinds boot_tests.stream
 from taildep.datagen import stream, stream_keys  # noqa: F401
 from taildep.estimators import (
-    RowValues,
     _angle_weighted_hill_rows,
     _cone_adjusted_hill_rows,
     _masked_angle_weighted_hill_rows,
@@ -57,7 +57,6 @@ from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
 from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
-_MAX_ATTEMPTS = 10  # redraw budget per resample slot
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
 
 REJECT = "reject"
@@ -277,15 +276,14 @@ class _SlotDraws:
 
 def _resample_stats(
     p: _Prepared, test_id: str, batch: int, rank: np.ndarray,
-    kernel: Callable[..., RowValues], *args,
+    kernel: Callable[..., np.ndarray], *args,
 ) -> np.ndarray:
     """kernel(rows, k_mn, *args) on resample slots 0..B-1 of p's sample, in
     chunks of rows.
 
-    Slot t draws m_n indices from stream(seed, test code, batch, t, attempt)
-    and keeps the k_mn first of a stable sort by rank (by decreasing radius,
-    as radial_order sorts); a slot whose value is undefined draws again at
-    the next attempt.
+    Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
+    keeps the k_mn first of a stable sort by rank (by decreasing radius,
+    as radial_order sorts).
     """
     s, cfg, m, k = p.sample, p.cfg, p.m_n, p.k_mn
     r, theta = s.radii, s.angles
@@ -297,27 +295,16 @@ def _resample_stats(
     rank_m = rank.astype(dtype) * dtype(m)
     position = np.arange(m, dtype=dtype)
     out = np.empty(cfg.B)
-    pending = np.arange(cfg.B)
-    for attempt in range(_MAX_ATTEMPTS):
-        keys = stream_keys(cfg.seed, _TEST_CODES[test_id], batch, pending, attempt)
-        undefined = []
-        for start in range(0, pending.size, _CHUNK_ROWS):
-            slots = pending[start : start + _CHUNK_ROWS]
-            idx = draw(keys[start : start + _CHUNK_ROWS])
-            order_key = rank_m[idx] + position
-            top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
-            idx = np.take_along_axis(idx, top, axis=1)
-            values, defined = kernel(
-                RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]), k, *args
-            )
-            out[slots[defined]] = values[defined]
-            undefined.append(slots[~defined])
-        pending = np.concatenate(undefined)
-        if pending.size == 0:
-            return out
-    raise RuntimeError(
-        f"resample slot {pending[0]} stayed degenerate after {_MAX_ATTEMPTS} redraws"
-    )
+    keys = stream_keys(cfg.seed, _TEST_CODES[test_id], batch, np.arange(cfg.B), 0)
+    for start in range(0, cfg.B, _CHUNK_ROWS):
+        idx = draw(keys[start : start + _CHUNK_ROWS])
+        order_key = rank_m[idx] + position
+        top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
+        idx = np.take_along_axis(idx, top, axis=1)
+        out[start : start + _CHUNK_ROWS] = kernel(
+            RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]), k, *args
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

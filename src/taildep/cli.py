@@ -47,7 +47,7 @@ from taildep.tail_core import (
     radial_order,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
 # the bootstrap tests that each --which value runs
 _TESTS = {"strong": ("H1",), "full": ("H2",), "weak": ("H3",), "all": ("H1", "H2", "H3")}
@@ -423,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

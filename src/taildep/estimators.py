@@ -19,8 +19,6 @@ import numpy as np
 
 from taildep.tail_core import AngularCone, RadialOrder, cone_distances
 
-RowValues = tuple[np.ndarray, np.ndarray]  # one value per row, and where it is defined
-
 
 @dataclass(frozen=True)
 class StatisticValue:
@@ -46,14 +44,15 @@ def _check_k(ord: RadialOrder, k: int) -> None:
         )
 
 
-def _log_ratio_rows(r: np.ndarray, k: int) -> RowValues:
-    """log(R_(i)/R_(k)), i = 1..k, on each row of decreasing radii, and the
-    rows where R_(k) > 0 (elsewhere the ratios are not finite). A ratio
-    that overflows gives an infinite log, so its row's value is not finite."""
+def _log_ratio_rows(r: np.ndarray, k: int) -> np.ndarray:
+    """log(R_(i)/R_(k)), i = 1..k, on each row of decreasing radii; 0 on a
+    row where R_(k) = 0. A ratio that overflows gives an infinite log, so
+    its row's value is not finite."""
     rk = r[:, k - 1 : k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logr = np.log(r[:, :k] / rk)
-    return logr, rk[:, 0] > 0.0
+    logr[rk[:, 0] == 0.0] = 0.0
+    return logr
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,47 +61,53 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _check_rk(ord: RadialOrder, k: int) -> None:
+    if not ord.sorted_r[k - 1] > 0.0:
+        raise ValueError(f"R_({k}) must be positive, got {ord.sorted_r[k - 1]}")
+
+
 def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
     """log(R_(i)/R_(k)) for i = 1..k; requires R_(k) > 0."""
-    logr, defined = _log_ratio_rows(ord.sorted_r[None], k)
-    if not defined[0]:
-        raise ValueError(f"R_({k}) must be positive, got {ord.sorted_r[k - 1]}")
-    return logr[0]
+    _check_rk(ord, k)
+    return _log_ratio_rows(ord.sorted_r[None], k)[0]
 
 
 # ---------------------------------------------------------------------------
 # row kernels: rows is a RadialOrder whose arrays are stacked (rows, width),
 # each row sorted by decreasing radius with ties in sample order; each
-# kernel returns one value per row and the mask of rows where it is defined
+# kernel returns one value per row. They are total by one convention: where
+# R_(k) = 0 every log term is 0, and an angle-weighted mean whose angles sum
+# to 0 is 0/0 = 1, so the plain angle-weighted kernel is the masked one at
+# the cone [0, 1]. Only the masked public function takes those values.
 
-def _hill_rows(rows: RadialOrder, k: int, ratios: RowValues | None = None) -> RowValues:
-    logr, defined = ratios or _log_ratio_rows(rows.sorted_r, k)
-    return logr.mean(axis=1), defined
+def _hill_rows(rows: RadialOrder, k: int, logr: np.ndarray | None = None) -> np.ndarray:
+    return (_log_ratio_rows(rows.sorted_r, k) if logr is None else logr).mean(axis=1)
 
 
 def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone,
-                             ratios: RowValues | None = None) -> RowValues:
-    logr, defined = ratios or _log_ratio_rows(rows.sorted_r, k)
+                             logr: np.ndarray | None = None) -> np.ndarray:
+    logr = _log_ratio_rows(rows.sorted_r, k) if logr is None else logr
     d = cone_distances(rows.x[:, :k], rows.y[:, :k], cone)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = (1.0 + d / rows.sorted_r[:, k - 1 : k]) * logr
     # inf * 0 at a zero log ratio: the log factor wins, the term is 0
-    terms = np.where(logr > 0.0, terms, 0.0)
-    return terms.mean(axis=1), defined
+    return np.where(logr > 0.0, terms, 0.0).mean(axis=1)
 
 
-def _angle_weighted_hill_rows(rows: RadialOrder, k: int) -> RowValues:
-    logr, defined = _log_ratio_rows(rows.sorted_r, k)
-    th = rows.theta[:, :k]
+def _angle_weighted_hill_rows(rows: RadialOrder, k: int) -> np.ndarray:
+    return _angle_weighted_mean(rows.theta[:, :k], _log_ratio_rows(rows.sorted_r, k))
+
+
+def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum(th * terms) / sum(th) on each row; 1 where the angles sum to 0."""
     denom = th.sum(axis=1)
-    defined &= denom > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _row_dots(th, logr) / denom, defined
+        return np.where(denom > 0.0, _row_dots(th, terms) / denom, 1.0)
 
 
 def _masked_angle_weighted_hill_rows(
     rows: RadialOrder, k: int, cone: AngularCone
-) -> RowValues:
+) -> np.ndarray:
     mask = cone.contains_angle(rows.theta)
     # the rows are in radius order, so a stable sort on the mask alone
     # re-sorts the masked radii: in-cone points first, then zeroed ones
@@ -110,12 +115,7 @@ def _masked_angle_weighted_hill_rows(
     in_cone = np.take_along_axis(mask, top, axis=1)
     r_top = np.where(in_cone, np.take_along_axis(rows.sorted_r, top, axis=1), 0.0)
     th_top = np.where(in_cone, np.take_along_axis(rows.theta, top, axis=1), 0.0)
-    logr, rk_positive = _log_ratio_rows(r_top, k)
-    terms = np.maximum(np.where(rk_positive[:, None], logr, 0.0), 0.0)
-    denom = th_top.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(denom > 0.0, _row_dots(th_top, terms) / denom, 1.0)
-    return values, np.ones(values.size, dtype=bool)
+    return _angle_weighted_mean(th_top, np.maximum(_log_ratio_rows(r_top, k), 0.0))
 
 
 def _one_row(ord: RadialOrder, end: int | None = None) -> RadialOrder:
@@ -124,13 +124,11 @@ def _one_row(ord: RadialOrder, end: int | None = None) -> RadialOrder:
 
 
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
-    """kernel on ord as a single row; raises where the value is undefined."""
+    """kernel on ord as a single row; refuses R_(k) = 0."""
     _check_k(ord, k)
-    value, defined = kernel(_one_row(ord), k, *args)
-    if not defined[0]:
-        _log_ratios(ord, k)  # raises if R_(k) <= 0; else the angle sum is 0
-        raise ValueError("top-k concomitant angles sum to zero")
-    return StatisticValue(float(value[0]), int(k), ord.n)
+    _check_rk(ord, k)
+    (value,) = kernel(_one_row(ord), k, *args)
+    return StatisticValue(float(value), int(k), ord.n)
 
 
 def hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -159,7 +157,11 @@ def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
     T = sum_{i<=k} theta*_i log(R_(i)/R_(k)) / sum_{i<=k} theta*_i.
     Its sampling variance separates full from strong dependence.
     """
-    return _single_row(ord, k, _angle_weighted_hill_rows)
+    value = _single_row(ord, k, _angle_weighted_hill_rows)
+    # a zero angle sum gives the convention's 1, so only a 1 needs the check
+    if value.value == 1.0 and not ord.theta[:k].any():
+        raise ValueError("top-k concomitant angles sum to zero")
+    return value
 
 
 def masked_angle_weighted_hill(
@@ -168,10 +170,9 @@ def masked_angle_weighted_hill(
     """Angle-weighted statistic restricted to angles inside the cone.
 
     Radii and angles of points with angle outside [a, b] are zeroed
-    before re-sorting, the log ratios are clamped below at 0, and the
-    fully degenerate case (no mass in the cone) returns 1 by the
-    0/0 == 1 convention. When the k-th masked radius is 0, each log
-    term is taken as 0 (the minimal completion of the convention). Only the
+    before re-sorting and the log ratios are clamped below at 0. It takes
+    the row kernels' convention where the k-th masked radius is 0 or the
+    in-cone angles sum to 0, so it is defined on every sample. Only the
     first k in-cone points enter, so ord is read up to the k-th (or all of it).
     """
     _check_k(ord, k)
@@ -179,5 +180,5 @@ def masked_angle_weighted_hill(
     while (inside := np.flatnonzero(cone.contains_angle(ord.theta[:end]))).size < k and end < ord.n:
         end *= 2
     end = int(inside[k - 1]) + 1 if inside.size >= k else None
-    (value,), _ = _masked_angle_weighted_hill_rows(_one_row(ord, end), k, cone)  # always defined
+    (value,) = _masked_angle_weighted_hill_rows(_one_row(ord, end), k, cone)
     return StatisticValue(float(value), int(k), ord.n)

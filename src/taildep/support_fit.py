@@ -57,9 +57,9 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
 
 def _objective(ord: RadialOrder, k: int, a: float, b: float, logr: np.ndarray, s: float) -> float:
     """g(a, b) given logr = _log_ratios(ord, k) and s = lam * sqrt(k): H and D share logr."""
-    rows, ratios = _one_row(ord), (logr[None], np.ones(1, dtype=bool))
-    (h,), _ = _hill_rows(rows, k, ratios)
-    (d,), _ = _cone_adjusted_hill_rows(rows, k, AngularCone(a, b), ratios)
+    rows, logr = _one_row(ord), logr[None]
+    (h,) = _hill_rows(rows, k, logr)
+    (d,) = _cone_adjusted_hill_rows(rows, k, AngularCone(a, b), logr)
     return (b - a) + s * abs(float(d) - float(h))
 
 

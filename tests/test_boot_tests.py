@@ -282,39 +282,55 @@ class TestDeterminismAndInvariance:
         assert np.allclose(r1.per_resample, r2.per_resample, rtol=1e-9)
         assert r1.verdict == r2.verdict
 
-    def test_degenerate_resamples_are_redrawn(self):
-        # most points sit on the y-axis (angle 0); resamples whose top-k
-        # angles all vanish must be redrawn, keeping per_resample at B
+    def test_degenerate_resamples_take_the_convention(self):
+        # most points sit on the y-axis (angle 0); a resample whose top-k
+        # angles all vanish is scored once, as 0/0 = 1, keeping
+        # per_resample at B
         s = BivariateSample([0.0, 0.0, 0.0, 1.2], [1.0, 1.5, 2.0, 1.3])
         cfg = Config(k_n=2, seed=10, m_n=3, k_mn=2, B=100)
         rep = full_dependence_test(s, cfg)
         assert len(rep.per_resample) == 100
         assert np.all(np.isfinite(rep.per_resample))
+        assert 1.0 in rep.per_resample
 
     def test_each_slot_is_the_public_estimator_on_its_stream(self):
         # slot t of (test code, batch) resamples with stream(seed, code,
         # batch, t, 0); its value is the estimators function on that
-        # resample, bit for bit. B = 150 leaves a partial last chunk.
-        s = example1(3000, 12)
-        cfg = Config(k_n=60, seed=12, B=150)
-        assert cfg.B % boot_tests._CHUNK_ROWS != 0
-        m, k = cfg.resolve(s.n)
-        h1 = strong_dependence_test(s, CONE, cfg)
-        h2 = full_dependence_test(s, cfg)
-        h3 = weak_dependence_test(s, CONE, cfg)
-        cases = [
-            (h1.per_resample, 1, 0, lambda o: cone_adjusted_hill(o, k, CONE)),
-            (h2.per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
-            (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
-            (h3.auxiliary["per_resample_masked"], 3, 2,
-             lambda o: masked_angle_weighted_hill(o, k, CONE)),
-        ]
-        for per_resample, code, batch, statistic in cases:
-            assert len(per_resample) == cfg.B
-            for t, value in enumerate(per_resample):
-                idx = stream(cfg.seed, code, batch, t, 0).integers(0, s.n, m)
-                ordered = radial_order(BivariateSample(s.x[idx], s.y[idx]))
-                assert value == statistic(ordered).value, (code, batch, t)
+        # resample, bit for bit. B = 150 leaves a partial last chunk. On the
+        # degenerate sample many resamples have R_(k_mn) = 0 or top k_mn
+        # angles that are all 0: the plain statistic's slots are the masked
+        # one's at the cone [0, 1], and the cone-adjusted one is 0 at R_(k) = 0.
+        gen = np.random.Generator(np.random.Philox(40))
+        x, y = pareto(1.0, 400, gen) * (gen.random(400) < 0.05), pareto(1.0, 400, gen)
+        origin = gen.random(400) < 0.6
+        degenerate = BivariateSample(np.where(origin, 0.0, x), np.where(origin, 0.0, y))
+
+        def full_cone_masked(o, k):
+            return masked_angle_weighted_hill(o, k, AngularCone(0.0, 1.0))
+
+        for s, cfg, plain in (
+            (example1(3000, 12), Config(k_n=60, seed=12, B=150), angle_weighted_hill),
+            (degenerate, Config(k_n=20, seed=40, m_n=20, k_mn=5, B=150), full_cone_masked),
+        ):
+            assert cfg.B % boot_tests._CHUNK_ROWS != 0
+            m, k = cfg.resolve(s.n)
+            h1 = strong_dependence_test(s, CONE, cfg)
+            h2 = full_dependence_test(s, cfg)
+            h3 = weak_dependence_test(s, CONE, cfg)
+            cases = [
+                (h1.per_resample, 1, 0, lambda o: 0.0 if o.sorted_r[k - 1] == 0.0
+                 else cone_adjusted_hill(o, k, CONE).value),
+                (h2.per_resample, 2, 0, lambda o: plain(o, k).value),
+                (h3.per_resample, 3, 1, lambda o: plain(o, k).value),
+                (h3.auxiliary["per_resample_masked"], 3, 2,
+                 lambda o: masked_angle_weighted_hill(o, k, CONE).value),
+            ]
+            for per_resample, code, batch, statistic in cases:
+                assert len(per_resample) == cfg.B
+                for t, value in enumerate(per_resample):
+                    idx = stream(cfg.seed, code, batch, t, 0).integers(0, s.n, m)
+                    ordered = radial_order(BivariateSample(s.x[idx], s.y[idx]))
+                    assert value == statistic(ordered), (code, batch, t)
 
     def test_all_degenerate_errors_out(self):
         # every angle is 0, so no resample can be defined: both tests
@@ -326,29 +342,32 @@ class TestDeterminismAndInvariance:
         with pytest.raises(ValueError, match="undefined on theta == 0 data"):
             weak_dependence_test(s, CONE, cfg)
 
-    def test_redraws_exhausted_errors_out(self):
+    def test_lone_positive_angle_gets_a_report(self):
         # the one point with a positive angle has the smallest radius, so
-        # it enters the top 2 of 3 draws almost never: slot 0 runs out
+        # it enters the top 2 of 3 draws almost never: each slot whose top
+        # angles are all 0 is 1, and the test reports
         s = BivariateSample(np.r_[np.zeros(999), 0.5], np.r_[np.arange(2.0, 1001.0), 0.5])
         cfg = Config(k_n=2, seed=11, m_n=3, k_mn=2, B=10)
-        with pytest.raises(RuntimeError, match="slot 0 stayed degenerate after 10 redraws"):
-            full_dependence_test(s, cfg)
+        rep = full_dependence_test(s, cfg)
+        assert rep.per_resample == [1.0] * 10
+        assert rep.verdict == FAIL_TO_REJECT
 
     @pytest.mark.parametrize("chunk_rows", [1, 7, 41])
     def test_chunk_size_independence(self, monkeypatch, chunk_rows):
         # B + 1 = 41 puts every slot in one chunk
         s = example1(2000, 13)
         cfg = Config(k_n=50, seed=13, B=40)
-        # most slots of this sample redraw (see test_degenerate_resamples_are_redrawn)
-        s_redraw = BivariateSample([0.0, 0.0, 0.0, 1.2], [1.0, 1.5, 2.0, 1.3])
-        cfg_redraw = Config(k_n=2, seed=10, m_n=3, k_mn=2, B=40)
+        # most slots of this sample take the convention (see
+        # test_degenerate_resamples_take_the_convention)
+        s_degenerate = BivariateSample([0.0, 0.0, 0.0, 1.2], [1.0, 1.5, 2.0, 1.3])
+        cfg_degenerate = Config(k_n=2, seed=10, m_n=3, k_mn=2, B=40)
 
         def all_values():
             h3 = weak_dependence_test(s, CONE, cfg)
             return [strong_dependence_test(s, CONE, cfg).per_resample,
                     full_dependence_test(s, cfg).per_resample,
                     h3.per_resample, h3.auxiliary["per_resample_masked"],
-                    full_dependence_test(s_redraw, cfg_redraw).per_resample]
+                    full_dependence_test(s_degenerate, cfg_degenerate).per_resample]
 
         before = all_values()
         monkeypatch.setattr(boot_tests, "_CHUNK_ROWS", chunk_rows)
@@ -356,9 +375,9 @@ class TestDeterminismAndInvariance:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tie_heavy_sample_matches_stable_argsort(self, seed):
-        # small integer coordinates tie most radii; each slot is redrawn
-        # until defined and sorted by a stable argsort of the whole
-        # resample, then scored by the public estimator
+        # small integer coordinates tie most radii; each slot is sorted by
+        # a stable argsort of the whole resample, then scored by the public
+        # estimator or, where that is undefined, by the convention
         gen = np.random.Generator(np.random.Philox(seed))
         x = np.floor(pareto(1.5, 1500, gen)) - 1.0
         y = np.floor(pareto(1.5, 1500, gen)) - 1.0
@@ -379,34 +398,37 @@ class TestDeterminismAndInvariance:
 
 
 def _assert_slots_match_stable_argsort(s, cone, cfg):
-    """H1/H2/H3 per_resample == the per-slot path: stream(...).integers,
-    a stable argsort of the resample, then the public estimator; a slot
-    whose value is undefined draws again at the next attempt."""
+    """H1/H2/H3 per_resample == the per-slot path: stream(seed, code,
+    batch, t, 0).integers, a stable argsort of the resample, then the public
+    estimator; where it is undefined, the convention: the cone-adjusted
+    statistic is 0 at R_(k) = 0, the plain one the masked one at [0, 1]."""
     m, k = cfg.resolve(s.n)
     r, theta = s.radii, s.angles
 
     def reference(code, batch, statistic):
         out = []
         for t in range(cfg.B):
-            for attempt in range(10):
-                idx = stream(cfg.seed, code, batch, t, attempt).integers(0, s.n, m)
-                idx = idx[np.argsort(-r[idx], kind="stable")]
-                ordered = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
-                try:
-                    out.append(statistic(ordered).value)
-                    break
-                except ValueError:
-                    continue
+            idx = stream(cfg.seed, code, batch, t, 0).integers(0, s.n, m)
+            idx = idx[np.argsort(-r[idx], kind="stable")]
+            out.append(statistic(RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])))
         return out
+
+    def adjusted(o):
+        return 0.0 if o.sorted_r[k - 1] == 0.0 else cone_adjusted_hill(o, k, cone).value
+
+    def plain(o):
+        try:
+            return angle_weighted_hill(o, k).value
+        except ValueError:
+            return masked_angle_weighted_hill(o, k, AngularCone(0.0, 1.0)).value
 
     h3 = weak_dependence_test(s, cone, cfg)
     cases = [
-        (strong_dependence_test(s, cone, cfg).per_resample, 1, 0,
-         lambda o: cone_adjusted_hill(o, k, cone)),
-        (full_dependence_test(s, cfg).per_resample, 2, 0, lambda o: angle_weighted_hill(o, k)),
-        (h3.per_resample, 3, 1, lambda o: angle_weighted_hill(o, k)),
+        (strong_dependence_test(s, cone, cfg).per_resample, 1, 0, adjusted),
+        (full_dependence_test(s, cfg).per_resample, 2, 0, plain),
+        (h3.per_resample, 3, 1, plain),
         (h3.auxiliary["per_resample_masked"], 3, 2,
-         lambda o: masked_angle_weighted_hill(o, k, cone)),
+         lambda o: masked_angle_weighted_hill(o, k, cone).value),
     ]
     for per_resample, code, batch, statistic in cases:
         assert per_resample == reference(code, batch, statistic), (code, batch)

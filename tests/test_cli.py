@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from taildep import boot_tests, cli, tail_core
 from taildep.cli import main
+from taildep.datagen import pareto
 
 
 def run(args):
@@ -138,7 +139,7 @@ class TestSupport:
         assert run(["support", "--input", ex1_csv, "--k", 100, "--lambda", 1.0,
                     "--output", out]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema_version"] == 2
+        assert rep["schema_version"] == 3
         assert rep["a_hat"] == pytest.approx(0.25, abs=0.01)
         assert rep["b_hat"] == pytest.approx(0.75, abs=0.01)
 
@@ -446,6 +447,22 @@ class TestTest:
                     "--B", 200, "--output", out]) == 1
         assert "statistic is undefined on theta == 0 data" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mostly_zero_x_gets_a_report(self, tmp_path):
+        # in/out-degree shape: x = 0 for about 95 % of points, so most
+        # resamples' top k_mn angles are all 0 and many H2 slots are
+        # degenerate; each takes the estimators' convention and the run reports
+        gen = np.random.Generator(np.random.Philox(95))
+        x = pareto(1.0, 2000, gen) * (gen.random(2000) >= 0.95)
+        y = pareto(1.0, 2000, gen)
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, x, y)
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--which", "all", "--k", 50, "--output", out]) == 0
+        rep = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        h2 = next(r for r in rep["reports"] if r["test_id"] == "H2")
+        assert h2["per_resample"].count(1.0) > 1000
+        assert [r["test_id"] for r in rep["reports"]] == ["H1", "H2", "H3"]
 
     @pytest.mark.parametrize("which", ["weak", "all"])
     def test_full_cone_refused_before_resampling(self, tmp_path, capsys, monkeypatch, which):

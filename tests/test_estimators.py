@@ -187,7 +187,7 @@ def full_row_masked(ord, k, cone):
     """The masked kernel on all of ord as one row: the reference for the
     public statistic, which cuts the row at its k-th in-cone point."""
     rows = RadialOrder(ord.sorted_r[None], ord.theta[None], ord.x[None], ord.y[None])
-    return float(_masked_angle_weighted_hill_rows(rows, k, cone)[0][0])
+    return float(_masked_angle_weighted_hill_rows(rows, k, cone)[0])
 
 
 def _bits(value):
@@ -303,6 +303,31 @@ class TestRowDots:
         assert _row_dots(a, b).tolist() == expected.tolist()
 
 
+class TestUndefinedValues:
+    # the row kernels score these rows by a convention; the public
+    # estimators refuse them, and only the masked statistic takes it
+    ZERO_RK = radial_order(BivariateSample([1.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]))
+    ZERO_ANGLES = radial_order(BivariateSample([0.0, 0.0, 1.0], [3.0, 2.0, 0.5]))
+
+    @pytest.mark.parametrize("statistic", [
+        hill,
+        angle_weighted_hill,
+        lambda o, k: cone_adjusted_hill(o, k, AngularCone(0.25, 0.75)),
+    ], ids=["hill", "angle_weighted", "cone_adjusted"])
+    def test_zero_kth_radius_is_refused(self, statistic):
+        with pytest.raises(ValueError, match=r"^R_\(3\) must be positive, got 0.0$"):
+            statistic(self.ZERO_RK, 3)
+
+    def test_zero_angle_sum_is_refused(self):
+        with pytest.raises(ValueError, match="^top-k concomitant angles sum to zero$"):
+            angle_weighted_hill(self.ZERO_ANGLES, 2)
+
+    def test_masked_statistic_takes_the_convention(self):
+        full = AngularCone(0.0, 1.0)
+        assert masked_angle_weighted_hill(self.ZERO_RK, 3, full).value == 0.0
+        assert masked_angle_weighted_hill(self.ZERO_ANGLES, 2, full).value == 1.0
+
+
 class TestRatioOverflow:
     # R_(1) = 1e300 over a k-th radius near 1e-10: the ratio overflows
     R = np.r_[1e300, 1e-10 * (1.0 + np.arange(299.0) / 299.0)]
@@ -321,8 +346,7 @@ class TestRatioOverflow:
     def test_row_kernel_gives_inf_without_warning(self):
         # the bootstrap's rows: the value is not finite, so the report is refused
         r = np.sort(self.R)[::-1][None]
-        values, defined = _hill_rows(RadialOrder(r, r * 0.5, r * 0.5, r * 0.5), 20)
-        assert values.tolist() == [math.inf] and defined.tolist() == [True]
+        assert _hill_rows(RadialOrder(r, r * 0.5, r * 0.5, r * 0.5), 20).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("k", [10.0, 2.5, np.float64(10.0)])
