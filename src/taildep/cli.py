@@ -76,7 +76,8 @@ def _read_csv_columns(path: str, names: list[str] | None = None) -> dict[str, np
     """Read a comma-separated file with a header row; returns named columns.
 
     Cells are parsed as Python's float parses them, blank lines are skipped,
-    a UTF-8 byte-order mark before the header is dropped, and every error
+    a UTF-8 byte-order mark before the header is dropped, a header that
+    names a column twice is refused before any row is read, and every error
     names the file and, for a data row, its line. The data
     rows of a regular file are parsed by one np.loadtxt call; if it fails or
     its result does not match the header or holds a non-finite value, or the
@@ -89,6 +90,9 @@ def _read_csv_columns(path: str, names: list[str] | None = None) -> dict[str, np
         if not header:
             raise ValueError(f"{path}: empty file")
         cols = [c.strip() for c in header.split(",")]
+        repeated = next((c for i, c in enumerate(cols) if c in cols[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"{path}: column {repeated!r} is named twice in the header")
         data = None
         # loadtxt opens the path again, which only a regular file allows: a
         # pipe's bytes that the header read buffered are gone for a new reader

@@ -161,6 +161,10 @@ def normal_cdf(x: float) -> float:
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, accurate to ~1e-15."""
     p = _check_p(p)
+    p_low = 0.02425
+    if p > 1.0 - p_low:
+        # 1 - p is exact (Sterbenz); Halley steps near a CDF of 1 lose digits
+        return -normal_quantile(1.0 - p)
     # rational initial estimate (Acklam), then two Halley refinements
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
@@ -170,20 +174,15 @@ def normal_quantile(p: float) -> float:
          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
     d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
          3.754408661907416e+00)
-    p_low = 0.02425
     if p < p_low:
         q = math.sqrt(-2.0 * math.log(p))
         x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
+    else:
         q = p - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
             (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
     for _ in range(2):
         e = normal_cdf(x) - p
         u = e * _SQRT_2PI * math.exp(0.5 * x * x)

@@ -180,9 +180,9 @@ def test_criterion_05_example1_battery(ex1_samples):
     The H3 clause hangs on the random streams. With today's per-slot
     streams the statistic is inside the band in 77 of seeds 0-99, so
     16/20 is met with probability about 0.50; seeds 0-19 give 17. Stream
-    scheme v2 (one stream per (seed, test, batch, attempt) drawing all B
-    slots as rows, ROADMAP direction 5) gives 12/20 on the same seeds,
-    and it moves criterion 6's chi-square count from 12/20 to 14/20.
+    scheme v2 (one stream per (seed, test, batch) drawing all B slots as
+    rows, ROADMAP direction 5) gives 12/20 on the same seeds, and it
+    moves criterion 6's chi-square count from 12/20 to 14/20.
     """
     rates, h2_hits, h3_hits = [], 0, 0
     for seed in SEEDS:

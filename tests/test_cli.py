@@ -854,6 +854,13 @@ class TestReader:
         path, msg = self._read_error(tmp_path, "x,y\n# note\n1,2\n")
         assert msg == f"{path}:2: expected 2 fields"
 
+    @pytest.mark.parametrize("header, name", [("a,b,a", "a"), ("x,x", "x")])
+    def test_repeated_column_name_refused_before_rows(self, tmp_path, header, name):
+        # the bad row shows that the header is refused before any row is parsed
+        width = header.count(",") + 1
+        path, msg = self._read_error(tmp_path, f"{header}\n{','.join(['1'] * width)}\nbad\n")
+        assert msg == f"{path}: column {name!r} is named twice in the header"
+
     def test_missing_column(self, tmp_path):
         path, msg = self._read_error(tmp_path, "x,y\n1,2\n", ["x", "z"])
         assert msg == f"{path}: missing column 'z'"

@@ -36,6 +36,11 @@ class TestNormal:
         for p in np.linspace(0.001, 0.999, 97):
             assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), abs=1e-9)
 
+    @pytest.mark.parametrize("p", [0.999, 1 - 1e-10, 1 - 1e-13, 1 - 2.0**-53])
+    def test_upper_tail_against_scipy(self, p):
+        # normal_cdf rounds near 1, so Halley steps taken on it there lose ~1e-9
+        assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), rel=1e-14)
+
 
 class TestChisq:
     def test_paper_scale_constant(self):
