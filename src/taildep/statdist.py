@@ -3,7 +3,11 @@
 Self-contained implementations (series / continued-fraction incomplete
 gamma and beta with safeguarded Newton inversion) so that the decision
 thresholds used by the bootstrap tests are bit-reproducible across
-platforms. Accuracy target is 1e-8 relative or better.
+platforms. Accuracy target is 1e-8 relative or better in both tails:
+above p = 1 - 0.02425 each quantile is solved on its upper tail at 1 - p.
+The series and both continued fractions share one modified-Lentz step and
+one iteration budget that grows with sqrt(shape), so they converge at the
+df of any bootstrap size (checked up to df = 1e7).
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import math
 _MAX_ITER = 1000
 _EPS = 1e-15
 _FPMIN = 1e-300
+# above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
+# there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
+_P_LOW = 0.02425
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -31,6 +38,25 @@ def _check_df(df: float, name: str = "df") -> float:
     return df
 
 
+def _budget(shape: float) -> int:
+    # Near the mode the series terms shrink like exp(-i^2 / 2a) and the
+    # continued fractions take O(sqrt(shape)) steps, so the budget grows
+    # with sqrt(shape); 10 sqrt(a) series terms reach exp(-50).
+    return _MAX_ITER + int(10.0 * math.sqrt(shape))
+
+
+def _lentz(an: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """One modified-Lentz step of a continued fraction with partial
+    numerator an and denominator b: the new C and 1/D, both kept off 0."""
+    d = an * d + b
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = b + an / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    return c, 1.0 / d
+
+
 # ---------------------------------------------------------------------------
 # regularized incomplete gamma
 
@@ -38,7 +64,7 @@ def _gamma_p_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in range(_budget(a)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -53,16 +79,9 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
     h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
+    for i in range(1, _budget(a)):
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(-i * (i - a), b, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -70,6 +89,13 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     raise ArithmeticError(
         f"incomplete gamma continued fraction failed to converge (a={a}, x={x})"
     )
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), for x > 0."""
+    if x < a + 1.0:
+        return 1.0 - _gamma_p_series(a, x)
+    return _gamma_q_contfrac(a, x)
 
 
 def gamma_p(a: float, x: float) -> float:
@@ -98,25 +124,11 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER):
+    for m in range(1, _budget(max(a, b))):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
+        c, d = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -161,9 +173,7 @@ def normal_cdf(x: float) -> float:
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, accurate to ~1e-15."""
     p = _check_p(p)
-    p_low = 0.02425
-    if p > 1.0 - p_low:
-        # 1 - p is exact (Sterbenz); Halley steps near a CDF of 1 lose digits
+    if p > 1.0 - _P_LOW:
         return -normal_quantile(1.0 - p)
     # rational initial estimate (Acklam), then two Halley refinements
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -174,7 +184,7 @@ def normal_quantile(p: float) -> float:
          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
     d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
          3.754408661907416e+00)
-    if p < p_low:
+    if p < _P_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
@@ -193,21 +203,24 @@ def normal_quantile(p: float) -> float:
 # ---------------------------------------------------------------------------
 # safeguarded Newton inversion shared by chi-square and F
 
-def _invert(cdf, log_pdf, p: float, x0: float, lo: float, hi: float) -> float:
-    """Solve cdf(x) = p by Newton iteration bracketed by bisection.
+def _invert(excess, log_pdf, x0: float, lo: float, hi: float) -> float:
+    """Solve excess(x) = 0 by Newton iteration bracketed by bisection.
 
-    lo/hi must bracket the root (cdf(lo) < p < cdf(hi)); log_pdf is the
-    log density of the distribution.
+    excess is cdf(x) - p, or (1 - p) - sf(x) in an upper tail; lo/hi must
+    bracket the root (excess(lo) < 0 < excess(hi)); log_pdf is the log
+    density of the distribution, the derivative of excess.
     """
     x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
     for _ in range(200):
-        f = cdf(x) - p
+        f = excess(x)
         if f > 0.0:
             hi = x
         else:
             lo = x
-        step = f * math.exp(-log_pdf(x))
-        x_new = x - step
+        neg_log_pdf = -log_pdf(x)
+        # a density below e^-700 would overflow the Newton step; lo fails the
+        # bracket test below, so such a step bisects
+        x_new = x - f * math.exp(neg_log_pdf) if neg_log_pdf < 700.0 else lo
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-14 * max(abs(x), 1e-300):
@@ -228,7 +241,8 @@ def chisq_cdf(x: float, df: float) -> float:
 
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse chi-square CDF via Newton on the regularized lower
-    incomplete gamma, started from the Wilson-Hilferty approximation."""
+    incomplete gamma (the upper one above 1 - _P_LOW), started from the
+    Wilson-Hilferty approximation."""
     p = _check_p(p)
     df = _check_df(df)
     z = normal_quantile(p)
@@ -238,17 +252,22 @@ def chisq_quantile(p: float, df: float) -> float:
         x0 = df * math.exp((math.log(p) + math.lgamma(0.5 * df) +
                             0.5 * df * math.log(2.0)) / (0.5 * df)) / 2.0
         x0 = max(x0, 1e-300)
+    half = 0.5 * df
+    upper, q = p > 1.0 - _P_LOW, 1.0 - p
+
+    def excess(x: float) -> float:
+        return q - _gamma_q(half, 0.5 * x) if upper else chisq_cdf(x, df) - p
+
     # expand an upper bracket if needed
     hi = max(2.0 * x0, df + 20.0 * math.sqrt(2.0 * df))
-    while chisq_cdf(hi, df) <= p:
+    while excess(hi) <= 0.0:
         hi *= 2.0
-    half = 0.5 * df
     log_norm = half * math.log(2.0) + math.lgamma(half)
 
     def log_pdf(x: float) -> float:
         return (half - 1.0) * math.log(x) - 0.5 * x - log_norm
 
-    return _invert(lambda x: chisq_cdf(x, df), log_pdf, p, x0, 0.0, hi)
+    return _invert(excess, log_pdf, x0, 0.0, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +286,8 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     p = _check_p(p)
     df1 = _check_df(df1, "df1")
     df2 = _check_df(df2, "df2")
+    if p > 1.0 - _P_LOW:
+        return 1.0 / f_quantile(1.0 - p, df2, df1)
     a = 0.5 * df1
     b = 0.5 * df2
     log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -274,5 +295,5 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     def log_pdf(y: float) -> float:
         return (a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y) - log_norm
 
-    y = _invert(lambda y: beta_inc(a, b, y), log_pdf, p, a / (a + b), 0.0, 1.0)
+    y = _invert(lambda y: beta_inc(a, b, y) - p, log_pdf, a / (a + b), 0.0, 1.0)
     return df2 * y / (df1 * (1.0 - y))

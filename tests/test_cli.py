@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -604,6 +605,35 @@ class TestTest:
             run(["support", "--input", src, "--seed", 1, "--output", tmp_path / "o.json"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, B, alpha", [("full", 100000, 0.5), ("weak", 10000, 1e-6)])
+    def test_extreme_thresholds_get_a_report(self, tmp_path, which, B, alpha):
+        # the chi-square quantile at df = 99999 needs more series terms than a
+        # fixed cap of 1000 allows, and the F quantile at alpha 1e-6 reaches
+        # densities below e^-700, where a Newton step would overflow
+        src, out = tmp_path / "ex1.csv", tmp_path / "o.json"
+        assert run(["simulate", "--example", 1, "--n", 3000, "--seed", 0, "--output", src]) == 0
+        assert run(["test", "--input", src, "--which", which, "--B", B, "--alpha-sig", alpha,
+                    "--output", out]) == 0
+        rep = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        threshold = rep["reports"][0]["threshold"]
+        if which == "full":
+            assert threshold == pytest.approx(scipy.stats.chi2.ppf(1 - alpha, B - 1) / (B - 1),
+                                              rel=1e-12)
+        else:
+            assert threshold == pytest.approx(
+                scipy.stats.f.ppf([alpha / 2, 1 - alpha / 2], B - 1, B - 1), rel=1e-10)
+
+    def test_arithmetic_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ArithmeticError("series failed to converge")
+
+        monkeypatch.setattr(boot_tests, "chisq_quantile", fail)
+        src, out = tmp_path / "s.csv", tmp_path / "o.json"
+        assert run(["simulate", "--example", 1, "--n", 300, "--seed", 0, "--output", src]) == 0
+        assert run(["test", "--input", src, "--which", "full", "--B", 20, "--output", out]) == 1
+        assert capsys.readouterr().err == "error: series failed to converge\n"
+        assert not out.exists()
 
 
 class TestDiamond:

@@ -142,3 +142,46 @@ class TestSpecialFunctions:
                 assert beta_inc(a, b, x) == pytest.approx(
                     scipy.stats.beta.cdf(x, a, b), abs=1e-12, rel=1e-10
                 )
+
+
+class TestUpperTail:
+    # above p = 1 - 0.02425 the quantiles are solved on the upper tail at 1 - p,
+    # because a CDF rounds near 1 and an inversion on it loses digits
+    @pytest.mark.parametrize("p", [0.999, 1 - 1e-10, 1 - 1e-12])
+    def test_chisq_against_scipy(self, p):
+        for df in (1, 5, 1999):
+            assert chisq_quantile(p, df) == pytest.approx(scipy.stats.chi2.isf(1 - p, df),
+                                                          rel=1e-13)
+
+    @pytest.mark.parametrize("p", [0.999, 1 - 1e-10, 1 - 1e-12])
+    def test_f_against_scipy(self, p):
+        for d1, d2 in ((5, 5), (2, 7), (1999, 1999)):
+            assert f_quantile(p, d1, d2) == pytest.approx(scipy.stats.f.isf(1 - p, d1, d2),
+                                                          rel=1e-12)
+
+
+class TestExtremes:
+    def test_newton_step_does_not_overflow(self):
+        # the beta density underflows below e^-700 inside the bracket
+        p, d1, d2 = 0.32297268495544185, 2236.0868220753473, 3.6914689928343885
+        assert f_quantile(p, d1, d2) == pytest.approx(scipy.stats.f.ppf(p, d1, d2), rel=1e-8)
+
+    def test_gamma_p_near_the_mode_at_large_shape(self):
+        # the series needs about 8 sqrt(a) terms here, more than 1000
+        assert gamma_p(49999.5, 49999.17) == pytest.approx(
+            scipy.stats.gamma.cdf(49999.17, 49999.5), rel=1e-9)
+
+    def test_every_cli_threshold(self):
+        # the three thresholds the bootstrap tests take, at df = B - 1, for any
+        # B and alpha the CLI accepts
+        for B in (2, 3, 10, 2000, 10**4, 10**5, 10**6, 10**7):
+            df = B - 1
+            for alpha in (1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9, 1 - 1e-9):
+                for cdf, q, p in (
+                    (lambda x: chisq_cdf(x, df), chisq_quantile(1 - alpha, df), 1 - alpha),
+                    (lambda x: f_cdf(x, df, df), f_quantile(alpha / 2, df, df), alpha / 2),
+                    (lambda x: f_cdf(x, df, df), f_quantile(1 - alpha / 2, df, df),
+                     1 - alpha / 2),
+                ):
+                    assert math.isfinite(q) and q > 0.0
+                    assert cdf(q) == pytest.approx(p, abs=1e-7)
