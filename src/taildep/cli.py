@@ -430,6 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation it could not make; Python's says nothing
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

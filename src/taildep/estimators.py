@@ -67,9 +67,16 @@ def _check_rk(ord: RadialOrder, k: int) -> None:
 
 
 def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
-    """log(R_(i)/R_(k)) for i = 1..k; requires R_(k) > 0."""
-    _check_rk(ord, k)
-    return _log_ratio_rows(ord.sorted_r[None], k)[0]
+    """log(R_(i)/R_(k)) for i = 1..k, read-only, made once per (ord, k) and
+    kept in ord's memo; refuses R_(k) = 0. k must have passed _check_k."""
+
+    def build() -> np.ndarray:
+        _check_rk(ord, k)
+        logr = _log_ratio_rows(ord.sorted_r[None], k)[0]
+        logr.setflags(write=False)
+        return logr
+
+    return ord._cached(("log_ratios", k), build)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +101,10 @@ def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone,
     return np.where(logr > 0.0, terms, 0.0).mean(axis=1)
 
 
-def _angle_weighted_hill_rows(rows: RadialOrder, k: int) -> np.ndarray:
-    return _angle_weighted_mean(rows.theta[:, :k], _log_ratio_rows(rows.sorted_r, k))
+def _angle_weighted_hill_rows(rows: RadialOrder, k: int,
+                              logr: np.ndarray | None = None) -> np.ndarray:
+    logr = _log_ratio_rows(rows.sorted_r, k) if logr is None else logr
+    return _angle_weighted_mean(rows.theta[:, :k], logr)
 
 
 def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -124,10 +133,9 @@ def _one_row(ord: RadialOrder, end: int | None = None) -> RadialOrder:
 
 
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
-    """kernel on ord as a single row; refuses R_(k) = 0."""
+    """kernel on ord as a single row, given ord's log ratios; refuses R_(k) = 0."""
     _check_k(ord, k)
-    _check_rk(ord, k)
-    (value,) = kernel(_one_row(ord), k, *args)
+    (value,) = kernel(_one_row(ord), k, *args, logr=_log_ratios(ord, k)[None])
     return StatisticValue(float(value), int(k), ord.n)
 
 

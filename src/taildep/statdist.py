@@ -17,6 +17,10 @@ import math
 _MAX_ITER = 1000
 _EPS = 1e-15
 _FPMIN = 1e-300
+_TINY = 5e-324
+# _invert's bisection halves [lo, hi] this many times before it halves log(hi/lo)
+_ARITHMETIC_STEPS = 100
+_INVERT_STEPS = 400
 # above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
 # there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
 _P_LOW = 0.02425
@@ -208,10 +212,13 @@ def _invert(excess, log_pdf, x0: float, lo: float, hi: float) -> float:
 
     excess is cdf(x) - p, or (1 - p) - sf(x) in an upper tail; lo/hi must
     bracket the root (excess(lo) < 0 < excess(hi)); log_pdf is the log
-    density of the distribution, the derivative of excess.
+    density of the distribution, the derivative of excess. After
+    _ARITHMETIC_STEPS the bisection is geometric, so a root far below the
+    bracket's scale (an F quantile of 1e-68 in [0, 1]) is reached in few
+    steps. Raises ArithmeticError rather than return an unconverged x.
     """
     x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
-    for _ in range(200):
+    for step in range(_INVERT_STEPS):
         f = excess(x)
         if f > 0.0:
             hi = x
@@ -222,11 +229,14 @@ def _invert(excess, log_pdf, x0: float, lo: float, hi: float) -> float:
         # bracket test below, so such a step bisects
         x_new = x - f * math.exp(neg_log_pdf) if neg_log_pdf < 700.0 else lo
         if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)
+            if step < _ARITHMETIC_STEPS:
+                x_new = 0.5 * (lo + hi)
+            else:  # the geometric mean, with the least positive float for lo = 0
+                x_new = math.sqrt(max(lo, _TINY)) * math.sqrt(hi)
         if abs(x_new - x) <= 1e-14 * max(abs(x), 1e-300):
             return x_new
         x = x_new
-    return x
+    raise ArithmeticError(f"quantile inversion failed to converge in [{lo!r}, {hi!r}]")
 
 
 # ---------------------------------------------------------------------------

@@ -86,35 +86,16 @@ def estimate_support(
     """
     _check_k(ord, k)
     s = _penalty_weight(opts.lam, k)
-    logr = _log_ratios(ord, k)
-    order = np.argsort(ord.theta[:k], kind="stable")
-    theta = ord.theta[:k][order]
-    w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
-    wt = w * theta
-    # sums over theta[:i] and over theta[i:], i = 0..k
-    w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
-    w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))
-    if not (math.isfinite(w_lo[-1]) and math.isfinite(w_hi[0])):
-        raise ValueError(
-            f"the weights (R_(i)/R_({k})) log(R_(i)/R_({k})) / k overflow "
-            f"(R_(1)/R_({k}) = {float(ord.sorted_r[0])!r}/{float(ord.sorted_r[k - 1])!r}), "
-            "so the support objective is not finite"
-        )
-
-    a = np.concatenate(([0.0], theta, [1.0]))  # ascending, as 0 <= theta <= 1
-    a = a[np.concatenate(([True], a[1:] != a[:-1]))]
-    lo = np.searchsorted(theta, a[1:], side="left")
+    theta, w_hi, wt_hi, a, a_coef, wt_hi_at_a, b0 = _fit_tables(ord, k)
     # no angle lies below a = 0, so the a-part is 0 there
-    a_part = np.concatenate(([0.0], -a[1:] + s * (w_lo[lo] - wt_lo[lo] / a[1:])))
+    a_part = np.concatenate(([0.0], -a[1:] + s * a_coef))
 
     # the b-part's stationary point on the piece right of each breakpoint;
     # one that falls outside its piece is still a feasible candidate
-    stationary = np.sqrt(s * wt_hi[np.searchsorted(theta, a, side="right")])
+    stationary = np.sqrt(s * wt_hi_at_a)
     b = np.sort(np.concatenate((a, np.minimum(stationary, 1.0))))
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
     hi = np.searchsorted(theta, b[1:], side="right")
-    # b = 0 is the theta = 0 ray: finite only if no weighted angle lies above it
-    b0 = math.inf if w_hi[np.searchsorted(theta, 0.0, side="right")] > 0 else 0.0
     b_part = np.concatenate(([b0], b[1:] + s * (wt_hi[hi] / b[1:] - w_hi[hi])))
 
     # a[i] pairs with b[start[i]:]; rounded addition is monotone, so the least
@@ -131,4 +112,44 @@ def estimate_support(
         j = start[i] + np.argmax(a_part[i] + b_part[start[i] : first_min[i] + 1] == gmin)
         best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
     _, a_hat, b_hat = min(best)
-    return SupportEstimate(a_hat, b_hat, _objective(ord, k, a_hat, b_hat, logr, s))
+    return SupportEstimate(a_hat, b_hat, _objective(ord, k, a_hat, b_hat, _log_ratios(ord, k), s))
+
+
+def _fit_tables(ord: RadialOrder, k: int) -> tuple:
+    """What estimate_support takes from (ord, k) at every lambda, made once
+    and kept in ord's memo, read-only: the top-k angles theta in ascending
+    (stable) order; w_hi and wt_hi, the sums of w and w theta over theta[i:],
+    i = 0..k; the candidate a (0, each distinct angle, 1); the a-part's
+    coefficient of s, w_lo - wt_lo / a, at each a > 0; wt_hi right of each a,
+    whose product with s is the square of that piece's stationary b; and the
+    b-part at b = 0. Refuses weights that overflow; k must pass _check_k."""
+
+    def build() -> tuple:
+        logr = _log_ratios(ord, k)
+        order = np.argsort(ord.theta[:k], kind="stable")
+        theta = ord.theta[:k][order]
+        with np.errstate(over="ignore"):
+            w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
+            wt = w * theta
+            # sums over theta[:i] and over theta[i:], i = 0..k
+            w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
+            w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))
+        if not (math.isfinite(w_lo[-1]) and math.isfinite(w_hi[0])):
+            raise ValueError(
+                f"the weights (R_(i)/R_({k})) log(R_(i)/R_({k})) / k overflow "
+                f"(R_(1)/R_({k}) = {float(ord.sorted_r[0])!r}/{float(ord.sorted_r[k - 1])!r}), "
+                "so the support objective is not finite"
+            )
+        a = np.concatenate(([0.0], theta, [1.0]))  # ascending, as 0 <= theta <= 1
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+        lo = np.searchsorted(theta, a[1:], side="left")
+        a_coef = w_lo[lo] - wt_lo[lo] / a[1:]
+        wt_hi_at_a = wt_hi[np.searchsorted(theta, a, side="right")]
+        tables = (theta, w_hi, wt_hi, a, a_coef, wt_hi_at_a)
+        for arr in tables:
+            arr.setflags(write=False)
+        # b = 0 is the theta = 0 ray: finite only if no weighted angle lies above it
+        b0 = math.inf if w_hi[np.searchsorted(theta, 0.0, side="right")] > 0 else 0.0
+        return (*tables, b0)
+
+    return ord._cached(("fit_tables", k), build)

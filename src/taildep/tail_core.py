@@ -3,16 +3,20 @@
 L1-polar radii and angles, the scaled distance to an angular cone,
 order statistics with concomitants, and time-series preparation
 helpers.
-All functions here are pure; the container types are immutable after
-construction and safe to share across threads.
+All functions here are pure. The container types are immutable after
+construction, but for a RadialOrder's private memo of values derived from
+its read-only arrays, and are safe to share across threads: a race on the
+memo only computes the same value twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -104,16 +108,37 @@ class RadialOrder:
     sorted_r[i] is the (i+1)-th largest radius; theta and (x, y) carry
     the concomitant angle and pair of that order statistic. Ties in r
     keep the original sample order.
+
+    The order holds read-only views of the arrays it is given, so the
+    caller's arrays stay writeable; a caller must not write to them
+    afterwards. The statistics and the support fit store what depends only
+    on (order, k) in a private memo, through _cached alone, so repeated
+    calls at one k (the fit at several lambdas, the four estimators) do
+    that work once. The memo takes no part in equality or repr.
     """
 
     sorted_r: np.ndarray
     theta: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("sorted_r", "theta", "x", "y"):
+            arr = np.asarray(getattr(self, name)).view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return int(self.sorted_r.size)
+
+    def _cached(self, key: tuple, build: Callable[[], T]) -> T:
+        """The value stored under key, built by build() on first use; a
+        build that raises stores nothing, so a repeat call raises again."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
@@ -205,10 +230,7 @@ def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarr
         raise ValueError("all points are at the origin; no radial order exists")
     theta = np.zeros(s.n)
     np.divide(x[:p], sorted_r[:p], out=theta[:p])  # the division of BivariateSample.angles
-    out = RadialOrder(sorted_r=sorted_r, theta=theta, x=x, y=y)
-    for arr in (out.sorted_r, out.theta, out.x, out.y):
-        arr.setflags(write=False)
-    return out, order, dense
+    return RadialOrder(sorted_r=sorted_r, theta=theta, x=x, y=y), order, dense
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:

@@ -635,6 +635,29 @@ class TestTest:
         assert capsys.readouterr().err == "error: series failed to converge\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, flags", [("test", ["--k", 100, "--B", 100000000000]),
+                                            ("diamond", ["--bins", 100000000000])],
+                             ids=["test", "diamond"])
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                     "and data type float64"),
+         "error: out of memory: Unable to allocate 745. GiB for an array with shape "
+         "(100000000000,) and data type float64\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_reported(self, tmp_path, capsys, monkeypatch, cmd, flags, exc,
+                                      message):
+        # whether these allocations fail depends on the host's overcommit
+        # policy, so the command raises what numpy (or Python) raises there
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, f"cmd_{cmd}", fail)
+        src = tmp_path / "s.csv"
+        assert run(["simulate", "--example", 1, "--n", 3000, "--seed", 0, "--output", src]) == 0
+        assert run([cmd, "--input", src, *flags, "--output", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == message
+
 
 class TestDiamond:
     def test_single_point_on_unit_diamond(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from taildep import statdist
 from taildep.statdist import (
     beta_inc,
     chisq_cdf,
@@ -170,6 +171,20 @@ class TestExtremes:
         # the series needs about 8 sqrt(a) terms here, more than 1000
         assert gamma_p(49999.5, 49999.17) == pytest.approx(
             scipy.stats.gamma.cdf(49999.17, 49999.5), rel=1e-9)
+
+    # roots far below the bracket's scale: [0, 1] for the beta variate; the
+    # second call reaches the first's kind of root through its reciprocal
+    @pytest.mark.parametrize("args, expected", [
+        ((2.337211554210065e-15, 0.4302742666287781, 10.557701810843925), 3.2362504580506773e-68),
+        ((0.9999999999999967, 7.723156772799444, 0.3971090875184138), 2.2483549647008747e72),
+    ])
+    def test_tiny_root_against_scipy(self, args, expected):
+        assert f_quantile(*args) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    def test_no_quantile_after_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(statdist, "_INVERT_STEPS", 20)
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            f_quantile(2.337211554210065e-15, 0.4302742666287781, 10.557701810843925)
 
     def test_every_cli_threshold(self):
         # the three thresholds the bootstrap tests take, at df = B - 1, for any

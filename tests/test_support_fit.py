@@ -5,12 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from taildep import estimators
 from taildep.datagen import MixtureSpec, example1, example2, generate
-from taildep.estimators import _log_ratios, cone_adjusted_hill, hill
+from taildep.estimators import (
+    _log_ratios, angle_weighted_hill, cone_adjusted_hill, hill, masked_angle_weighted_hill,
+)
 from taildep.support_fit import (
     SupportFitOptions, _penalty_weight, estimate_support, support_objective,
 )
-from taildep.tail_core import AngularCone, BivariateSample, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 RAY_SPEC = MixtureSpec(
     alpha_main=2.0, alpha_hidden=4.0, cone=AngularCone(0.5, 0.5),
@@ -368,3 +371,71 @@ class TestObjectiveOracle:
                     objective(o, k, 0.2, 0.8, 1e308)
         with pytest.raises(ValueError, match=r"lambda \* sqrt\(k\) must be positive"):
             support_objective(radial_order(example1(100, 0)), 20, 0.2, 0.8, 1e308)
+
+
+TABLE_LAMBDAS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def table_calls(k):
+    """The calls of one Table-1 row at k (the fit at five lambdas, the four
+    estimators, an objective), each a function of the order."""
+    cone = AngularCone(0.25, 0.75)
+    fits = [lambda o, lam=lam: vars(estimate_support(o, k, SupportFitOptions(lam=lam))).values()
+            for lam in TABLE_LAMBDAS]
+    return fits + [
+        lambda o: [hill(o, k).value],
+        lambda o: [cone_adjusted_hill(o, k, cone).value],
+        lambda o: [angle_weighted_hill(o, k).value],
+        lambda o: [masked_angle_weighted_hill(o, k, cone).value],
+        lambda o: [support_objective(o, k, 0.2, 0.7, 3.0)],
+    ]
+
+
+class TestMemo:
+    # a RadialOrder keeps what depends only on (order, k): the log ratios
+    # and the fit's lambda-free tables
+
+    @pytest.mark.parametrize("make", [lambda: example1(3000, 5), lambda: example2(3000, 5),
+                                      lambda: degree_sample(5)],
+                             ids=["example1", "example2", "integer_degrees"])
+    def test_shared_order_matches_fresh_orders(self, make):
+        s = make()
+        shared = radial_order(s)
+        for k in (50, 100, 50):
+            for i, call in enumerate(table_calls(k)):
+                assert bits(call(shared)) == bits(call(radial_order(s))), (k, i)
+
+    def test_each_k_is_prepared_once(self, monkeypatch):
+        builds, checks, passes = [], [], []
+        cached = RadialOrder._cached
+
+        def counted(self, key, build):
+            return cached(self, key, lambda: builds.append(key) or build())
+
+        check_rk, log_ratio_rows = estimators._check_rk, estimators._log_ratio_rows
+        monkeypatch.setattr(RadialOrder, "_cached", counted)
+        monkeypatch.setattr(estimators, "_check_rk", lambda *a: checks.append(1) or check_rk(*a))
+        monkeypatch.setattr(estimators, "_log_ratio_rows",
+                            lambda *a: passes.append(1) or log_ratio_rows(*a))
+        o = radial_order(example1(3000, 2))
+        cone = AngularCone(0.25, 0.75)
+        for lam in TABLE_LAMBDAS:
+            estimate_support(o, 100, SupportFitOptions(lam=lam))
+        hill(o, 100), cone_adjusted_hill(o, 100, cone), angle_weighted_hill(o, 100)
+        assert builds == [("fit_tables", 100), ("log_ratios", 100)]
+        assert len(checks) == len(passes) == 1
+
+    def test_refusals_store_nothing(self):
+        # each repeat raises again; the overflowing weights' log ratios are
+        # finite, so they are kept, but the refused tables are not
+        r = np.r_[1e307, np.ones(99)]
+        o = radial_order(BivariateSample(0.5 * r, 0.5 * r))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^the weights .* overflow"):
+                estimate_support(o, 20)
+        assert list(o._memo) == [("log_ratios", 20)]
+        o = radial_order(BivariateSample([1.0] + [0.0] * 30, [1.0] + [0.0] * 30))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"R_\(20\) must be positive"):
+                hill(o, 20)
+        assert o._memo == {}

@@ -213,6 +213,17 @@ class TestRadialOrder:
         with pytest.raises(ValueError):
             radial_order(BivariateSample([0, 0], [0, 0]))
 
+    def test_arrays_are_read_only_views(self):
+        # the memo keeps values derived from the arrays, so they must not change
+        given = [np.arange(3.0) for _ in range(4)]
+        o = RadialOrder(*given)
+        for arr, src in zip((o.sorted_r, o.theta, o.x, o.y), given):
+            assert np.shares_memory(arr, src) and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+            assert src.flags.writeable
+        assert "_memo" not in repr(o)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_stable_argsort(self, data):
