@@ -11,8 +11,9 @@ Three procedures, all resampling m points with replacement B times:
   chi-square band; also reports the proportion-rule flag rate, which
   catches the chi-square rule's known false acceptances.
 * weak_dependence_test -- interval vs whole quadrant. F-ratio of the
-  bootstrap variances of the plain and cone-masked angle-weighted
-  statistics over two independent resample batches.
+  bootstrap variances of the plain angle-weighted statistic and the
+  masked one (that of the in-cone points, zeros after) over two
+  independent resample batches.
 
 Every resample draws integers(0, n, m) from its own Philox substream,
 stream(seed, test code, batch, slot, 0), and is scored once by its
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -49,7 +50,6 @@ from taildep.datagen import stream, stream_keys  # noqa: F401
 from taildep.estimators import (
     _angle_weighted_hill_rows,
     _cone_adjusted_hill_rows,
-    _masked_angle_weighted_hill_rows,
     cone_adjusted_hill,
     hill,
 )
@@ -275,17 +275,16 @@ class _SlotDraws:
 
 
 def _resample_stats(
-    p: _Prepared, test_id: str, batch: int, rank: np.ndarray,
-    kernel: Callable[..., np.ndarray], *args,
+    p: _Prepared, test_id: str, batch: int, kernel: Callable[..., np.ndarray], *args
 ) -> np.ndarray:
     """kernel(rows, k_mn, *args) on resample slots 0..B-1 of p's sample, in
     chunks of rows.
 
     Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
-    keeps the k_mn first of a stable sort by rank (by decreasing radius,
+    keeps the k_mn first of a stable sort by p.rank (by decreasing radius,
     as radial_order sorts).
     """
-    s, cfg, m, k = p.sample, p.cfg, p.m_n, p.k_mn
+    s, cfg, m, k, rank = p.sample, p.cfg, p.m_n, p.k_mn, p.rank
     r, theta = s.radii, s.angles
     draw = _SlotDraws(s.n, m)
     # rank * m + draw position is unique in a row and orders it as the
@@ -321,7 +320,7 @@ def strong_dependence_test(
     """
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H1",))
-    stats = _resample_stats(p, "H1", 0, p.rank, _cone_adjusted_hill_rows, cone)
+    stats = _resample_stats(p, "H1", 0, _cone_adjusted_hill_rows, cone)
     rate = float(np.mean(np.abs(stats - p.hill) > p.band))
     verdict = REJECT if rate > cfg.alpha_sig else FAIL_TO_REJECT
     return _report(p, "H1", "strong_dependence", verdict, rate, cfg.alpha_sig, stats,
@@ -339,7 +338,7 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     """
     p = _prepare(s, cfg)
     _refuse(p, None, ("H2",))
-    stats = _resample_stats(p, "H2", 0, p.rank, _angle_weighted_hill_rows)
+    stats = _resample_stats(p, "H2", 0, _angle_weighted_hill_rows)
     se_boot = float(np.std(stats, ddof=1))
     statistic = p.k_mn * se_boot**2 / p.hill**2
     threshold = chisq_quantile(1.0 - cfg.alpha_sig, cfg.B - 1) / (cfg.B - 1)
@@ -364,13 +363,13 @@ def weak_dependence_test(
     """
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H3",))
-    stats_plain = _resample_stats(p, "H3", 1, p.rank, _angle_weighted_hill_rows)
-    # out-of-cone points rank last, so the k first are the masked kernel's
-    # own top k: in-cone points by radius, then the zeroed ones
-    masked_rank = p.rank + np.where(cone.contains_angle(p.sample.angles), 0, p.rank.max() + 1)
-    stats_masked = _resample_stats(
-        p, "H3", 2, masked_rank, _masked_angle_weighted_hill_rows, cone
-    )
+    stats_plain = _resample_stats(p, "H3", 1, _angle_weighted_hill_rows)
+    # out-of-cone points move to the origin and rank last: a masked
+    # resample's top k are its in-cone points by radius, then zeros
+    inside = cone.contains_angle(p.sample.angles)
+    masked = BivariateSample(np.where(inside, p.sample.x, 0.0), np.where(inside, p.sample.y, 0.0))
+    masked_p = replace(p, sample=masked, rank=np.where(inside, p.rank, p.sample.n))
+    stats_masked = _resample_stats(masked_p, "H3", 2, _angle_weighted_hill_rows)
     var_plain = float(np.var(stats_plain, ddof=1))
     var_masked = float(np.var(stats_masked, ddof=1))
     # _refuse settles a cone without a point of positive angle; one whose

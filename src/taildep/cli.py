@@ -230,6 +230,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prep(args) -> int:
+    if args.max_lag < 1:
+        raise ValueError(f"max_lag must be a positive integer, got {args.max_lag}")
     (prices,) = _read_columns(args.input, [args.price_col] if args.price_col else None, 1)
     returns = log_returns(prices, args.stride)
     abs_returns = np.abs(returns)

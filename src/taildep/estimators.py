@@ -84,8 +84,8 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 # each row sorted by decreasing radius with ties in sample order; each
 # kernel returns one value per row. They are total by one convention: where
 # R_(k) = 0 every log term is 0, and an angle-weighted mean whose angles sum
-# to 0 is 0/0 = 1, so the plain angle-weighted kernel is the masked one at
-# the cone [0, 1]. Only the masked public function takes those values.
+# to 0 is 0/0 = 1. Only the masked public function, the angle-weighted
+# statistic of the in-cone points with zeros after, takes those values.
 
 def _hill_rows(rows: RadialOrder, k: int, logr: np.ndarray | None = None) -> np.ndarray:
     return (_log_ratio_rows(rows.sorted_r, k) if logr is None else logr).mean(axis=1)
@@ -114,22 +114,9 @@ def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
         return np.where(denom > 0.0, _row_dots(th, terms) / denom, 1.0)
 
 
-def _masked_angle_weighted_hill_rows(
-    rows: RadialOrder, k: int, cone: AngularCone
-) -> np.ndarray:
-    mask = cone.contains_angle(rows.theta)
-    # the rows are in radius order, so a stable sort on the mask alone
-    # re-sorts the masked radii: in-cone points first, then zeroed ones
-    top = np.argsort(~mask, axis=1, kind="stable")[:, :k]
-    in_cone = np.take_along_axis(mask, top, axis=1)
-    r_top = np.where(in_cone, np.take_along_axis(rows.sorted_r, top, axis=1), 0.0)
-    th_top = np.where(in_cone, np.take_along_axis(rows.theta, top, axis=1), 0.0)
-    return _angle_weighted_mean(th_top, np.maximum(_log_ratio_rows(r_top, k), 0.0))
-
-
-def _one_row(ord: RadialOrder, end: int | None = None) -> RadialOrder:
-    """ord's first end columns (all by default) as a stack of one row."""
-    return RadialOrder(*(v[None, :end] for v in (ord.sorted_r, ord.theta, ord.x, ord.y)))
+def _one_row(ord: RadialOrder) -> RadialOrder:
+    """ord as a stack of one row."""
+    return RadialOrder(*(v[None] for v in (ord.sorted_r, ord.theta, ord.x, ord.y)))
 
 
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
@@ -177,16 +164,18 @@ def masked_angle_weighted_hill(
 ) -> StatisticValue:
     """Angle-weighted statistic restricted to angles inside the cone.
 
-    Radii and angles of points with angle outside [a, b] are zeroed
-    before re-sorting and the log ratios are clamped below at 0. It takes
-    the row kernels' convention where the k-th masked radius is 0 or the
-    in-cone angles sum to 0, so it is defined on every sample. Only the
-    first k in-cone points enter, so ord is read up to the k-th (or all of it).
+    The angle-weighted statistic of the sample with every point outside
+    [a, b] moved to the origin: its top k are the first k in-cone points,
+    then zeros. It takes the row kernels' convention where the k-th masked
+    radius is 0 or the in-cone angles sum to 0, so it is defined on every
+    sample. ord is read up to its k-th in-cone point (or all of it).
     """
     _check_k(ord, k)
     end = 2 * k
     while (inside := np.flatnonzero(cone.contains_angle(ord.theta[:end]))).size < k and end < ord.n:
         end *= 2
-    end = int(inside[k - 1]) + 1 if inside.size >= k else None
-    (value,) = _masked_angle_weighted_hill_rows(_one_row(ord, end), k, cone)
+    top = inside[:k]
+    r, th = np.zeros((1, k)), np.zeros((1, k))
+    r[0, : top.size], th[0, : top.size] = ord.sorted_r[top], ord.theta[top]
+    (value,) = _angle_weighted_mean(th, _log_ratio_rows(r, k))
     return StatisticValue(float(value), int(k), ord.n)

@@ -301,9 +301,14 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     a = 0.5 * df1
     b = 0.5 * df2
     log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    # above y = 1 - 1e-3 the beta variate's 1 - y loses its digits, so there
+    # solve I_z(b, a) = 1 - p for z = 1 - y. The bootstrap thresholds never go
+    # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
+    near_one = p > beta_inc(a, b, 1.0 - 1e-3)
+    u, v, q, hi = (b, a, 1.0 - p, 1e-3) if near_one else (a, b, p, 1.0)
 
     def log_pdf(y: float) -> float:
-        return (a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y) - log_norm
+        return (u - 1.0) * math.log(y) + (v - 1.0) * math.log1p(-y) - log_norm
 
-    y = _invert(lambda y: beta_inc(a, b, y) - p, log_pdf, a / (a + b), 0.0, 1.0)
-    return df2 * y / (df1 * (1.0 - y))
+    y = _invert(lambda y: beta_inc(u, v, y) - q, log_pdf, u / (u + v), 0.0, hi)
+    return df2 * (1.0 - y) / (df1 * y) if near_one else df2 * y / (df1 * (1.0 - y))

@@ -256,6 +256,18 @@ class TestWeakDependence:
         with pytest.raises(ValueError, match="no top-.* mass"):
             weak_dependence_test(s, AngularCone(0.9, 0.95), Config(k_n=100, B=50))
 
+    def test_in_cone_point_outside_every_top_k_errors_out(self):
+        # one point of positive angle lies in the cone, so the check made
+        # before resampling passes; neither resample of 10 points draws it,
+        # so both masked slots are 1 and the masked variance is 0
+        theta = np.full(1000, 0.9)
+        theta[500] = 0.5
+        r = np.arange(1001.0, 1.0, -1.0)
+        s = BivariateSample(r * theta, r * (1.0 - theta))
+        with pytest.raises(ValueError, match=r"^the cone \[0.4, 0.6\] holds no top-5 mass in any "
+                                             r"resample, so the masked statistic has zero variance"):
+            weak_dependence_test(s, AngularCone(0.4, 0.6), Config(20, 0, 10, 5, 2))
+
     def test_batches_are_independent(self):
         s = example2(2000, 6)
         cfg = Config(k_n=50, seed=6, B=100)

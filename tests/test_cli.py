@@ -408,6 +408,8 @@ class TestTest:
         ("test", ["--lambda", "nan"], "lambda must be positive and finite, got nan"),
         ("support", ["--lambda", "nan"], "lambda must be positive and finite, got nan"),
         ("support", ["--lambda", 0], "lambda must be positive and finite, got 0.0"),
+        ("prep", ["--max-lag", 0], "max_lag must be a positive integer, got 0"),
+        ("prep", ["--max-lag", -3], "max_lag must be a positive integer, got -3"),
     ])
     def test_flag_values_checked_before_reading_the_input(self, tmp_path, capsys, monkeypatch,
                                                           cmd, flags, error):
@@ -423,7 +425,8 @@ class TestTest:
     @pytest.mark.parametrize("cone, reason", [
         ("0.5,0.2", "cone requires 0 <= a <= b <= 1, got [0.5, 0.2]"),
         ("a,b", "not a number: 'a,b'"),
-    ], ids=["reversed", "not_numbers"])
+        ("0.25", "cone must be given as 'a,b'"),
+    ], ids=["reversed", "not_numbers", "one_number"])
     def test_bad_cone_gives_its_reason(self, tmp_path, capsys, cone, reason):
         src = tmp_path / "s.csv"
         write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])

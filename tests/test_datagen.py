@@ -86,6 +86,9 @@ class TestMixtureSpec:
         cone = AngularCone(0.25, 0.75)
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 1.0, cone, 1.0, 1.0, 0.5)  # hidden tail heavier
+        for alpha_main, alpha_hidden in ((0.0, 4.0), (-1.0, 4.0), (2.0, 0.0)):
+            with pytest.raises(ValueError, match="^Pareto indices must be positive$"):
+                MixtureSpec(alpha_main, alpha_hidden, cone, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 4.0, cone, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 from taildep.datagen import example1, example2, pareto, stream
 from taildep.estimators import (
     _hill_rows,
-    _masked_angle_weighted_hill_rows,
     _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
@@ -184,10 +183,19 @@ class TestMaskedAngleWeightedHill:
 
 
 def full_row_masked(ord, k, cone):
-    """The masked kernel on all of ord as one row: the reference for the
-    public statistic, which cuts the row at its k-th in-cone point."""
-    rows = RadialOrder(ord.sorted_r[None], ord.theta[None], ord.x[None], ord.y[None])
-    return float(_masked_angle_weighted_hill_rows(rows, k, cone)[0])
+    """The masked statistic's definition on all of ord, in numpy alone:
+    the reference for the public statistic, which reads ord only up to its
+    k-th in-cone point. Points outside the cone move to the origin, the
+    row is re-sorted stably by decreasing radius, and the top k give the
+    angle-weighted mean of their log ratios: 0 where the k-th masked
+    radius is 0, 1 where their angles sum to 0."""
+    inside = (ord.theta >= cone.a) & (ord.theta <= cone.b)
+    r = np.where(inside, ord.sorted_r, 0.0)
+    th = np.where(inside, ord.theta, 0.0)
+    top = np.argsort(-r, kind="stable")[:k]
+    r, th = r[top], th[top]
+    logr = np.log(r / r[-1]) if r[-1] > 0.0 else np.zeros(k)
+    return float(np.dot(th, logr) / th.sum()) if th.sum() > 0.0 else 1.0
 
 
 def _bits(value):

@@ -12,6 +12,14 @@ fails here. A deliberate change to a report bumps SCHEMA_VERSION and
 re-pins them. Schema 3 scores a degenerate resample once, by the
 estimators' convention, where schema 2 drew it again: of the five reports
 only the degrees test report's values moved.
+
+The two weak-dependence reports on the degrees input pin the masked
+statistic's edge cases under schema 3: origin points inside the cone, and
+a cone whose every masked slot takes the convention (k-th masked radius 0,
+or no in-cone angle mass). They were computed with the masked statistic's
+own row kernel, which re-sorted each resample by the cone mask and
+clamped its log ratios at 0, before it became the angle-weighted kernel
+on the sample with out-of-cone points moved to the origin.
 """
 
 import hashlib
@@ -47,6 +55,12 @@ _COMMANDS = {
     "support": ["support"],
     "paper_test": ["test", "--which", "all", "--k", "100", "--mn", "500", "--kmn", "25",
                    "--B", "2000", "--seed", "3"],
+    # a = 0 puts the origin points in the cone
+    "weak_origin_in_cone": ["test", "--which", "weak", "--cone", "0,0.5", "--B", "200",
+                            "--seed", "0"],
+    # every masked slot takes the convention: 108 are 0 and 92 are 1
+    "weak_masked_convention": ["test", "--which", "weak", "--cone", "0.2,0.6", "--B", "200",
+                               "--seed", "0"],
 }
 
 _GOLDEN = {
@@ -60,6 +74,10 @@ _GOLDEN = {
         "7ffb7b18affb3bad799b927f123df906080ca6deff4495207a2a6e795301e559",
     ("example1_30000", "paper_test"):
         "51f6cc9a9aa830970938bb8e5a5f1397c418854a60c77294d325a3708eb4b01a",
+    ("degrees", "weak_origin_in_cone"):
+        "ffd58b477cfc933e47b2994ebd23d01a7a0c56c0d7b1462eb7b8269f49a92f45",
+    ("degrees", "weak_masked_convention"):
+        "028efaabdb19ed4212a704cc8bf0868e59fa42820a017407c09a80f7db988594",
 }
 
 

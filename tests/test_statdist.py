@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ class TestSpecialFunctions:
                     scipy.stats.gamma.cdf(x, a), abs=1e-12, rel=1e-10
                 )
 
+    @pytest.mark.parametrize("fn, args, error", [
+        (gamma_p, (0.0, 1.0), "shape must be positive, got 0.0"),
+        (gamma_p, (-2.0, 1.0), "shape must be positive, got -2.0"),
+        (gamma_p, (1.0, -0.5), "argument must be nonnegative, got -0.5"),
+        (beta_inc, (0.0, 1.0, 0.5), "shapes must be positive, got a=0.0, b=1.0"),
+        (beta_inc, (1.0, -1.0, 0.5), "shapes must be positive, got a=1.0, b=-1.0"),
+        (beta_inc, (1.0, 1.0, -0.25), "argument must lie in [0, 1], got -0.25"),
+        (beta_inc, (1.0, 1.0, 1.5), "argument must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_arguments_refused(self, fn, args, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            fn(*args)
+
     def test_beta_inc_against_scipy(self):
         for a, b in ((0.5, 0.5), (2, 3), (999.5, 999.5)):
             for x in (0.01, 0.3, 0.5, 0.7, 0.99):
@@ -179,6 +193,16 @@ class TestExtremes:
         ((0.9999999999999967, 7.723156772799444, 0.3971090875184138), 2.2483549647008747e72),
     ])
     def test_tiny_root_against_scipy(self, args, expected):
+        assert f_quantile(*args) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    # the beta variate y lies within about 1e-16 of 1, so f_quantile solves
+    # for 1 - y; values from scipy.stats.f.ppf
+    @pytest.mark.parametrize("args, expected", [
+        ((0.8972058180021301, 1.240842100507698, 0.11677655026444089), 3385481100593558.5),
+        ((0.9, 1.0, 0.1), 2.6992253023065646e18),
+        ((0.97, 50.0, 0.2), 273855782944668.9),
+    ])
+    def test_beta_variate_near_one_against_scipy(self, args, expected):
         assert f_quantile(*args) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
     def test_no_quantile_after_the_iteration_cap(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -41,6 +42,12 @@ class TestConeDistance:
         # [0, b]: only the below-cone term survives
         assert cone_distance((1, 0), AngularCone(0.0, 0.5)) == 1.0
         assert cone_distance((0, 1), AngularCone(0.0, 0.5)) == 0.0
+
+    @pytest.mark.parametrize("p", [(-1, 1), (1, -0.5)])
+    def test_negative_point_refused(self, p):
+        error = re.escape(f"point must be nonnegative, got {p}")
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            cone_distance(p, AngularCone(0.25, 0.75))
 
     def test_degenerate_zero_ray(self):
         # theta = 0 ray: any point with x > 0 is at infinite scaled distance
