@@ -50,6 +50,7 @@ from taildep.datagen import stream, stream_keys  # noqa: F401
 from taildep.estimators import (
     _angle_weighted_hill_rows,
     _cone_adjusted_hill_rows,
+    _log_ratio_rows,
     cone_adjusted_hill,
     hill,
 )
@@ -277,8 +278,9 @@ class _SlotDraws:
 def _resample_stats(
     p: _Prepared, test_id: str, batch: int, kernel: Callable[..., np.ndarray], *args
 ) -> np.ndarray:
-    """kernel(rows, k_mn, *args) on resample slots 0..B-1 of p's sample, in
-    chunks of rows.
+    """kernel(rows, logr, *args) on resample slots 0..B-1 of p's sample, in
+    chunks of rows: rows stacks a chunk's resamples as one RadialOrder and
+    logr their log ratios, made once per chunk.
 
     Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
     keeps the k_mn first of a stable sort by p.rank (by decreasing radius,
@@ -300,9 +302,8 @@ def _resample_stats(
         order_key = rank_m[idx] + position
         top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
         idx = np.take_along_axis(idx, top, axis=1)
-        out[start : start + _CHUNK_ROWS] = kernel(
-            RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx]), k, *args
-        )
+        rows = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
+        out[start : start + _CHUNK_ROWS] = kernel(rows, _log_ratio_rows(rows.sorted_r, k), *args)
     return out
 
 

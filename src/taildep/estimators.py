@@ -4,9 +4,10 @@ All four statistics are functions of ratios R_(i)/R_(k) (and of the
 1-homogeneous cone distance scaled by R_(k)), so they are invariant to
 rescaling the whole sample.
 
-Each statistic has one implementation, a row kernel on stacked radial
-orders: the public functions run it on one row, the bootstrap on chunks
-of resamples.
+Each statistic has one implementation, a row kernel that scores the log
+ratios it is given along the last axis: the public functions run it on a
+radial order with that order's memoized log ratios, the bootstrap on a
+chunk of stacked resamples with theirs.
 """
 
 from __future__ import annotations
@@ -45,20 +46,20 @@ def _check_k(ord: RadialOrder, k: int) -> None:
 
 
 def _log_ratio_rows(r: np.ndarray, k: int) -> np.ndarray:
-    """log(R_(i)/R_(k)), i = 1..k, on each row of decreasing radii; 0 on a
-    row where R_(k) = 0. A ratio that overflows gives an infinite log, so
-    its row's value is not finite."""
-    rk = r[:, k - 1 : k]
+    """log(R_(i)/R_(k)), i = 1..k, along the last axis of decreasing radii;
+    0 on a row where R_(k) = 0. A ratio that overflows gives an infinite
+    log, so its row's value is not finite."""
+    rk = r[..., k - 1 : k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logr = np.log(r[:, :k] / rk)
-    logr[rk[:, 0] == 0.0] = 0.0
+        logr = np.log(r[..., :k] / rk)
+    logr[rk[..., 0] == 0.0] = 0.0
     return logr
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # matmul hands each row's vector-vector product to the dot a 1-d
     # np.dot calls, so every row rounds exactly as np.dot(a[i], b[i])
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _check_rk(ord: RadialOrder, k: int) -> None:
@@ -72,7 +73,7 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 
     def build() -> np.ndarray:
         _check_rk(ord, k)
-        logr = _log_ratio_rows(ord.sorted_r[None], k)[0]
+        logr = _log_ratio_rows(ord.sorted_r, k)
         logr.setflags(write=False)
         return logr
 
@@ -80,50 +81,43 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# row kernels: rows is a RadialOrder whose arrays are stacked (rows, width),
-# each row sorted by decreasing radius with ties in sample order; each
-# kernel returns one value per row. They are total by one convention: where
-# R_(k) = 0 every log term is 0, and an angle-weighted mean whose angles sum
-# to 0 is 0/0 = 1. Only the masked public function, the angle-weighted
-# statistic of the in-cone points with zeros after, takes those values.
+# row kernels: rows is a RadialOrder, one order or a stack of resamples
+# (rows, width), sorted along the last axis by decreasing radius with ties
+# in sample order; logr is its log ratios, from which each kernel takes k,
+# and it returns one value per row. They are total by one convention:
+# where R_(k) = 0 every log term is 0, and an angle-weighted mean whose
+# angles sum to 0 is 0/0 = 1. Only the masked public function, the
+# angle-weighted statistic of the in-cone points with zeros after, takes
+# those values.
 
-def _hill_rows(rows: RadialOrder, k: int, logr: np.ndarray | None = None) -> np.ndarray:
-    return (_log_ratio_rows(rows.sorted_r, k) if logr is None else logr).mean(axis=1)
+def _hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
+    return logr.mean(axis=-1)
 
 
-def _cone_adjusted_hill_rows(rows: RadialOrder, k: int, cone: AngularCone,
-                             logr: np.ndarray | None = None) -> np.ndarray:
-    logr = _log_ratio_rows(rows.sorted_r, k) if logr is None else logr
-    d = cone_distances(rows.x[:, :k], rows.y[:, :k], cone)
+def _cone_adjusted_hill_rows(rows: RadialOrder, logr: np.ndarray, cone: AngularCone) -> np.ndarray:
+    k = logr.shape[-1]
+    d = cone_distances(rows.x[..., :k], rows.y[..., :k], cone)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (1.0 + d / rows.sorted_r[:, k - 1 : k]) * logr
+        terms = (1.0 + d / rows.sorted_r[..., k - 1 : k]) * logr
     # inf * 0 at a zero log ratio: the log factor wins, the term is 0
-    return np.where(logr > 0.0, terms, 0.0).mean(axis=1)
+    return np.where(logr > 0.0, terms, 0.0).mean(axis=-1)
 
 
-def _angle_weighted_hill_rows(rows: RadialOrder, k: int,
-                              logr: np.ndarray | None = None) -> np.ndarray:
-    logr = _log_ratio_rows(rows.sorted_r, k) if logr is None else logr
-    return _angle_weighted_mean(rows.theta[:, :k], logr)
+def _angle_weighted_hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
+    return _angle_weighted_mean(rows.theta[..., : logr.shape[-1]], logr)
 
 
 def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum(th * terms) / sum(th) on each row; 1 where the angles sum to 0."""
-    denom = th.sum(axis=1)
+    """sum(th * terms) / sum(th) along the last axis; 1 where the angles sum to 0."""
+    denom = th.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0.0, _row_dots(th, terms) / denom, 1.0)
 
 
-def _one_row(ord: RadialOrder) -> RadialOrder:
-    """ord as a stack of one row."""
-    return RadialOrder(*(v[None] for v in (ord.sorted_r, ord.theta, ord.x, ord.y)))
-
-
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
-    """kernel on ord as a single row, given ord's log ratios; refuses R_(k) = 0."""
+    """kernel on ord with ord's log ratios; refuses R_(k) = 0."""
     _check_k(ord, k)
-    (value,) = kernel(_one_row(ord), k, *args, logr=_log_ratios(ord, k)[None])
-    return StatisticValue(float(value), int(k), ord.n)
+    return StatisticValue(float(kernel(ord, _log_ratios(ord, k), *args)), int(k), ord.n)
 
 
 def hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -175,7 +169,6 @@ def masked_angle_weighted_hill(
     while (inside := np.flatnonzero(cone.contains_angle(ord.theta[:end]))).size < k and end < ord.n:
         end *= 2
     top = inside[:k]
-    r, th = np.zeros((1, k)), np.zeros((1, k))
-    r[0, : top.size], th[0, : top.size] = ord.sorted_r[top], ord.theta[top]
-    (value,) = _angle_weighted_mean(th, _log_ratio_rows(r, k))
-    return StatisticValue(float(value), int(k), ord.n)
+    r, th = np.zeros(k), np.zeros(k)
+    r[: top.size], th[: top.size] = ord.sorted_r[top], ord.theta[top]
+    return StatisticValue(float(_angle_weighted_mean(th, _log_ratio_rows(r, k))), int(k), ord.n)

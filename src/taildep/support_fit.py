@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.estimators import _check_k, _cone_adjusted_hill_rows, _hill_rows, _log_ratios, _one_row
+from taildep.estimators import _check_k, _cone_adjusted_hill_rows, _hill_rows, _log_ratios
 from taildep.tail_core import AngularCone, RadialOrder
 
 
@@ -52,14 +52,13 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     if not (0.0 <= a <= b <= 1.0):
         raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
     _check_k(ord, k)
-    return _objective(ord, k, a, b, _log_ratios(ord, k), _penalty_weight(lam, k))
+    return _objective(ord, a, b, _log_ratios(ord, k), _penalty_weight(lam, k))
 
 
-def _objective(ord: RadialOrder, k: int, a: float, b: float, logr: np.ndarray, s: float) -> float:
+def _objective(ord: RadialOrder, a: float, b: float, logr: np.ndarray, s: float) -> float:
     """g(a, b) given logr = _log_ratios(ord, k) and s = lam * sqrt(k): H and D share logr."""
-    rows, logr = _one_row(ord), logr[None]
-    (h,) = _hill_rows(rows, k, logr)
-    (d,) = _cone_adjusted_hill_rows(rows, k, AngularCone(a, b), logr)
+    h = _hill_rows(ord, logr)
+    d = _cone_adjusted_hill_rows(ord, logr, AngularCone(a, b))
     return (b - a) + s * abs(float(d) - float(h))
 
 
@@ -112,7 +111,7 @@ def estimate_support(
         j = start[i] + np.argmax(a_part[i] + b_part[start[i] : first_min[i] + 1] == gmin)
         best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
     _, a_hat, b_hat = min(best)
-    return SupportEstimate(a_hat, b_hat, _objective(ord, k, a_hat, b_hat, _log_ratios(ord, k), s))
+    return SupportEstimate(a_hat, b_hat, _objective(ord, a_hat, b_hat, _log_ratios(ord, k), s))
 
 
 def _fit_tables(ord: RadialOrder, k: int) -> tuple:

@@ -63,6 +63,14 @@ class TestSimulate:
         theta = data[:, 0] / data.sum(axis=1)
         assert np.all((theta >= 0.4) & (theta <= 0.6))
 
+    def test_tiny_beta_shapes(self, tmp_path):
+        # shapes 0.001 underflow both gamma draws of many points; they are redrawn
+        out = tmp_path / "t.csv"
+        assert run(["simulate", "--n", 2000, "--beta-p", 0.001, "--beta-q", 0.001,
+                    "--output", out]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (2000, 2) and np.all(np.isfinite(data)) and np.all(data >= 0)
+
     def test_invalid_spec_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         assert run(["simulate", "--n", 10, "--alpha-main", 4,

@@ -61,6 +61,16 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             sample_beta(0.0, 1.0, 10, stream(9))
 
+    def test_joint_underflow_is_redrawn(self):
+        # at shapes 0.001 about a fifth of the pairs of gamma draws are both 0,
+        # whose ratio 0/0 the redraw replaces
+        gen = stream(10)
+        first = gen.standard_gamma(0.001, 2000) + gen.standard_gamma(0.001, 2000)
+        assert np.any(first == 0.0)
+        z = sample_beta(0.001, 0.001, 2000, stream(10))
+        assert np.all(np.isfinite(z)) and np.all((z >= 0) & (z <= 1))
+        assert z.tolist() == sample_beta(0.001, 0.001, 2000, stream(10)).tolist()
+
 
 class TestUniformOffCone:
     def test_equal_piece_lengths(self):

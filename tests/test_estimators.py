@@ -6,7 +6,10 @@ import pytest
 
 from taildep.datagen import example1, example2, pareto, stream
 from taildep.estimators import (
+    _angle_weighted_hill_rows,
+    _cone_adjusted_hill_rows,
     _hill_rows,
+    _log_ratio_rows,
     _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
@@ -354,7 +357,37 @@ class TestRatioOverflow:
     def test_row_kernel_gives_inf_without_warning(self):
         # the bootstrap's rows: the value is not finite, so the report is refused
         r = np.sort(self.R)[::-1][None]
-        assert _hill_rows(RadialOrder(r, r * 0.5, r * 0.5, r * 0.5), 20).tolist() == [math.inf]
+        rows = RadialOrder(r, r * 0.5, r * 0.5, r * 0.5)
+        assert _hill_rows(rows, _log_ratio_rows(rows.sorted_r, 20)).tolist() == [math.inf]
+
+
+class TestOneCallShape:
+    # a kernel scores the log ratios it is given along the last axis: on a
+    # 1-d order it gives, bit for bit, what it gives that order as one row
+    ORDERS = {
+        "example1": radial_order(example1(3000, 4)),
+        "example2": radial_order(example2(3000, 4)),
+        "zero_rk": TestUndefinedValues.ZERO_RK,  # R_(3) = 0
+        "zero_angles": TestUndefinedValues.ZERO_ANGLES,  # top-2 angles sum to 0
+    }
+    KERNELS = [
+        _hill_rows,
+        _angle_weighted_hill_rows,
+        lambda rows, logr: _cone_adjusted_hill_rows(rows, logr, AngularCone(0.25, 0.75)),
+        lambda rows, logr: _cone_adjusted_hill_rows(rows, logr, AngularCone(0.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("name", list(ORDERS))
+    def test_one_order_is_one_row(self, name):
+        o = self.ORDERS[name]
+        stacked = RadialOrder(*(v[None] for v in (o.sorted_r, o.theta, o.x, o.y)))
+        for k in (k for k in (2, 3, 25, 100) if k < o.n):
+            logr, logr_rows = _log_ratio_rows(o.sorted_r, k), _log_ratio_rows(stacked.sorted_r, k)
+            assert logr_rows.shape == (1, k) and logr_rows[0].tolist() == logr.tolist()
+            for i, kernel in enumerate(self.KERNELS):
+                value, (row_value,) = kernel(o, logr), kernel(stacked, logr_rows)
+                assert np.shape(value) == ()
+                assert _bits(value) == _bits(row_value), (k, i)
 
 
 @pytest.mark.parametrize("k", [10.0, 2.5, np.float64(10.0)])

@@ -400,3 +400,6 @@ class TestAcf:
     def test_max_lag_validation(self):
         with pytest.raises(ValueError):
             acf([1.0, 2.0], 5)
+        for max_lag in (0, -1, 2.5):
+            with pytest.raises(ValueError, match=f"^max_lag must be a positive integer, got {max_lag}$"):
+                acf([1.0, 2.0, 4.0, 3.0, 5.0], max_lag)
