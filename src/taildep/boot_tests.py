@@ -17,8 +17,9 @@ Three procedures, all resampling m points with replacement B times:
 
 Every resample draws integers(0, n, m) from its own Philox substream,
 stream(seed, test code, batch, slot, 0), and is scored once by its
-statistic's row kernel in taildep.estimators on its k_mn largest radii,
-which gives a degenerate resample the kernels' convention.
+statistic's row kernel in taildep.estimators on a RadialOrder of the
+(x, y) pairs of its k_mn largest radii, which gives a degenerate resample
+the kernels' convention.
 The substreams and the indices are the ones stream() and integers give;
 only the way there is cheaper. datagen.stream_keys derives the Philox
 keys of a whole block of slots in one numpy pass of SeedSequence's hash.
@@ -55,7 +56,7 @@ from taildep.estimators import (
     hill,
 )
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order, _slope
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
@@ -98,6 +99,9 @@ class TestConfig:
             raise ValueError("B must be at least 2")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
+        if 1.0 - self.alpha_sig / 2.0 == 1.0:
+            raise ValueError(f"alpha_sig = {self.alpha_sig} is too small: 1 - alpha_sig/2 "
+                             "rounds to 1, where the tests' upper quantiles are infinite")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Return (m_n, k_mn) with defaults filled in; validates against n."""
@@ -204,9 +208,11 @@ def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
                 f"value {adjusted} at k_n = {p.cfg.k_n} (the theta = 0 ray puts every point "
                 "with x > 0 at infinite distance), so the strong-dependence test is undefined"
             )
-        if cone.b == 0.0 and np.any(p.ordered.x > 0.0):
+        if _slope(cone.b) == math.inf and np.any(p.ordered.x > 0.0):
+            edge = ("is the theta = 0 ray" if cone.b == 0.0 else
+                    "has an upper edge b whose slope 1/b - 1 overflows to inf")
             raise ValueError(
-                f"the cone [{cone.a}, {cone.b}] is the theta = 0 ray, which puts each of the "
+                f"the cone [{cone.a}, {cone.b}] {edge}, which puts each of the "
                 f"{np.count_nonzero(p.ordered.x > 0.0)} points with x > 0 at infinite distance; "
                 "a resample that ranks one above its k_mn-th radius has an infinite "
                 "cone-adjusted Hill value, so the strong-dependence test is undefined"
@@ -279,15 +285,14 @@ def _resample_stats(
     p: _Prepared, test_id: str, batch: int, kernel: Callable[..., np.ndarray], *args
 ) -> np.ndarray:
     """kernel(rows, logr, *args) on resample slots 0..B-1 of p's sample, in
-    chunks of rows: rows stacks a chunk's resamples as one RadialOrder and
-    logr their log ratios, made once per chunk.
+    chunks of rows: rows stacks a chunk's resamples' (x, y) pairs as one
+    RadialOrder and logr their log ratios, made once per chunk.
 
     Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
     keeps the k_mn first of a stable sort by p.rank (by decreasing radius,
     as radial_order sorts).
     """
     s, cfg, m, k, rank = p.sample, p.cfg, p.m_n, p.k_mn, p.rank
-    r, theta = s.radii, s.angles
     draw = _SlotDraws(s.n, m)
     # rank * m + draw position is unique in a row and orders it as the
     # stable sort does, so a partition finds the k first exactly; int32
@@ -302,7 +307,7 @@ def _resample_stats(
         order_key = rank_m[idx] + position
         top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
         idx = np.take_along_axis(idx, top, axis=1)
-        rows = RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])
+        rows = RadialOrder(s.x[idx], s.y[idx])
         out[start : start + _CHUNK_ROWS] = kernel(rows, _log_ratio_rows(rows.sorted_r, k), *args)
     return out
 

@@ -121,11 +121,11 @@ class MixtureSpec:
     mix_prob: float
 
     def __post_init__(self) -> None:
-        if self.alpha_main <= 0 or self.alpha_hidden <= 0:
+        if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
             raise ValueError("Pareto indices must be positive")
         if self.alpha_hidden < self.alpha_main:
             raise ValueError("off-cone tail must be at least as light as the on-cone tail")
-        if self.z_p <= 0 or self.z_q <= 0:
+        if not (self.z_p > 0 and self.z_q > 0):
             raise ValueError("Beta shapes must be positive")
         if not (0.0 < self.mix_prob <= 1.0):
             raise ValueError("mix_prob must lie in (0, 1]")
@@ -158,7 +158,7 @@ EXAMPLE2_SPEC = MixtureSpec(
 
 def pareto(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
     """Standard Pareto draws with P(R > x) = x^(-alpha), x >= 1."""
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise ValueError(f"alpha must be positive, got {alpha}")
     u = gen.random(size)
     return (1.0 - u) ** (-1.0 / alpha)
@@ -170,19 +170,12 @@ def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.n
     Valid for all shapes, including p, q < 1. The rare joint underflow
     of both gamma draws is redrawn.
     """
-    if p <= 0 or q <= 0:
+    if not (p > 0 and q > 0):  # NaN fails too
         raise ValueError(f"shapes must be positive, got p={p}, q={q}")
-    g1 = gen.standard_gamma(p, size)
-    g2 = gen.standard_gamma(q, size)
-    total = g1 + g2
-    bad = total == 0.0
-    while np.any(bad):
-        idx = np.flatnonzero(bad)
-        g1[idx] = gen.standard_gamma(p, idx.size)
-        g2[idx] = gen.standard_gamma(q, idx.size)
-        total = g1 + g2
-        bad = total == 0.0
-    return g1 / total
+    g1, g2 = gen.standard_gamma(p, size), gen.standard_gamma(q, size)
+    while (bad := np.flatnonzero(g1 + g2 == 0.0)).size:
+        g1[bad], g2[bad] = gen.standard_gamma(p, bad.size), gen.standard_gamma(q, bad.size)
+    return g1 / (g1 + g2)
 
 
 def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 L1-polar radii and angles, the scaled distance to an angular cone,
 order statistics with concomitants, and time-series preparation
-helpers.
+helpers. One angle rule, _angles, gives every angle: a sample's, and a
+RadialOrder's, which derives its radii and angles from its (x, y) pairs.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
 its read-only arrays, and are safe to share across threads: a race on the
@@ -12,7 +13,7 @@ memo only computes the same value twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -78,11 +79,6 @@ class BivariateSample:
     def __setattr__(self, name, value):
         raise AttributeError("BivariateSample is immutable")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "BivariateSample":
-        arr = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
-        return cls(arr[:, 0], arr[:, 1])
-
     @property
     def n(self) -> int:
         return int(self.x.size)
@@ -95,37 +91,41 @@ class BivariateSample:
     def angles(self) -> np.ndarray:
         """Angles x/(x+y); points at the origin get angle 0 (they never
         enter any top-k computation)."""
-        r = self.radii
-        with np.errstate(invalid="ignore", divide="ignore"):
-            theta = np.where(r > 0, self.x / np.where(r > 0, r, 1.0), 0.0)
-        return theta
+        return _angles(self.x, self.radii)
+
+
+def _angles(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Angles x / r of points with radii r = x + y; 0 at the origin, r == 0."""
+    if r.min() > 0.0:  # the usual case, one divide
+        return x / r
+    return np.divide(x, r, out=np.zeros(r.shape), where=r > 0.0)
 
 
 @dataclass(frozen=True)
 class RadialOrder:
-    """The sample sorted by decreasing radius, with concomitants.
+    """Pairs (x, y) sorted by decreasing radius along the last axis (one
+    sample's order, or a stack of resamples, one per row), with the radii
+    sorted_r = x + y and the angles theta that it derives by _angles, so
+    neither can disagree with the pairs.
 
-    sorted_r[i] is the (i+1)-th largest radius; theta and (x, y) carry
-    the concomitant angle and pair of that order statistic. Ties in r
-    keep the original sample order.
-
-    The order holds read-only views of the arrays it is given, so the
-    caller's arrays stay writeable; a caller must not write to them
-    afterwards. The statistics and the support fit store what depends only
-    on (order, k) in a private memo, through _cached alone, so repeated
-    calls at one k (the fit at several lambdas, the four estimators) do
-    that work once. The memo takes no part in equality or repr.
+    The order holds read-only views of x and y, so the caller's arrays stay
+    writeable; a caller must not write to them afterwards. The statistics
+    and the support fit store what depends only on (order, k) in a private
+    memo, through _cached alone, so repeated calls at one k (the fit at
+    several lambdas, the four estimators) do that work once. The memo takes
+    no part in equality or repr.
     """
 
-    sorted_r: np.ndarray
-    theta: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    sorted_r: np.ndarray = field(init=False)
+    theta: np.ndarray = field(init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("sorted_r", "theta", "x", "y"):
-            arr = np.asarray(getattr(self, name)).view()
+        x, y = np.asarray(self.x).view(), np.asarray(self.y).view()
+        r = x + y
+        for name, arr in (("x", x), ("y", y), ("sorted_r", r), ("theta", _angles(x, r))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -161,10 +161,15 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
         return np.maximum(np.maximum(y - _slope_times(cone.a, x), below), 0.0)
 
 
+def _slope(c: float) -> float:
+    """The slope 1/c - 1 of a cone edge at angle c; +inf at 0 and where 1/c overflows."""
+    return np.inf if c == 0.0 else 1.0 / float(c) - 1.0
+
+
 def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
     """(1/c - 1) * x, with 1/0 = +inf, 0 (not inf * 0 = nan) where x == 0
     and +inf where the product overflows."""
-    slope = np.inf if c == 0.0 else 1.0 / c - 1.0
+    slope = _slope(c)
     if slope < np.inf:
         return slope * x
     return np.multiply(slope, x, out=np.zeros(x.shape), where=x != 0.0)
@@ -222,15 +227,10 @@ def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarr
     """radial_order(s), with the sort order and the dense rank of each
     sorted position that _decreasing_order returns."""
     order, dense = _decreasing_order(s.radii)
-    x, y = s.x[order], s.y[order]
-    sorted_r = x + y  # r[order], bit for bit, without gathering r again
-    # the p positive radii come first; origin points, tied at 0, sort last
-    p = s.n if sorted_r[-1] > 0 else int(np.searchsorted(dense, dense[-1]))
-    if p == 0:
+    ordered = RadialOrder(s.x[order], s.y[order])
+    if ordered.sorted_r[0] == 0.0:
         raise ValueError("all points are at the origin; no radial order exists")
-    theta = np.zeros(s.n)
-    np.divide(x[:p], sorted_r[:p], out=theta[:p])  # the division of BivariateSample.angles
-    return RadialOrder(sorted_r=sorted_r, theta=theta, x=x, y=y), order, dense
+    return ordered, order, dense
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:

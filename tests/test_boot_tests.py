@@ -59,6 +59,10 @@ class TestConfigAndReport:
             Config(k_n=10, B=1)
         with pytest.raises(ValueError):
             Config(k_n=10, alpha_sig=1.0)
+        # 1 - 1e-17/2 rounds to 1: the refusal names alpha_sig, not a quantile
+        with pytest.raises(ValueError, match=r"^alpha_sig = 1e-17 is too small"):
+            Config(k_n=10, alpha_sig=1e-17)
+        assert Config(k_n=10, alpha_sig=1e-15).alpha_sig == 1e-15
         with pytest.raises(ValueError):
             Config(k_n=100).resolve(100)
         with pytest.raises(ValueError):
@@ -415,14 +419,14 @@ def _assert_slots_match_stable_argsort(s, cone, cfg):
     estimator; where it is undefined, the convention: the cone-adjusted
     statistic is 0 at R_(k) = 0, the plain one the masked one at [0, 1]."""
     m, k = cfg.resolve(s.n)
-    r, theta = s.radii, s.angles
+    r = s.radii
 
     def reference(code, batch, statistic):
         out = []
         for t in range(cfg.B):
             idx = stream(cfg.seed, code, batch, t, 0).integers(0, s.n, m)
             idx = idx[np.argsort(-r[idx], kind="stable")]
-            out.append(statistic(RadialOrder(r[idx], theta[idx], s.x[idx], s.y[idx])))
+            out.append(statistic(RadialOrder(s.x[idx], s.y[idx])))
         return out
 
     def adjusted(o):

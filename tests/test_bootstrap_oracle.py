@@ -56,7 +56,7 @@ def _exact_laws(s, m, statistics):
     ordered by a stable argsort of its radii, which also orders a draw of
     origin points only, which radial_order refuses; draws that order to the
     same points are scored once."""
-    r, theta = s.radii, s.angles
+    r = s.radii
     orders = collections.Counter(
         tuple(np.array(idx)[np.argsort(-r[list(idx)], kind="stable")].tolist())
         for idx in itertools.product(range(s.n), repeat=m)
@@ -64,7 +64,7 @@ def _exact_laws(s, m, statistics):
     weights = np.array(list(orders.values()), dtype=float) / s.n**m
     laws = {}
     for name, statistic in statistics.items():
-        values = np.array([statistic(RadialOrder(r[i], theta[i], s.x[i], s.y[i]))
+        values = np.array([statistic(RadialOrder(s.x[i], s.y[i]))
                            for i in map(list, orders)])
         support, where = np.unique(values, return_inverse=True)
         laws[name] = support, np.bincount(where, weights)

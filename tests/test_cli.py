@@ -328,10 +328,10 @@ class TestTest:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_statistic_fails_without_report(self, tmp_path, capsys, monkeypatch, fmt):
         # the 100 largest radii lie on the theta = 0 ray and the rest off
-        # it, so the full sample's cone-adjusted Hill value on that ray is
-        # finite, but a resample whose top k_mn holds a point with x > 0
-        # is infinitely far from the cone and its value is +inf: the cone
-        # is refused before any resampling
+        # it, so the full sample's cone-adjusted Hill value on a cone whose
+        # upper slope is inf is finite, but a resample whose top k_mn holds
+        # a point with x > 0 is infinitely far from the cone and its value
+        # is +inf: the cone is refused before any resampling
         def refuse(*args):
             raise AssertionError("resampled before refusing the cone")
 
@@ -342,15 +342,20 @@ class TestTest:
         top = r >= np.sort(r)[-100]
         write_sample_csv(src, np.where(top, 0.0, 0.5 * r), np.where(top, r, 0.5 * r))
         out = tmp_path / "o.json"
-        assert run(["test", "--input", src, "--which", "strong", "--k", 100,
-                    "--cone", "0,0", "--B", 20, "--format", fmt, "--output", out]) == 1
-        assert capsys.readouterr().err == (
-            "error: the cone [0.0, 0.0] is the theta = 0 ray, which puts each of the 2900 "
-            "points with x > 0 at infinite distance; a resample that ranks one above its "
-            "k_mn-th radius has an infinite cone-adjusted Hill value, so the "
-            "strong-dependence test is undefined\n"
-        )
-        assert not out.exists()
+        for cone, edge in [
+            ("0,0", "[0.0, 0.0] is the theta = 0 ray"),
+            # 1/b overflows, so the distance's slope 1/b - 1 is inf as at b = 0
+            ("0,1e-320", "[0.0, 1e-320] has an upper edge b whose slope 1/b - 1 overflows to inf"),
+        ]:
+            assert run(["test", "--input", src, "--which", "strong", "--k", 100,
+                        "--cone", cone, "--B", 20, "--format", fmt, "--output", out]) == 1
+            assert capsys.readouterr().err == (
+                f"error: the cone {edge}, which puts each of the 2900 "
+                "points with x > 0 at infinite distance; a resample that ranks one above its "
+                "k_mn-th radius has an infinite cone-adjusted Hill value, so the "
+                "strong-dependence test is undefined\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_report_is_not_written(self, tmp_path, fmt):

@@ -96,9 +96,18 @@ class TestMixtureSpec:
         cone = AngularCone(0.25, 0.75)
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 1.0, cone, 1.0, 1.0, 0.5)  # hidden tail heavier
-        for alpha_main, alpha_hidden in ((0.0, 4.0), (-1.0, 4.0), (2.0, 0.0)):
+        nan = math.nan
+        for alpha_main, alpha_hidden in ((0.0, 4.0), (-1.0, 4.0), (2.0, 0.0), (nan, 4.0),
+                                         (2.0, nan)):
             with pytest.raises(ValueError, match="^Pareto indices must be positive$"):
                 MixtureSpec(alpha_main, alpha_hidden, cone, 1.0, 1.0, 0.5)
+        for z_p, z_q in ((nan, 1.0), (1.0, nan)):
+            with pytest.raises(ValueError, match="^Beta shapes must be positive$"):
+                MixtureSpec(2.0, 4.0, cone, z_p, z_q, 0.5)
+        with pytest.raises(ValueError, match="^alpha must be positive, got nan$"):
+            pareto(nan, 10, stream(15))
+        with pytest.raises(ValueError, match="^shapes must be positive, got p=nan, q=1.0$"):
+            sample_beta(nan, 1.0, 10, stream(15))
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 4.0, cone, 0.0, 1.0, 0.5)
         with pytest.raises(ValueError):

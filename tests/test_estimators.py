@@ -71,7 +71,7 @@ class TestConeAdjustedHill:
             assert cone_adjusted_hill(o, k, cone).value == hill(o, k).value
 
     def test_hand_evaluation(self):
-        s = BivariateSample.from_pairs([(0, 4), (1, 1), (0.5, 0.5)])
+        s = BivariateSample([0, 1, 0.5], [4, 1, 0.5])
         v = cone_adjusted_hill(radial_order(s), 2, AngularCone(0.25, 0.75)).value
         assert v == pytest.approx(1.5 * math.log(2), rel=1e-12)
 
@@ -150,13 +150,13 @@ class TestMaskedAngleWeightedHill:
         assert masked_angle_weighted_hill(o, 2, AngularCone(0.1, 0.3)).value == 1.0
 
     def test_hand_evaluation(self):
-        s = BivariateSample.from_pairs([(3, 1), (0, 2), (1, 1)])
+        s = BivariateSample([3, 0, 1], [1, 2, 1])
         v = masked_angle_weighted_hill(radial_order(s), 2, AngularCone(0.4, 0.8)).value
         assert v == pytest.approx(0.6 * math.log(2), rel=1e-12)
 
     def test_masked_kth_radius_zero(self):
         # only one point inside the cone: R~_(2) = 0, log terms vanish
-        s = BivariateSample.from_pairs([(1, 1), (0, 5), (0, 4)])
+        s = BivariateSample([1, 0, 0], [1, 5, 4])
         assert masked_angle_weighted_hill(radial_order(s), 2, AngularCone(0.4, 0.6)).value == 0.0
 
     def test_definition_on_tied_radii(self):
@@ -357,7 +357,7 @@ class TestRatioOverflow:
     def test_row_kernel_gives_inf_without_warning(self):
         # the bootstrap's rows: the value is not finite, so the report is refused
         r = np.sort(self.R)[::-1][None]
-        rows = RadialOrder(r, r * 0.5, r * 0.5, r * 0.5)
+        rows = RadialOrder(r * 0.5, r * 0.5)
         assert _hill_rows(rows, _log_ratio_rows(rows.sorted_r, 20)).tolist() == [math.inf]
 
 
@@ -380,7 +380,7 @@ class TestOneCallShape:
     @pytest.mark.parametrize("name", list(ORDERS))
     def test_one_order_is_one_row(self, name):
         o = self.ORDERS[name]
-        stacked = RadialOrder(*(v[None] for v in (o.sorted_r, o.theta, o.x, o.y)))
+        stacked = RadialOrder(o.x[None], o.y[None])
         for k in (k for k in (2, 3, 25, 100) if k < o.n):
             logr, logr_rows = _log_ratio_rows(o.sorted_r, k), _log_ratio_rows(stacked.sorted_r, k)
             assert logr_rows.shape == (1, k) and logr_rows[0].tolist() == logr.tolist()

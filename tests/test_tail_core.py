@@ -171,10 +171,6 @@ class TestBivariateSample:
         s = BivariateSample([0, 1], [0, 1])
         assert s.angles.tolist() == [0.0, 0.5]
 
-    def test_from_pairs(self):
-        s = BivariateSample.from_pairs([(1, 2), (3, 4)])
-        assert s.x.tolist() == [1, 3] and s.y.tolist() == [2, 4]
-
     def test_radius_overflow_names_first_point(self):
         # each coordinate is finite, but x + y is not
         with pytest.raises(ValueError, match=r"^the radius x \+ y of point 1 overflows "
@@ -184,7 +180,7 @@ class TestBivariateSample:
 
 class TestRadialOrder:
     def test_hand_sort(self):
-        s = BivariateSample.from_pairs([(1, 0), (3, 1), (0, 2)])
+        s = BivariateSample([1, 3, 0], [0, 1, 2])
         o = radial_order(s)
         assert o.sorted_r.tolist() == [4, 2, 1]
         assert o.theta.tolist() == [0.75, 0, 1]
@@ -194,7 +190,7 @@ class TestRadialOrder:
         assert o.sorted_r.tolist() == [4] and o.theta.tolist() == [0.5]
 
     def test_tie_break_by_index(self):
-        o = radial_order(BivariateSample.from_pairs([(1, 1), (2, 0)]))
+        o = radial_order(BivariateSample([1, 2], [1, 0]))
         assert o.x.tolist() == [1, 2]  # both r=2; input order kept
 
     def test_permutation_of_radii(self):
@@ -211,7 +207,7 @@ class TestRadialOrder:
         sort = tail_core._decreasing_order
         monkeypatch.setattr(tail_core, "_decreasing_order",
                             lambda values: calls.append(values.size) or sort(values))
-        s = BivariateSample.from_pairs([(1, 0), (3, 1), (0, 2)])
+        s = BivariateSample([1, 3, 0], [0, 1, 2])
         first, second = radial_order(s), radial_order(s)
         assert calls == [3, 3]
         assert np.array_equal(first.sorted_r, second.sorted_r)
@@ -222,14 +218,37 @@ class TestRadialOrder:
 
     def test_arrays_are_read_only_views(self):
         # the memo keeps values derived from the arrays, so they must not change
-        given = [np.arange(3.0) for _ in range(4)]
-        o = RadialOrder(*given)
-        for arr, src in zip((o.sorted_r, o.theta, o.x, o.y), given):
-            assert np.shares_memory(arr, src) and not arr.flags.writeable
+        x, y = np.array([3.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+        o = RadialOrder(x, y)
+        for arr, src in ((o.x, x), (o.y, y)):
+            assert np.shares_memory(arr, src) and src.flags.writeable
+        assert o.sorted_r.tolist() == [4.0, 2.0, 0.0] and o.theta.tolist() == [0.75, 0.5, 0.0]
+        for arr in (o.sorted_r, o.theta, o.x, o.y):
+            assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
-            assert src.flags.writeable
         assert "_memo" not in repr(o)
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 0.0], [0.0, 0.0]),  # origin points only
+        ([2.0, 0.0, 1.0], [1.0, 0.0, 3.0]),  # an origin point sorts last
+        ([5e-324, 5e-324, 1e-310, 0.0], [0.0, 5e-324, 3e-310, 5e-324]),  # subnormal radii
+        ([-0.0, 1.0, -0.0, 2.0], [3.0, -0.0, -0.0, 0.0]),  # -0.0 inputs
+        ([0.0, 0.0, 4.0], [1.0, 7.0, 0.0]),  # x = 0 with y > 0
+    ])
+    def test_angles_match_numpy_reference(self, x, y):
+        # theta = x / (x + y), 0 at the origin, taken here by a numpy form
+        # of its own: the order's angle rule is not its own reference
+        s = BivariateSample(x, y)
+        r = s.x + s.y
+        expected = np.where(r > 0, s.x / np.where(r > 0, r, 1.0), 0.0)
+        stable = np.argsort(-r, kind="stable")
+        rows = RadialOrder(s.x[stable][None], s.y[stable][None])
+        got = [(s.angles, expected), (rows.theta[0], expected[stable])]
+        if r.max() > 0:
+            got.append((radial_order(s).theta, expected[stable]))
+        for a, b in got:
+            assert a.tobytes() == b.tobytes() and not np.signbit(a).any()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -252,10 +271,12 @@ class TestRadialOrder:
                 radial_order(s)
             return
         stable = np.argsort(-r, kind="stable")
-        expected = RadialOrder(r[stable], s.angles[stable], s.x[stable], s.y[stable])
+        theta = np.where(r > 0, s.x / np.where(r > 0, r, 1.0), 0.0)  # a reference of its own
+        expected = {"sorted_r": r[stable], "theta": theta[stable], "x": s.x[stable],
+                    "y": s.y[stable]}
         got = radial_order(s)
-        for name in ("sorted_r", "theta", "x", "y"):
-            a, b = getattr(got, name), getattr(expected, name)
+        for name, b in expected.items():
+            a = getattr(got, name)
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
 
     @pytest.mark.parametrize("n", [1, 2, 1000, 200000])
