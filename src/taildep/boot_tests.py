@@ -19,22 +19,20 @@ Every resample draws integers(0, n, m) from its own Philox substream,
 stream(seed, test code, batch, slot, 0), and is scored once by its
 statistic's row kernel in taildep.estimators on a RadialOrder of the
 (x, y) pairs of its k_mn largest radii, which gives a degenerate resample
-the kernels' convention.
+the kernels' convention. A test whose statistic is undefined on the
+sample is refused with a ValueError: by _refuse before any resampling
+where a rule needs none, and by _resample_stats, naming the test, where
+a batch of resamples holds a non-finite statistic.
 The substreams and the indices are the ones stream() and integers give;
-only the way there is cheaper. datagen.stream_keys derives the Philox
-keys of a whole block of slots in one numpy pass of SeedSequence's hash.
-One Philox is reset to each key in turn and returns raw 64-bit words,
-and one numpy pass per chunk of slots maps them to indices by the rule
-numpy's integers uses below 2**32: Lemire's multiply-shift on the 32-bit
-halves of each word, low half first (_SlotDraws). A row in which that
-rule rejects a half is drawn by numpy's integers itself, from the Philox
-reset to its key. Each drawn point's key (dense radius rank in the full
-sample) * m + draw position orders a resample exactly as a stable sort
-by decreasing radius does, so a partition picks the k_mn largest
-without sorting the row. The ranks, the radial order and the Hill
-estimate come from one uint64 key sort (_prepare); `taildep test`
-prepares the sample once and passes it to each test, so a run sorts once.
-All of it runs on one thread.
+only the way there is cheaper: datagen.stream_keys derives the Philox
+keys of a block of slots in one numpy pass, and _SlotDraws maps raw
+Philox words to indices by numpy's own rule. Each drawn point's key
+(dense radius rank in the full sample) * m + draw position orders a
+resample exactly as a stable sort by decreasing radius does, so a
+partition picks the k_mn largest without sorting the row. The ranks,
+the radial order and the Hill estimate come from one uint64 key sort
+(_prepare); `taildep test` prepares the sample once and passes it to
+each test, so a run sorts once. All of it runs on one thread.
 """
 
 from __future__ import annotations
@@ -52,11 +50,10 @@ from taildep.estimators import (
     _angle_weighted_hill_rows,
     _cone_adjusted_hill_rows,
     _log_ratio_rows,
-    cone_adjusted_hill,
     hill,
 )
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order, _slope
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order, cone_distances
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
@@ -181,9 +178,11 @@ def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
 
 def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
     """Raise the ValueError of any test in tests ("H1", "H2", "H3") that is
-    undefined on p and cone whatever it resamples. Every refusal that
-    needs no resampling is made here, so a run that checks all its tests
-    first refuses before any of them resamples."""
+    undefined on p and cone by a rule that needs no resampling, so a run
+    that checks all its tests first refuses before any of them resamples.
+    H1 is refused where cone_distances puts a point at infinite distance,
+    as (1/b - 1) x overflows: a resample that ranks one above its k_mn-th
+    radius scores +inf. _resample_stats refuses any other non-finite batch."""
     positive = p.ordered.theta > 0.0
     if "H3" in tests and cone.is_full:
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
@@ -201,22 +200,11 @@ def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
             "and the F ratio is undefined"
         )
     if "H1" in tests:
-        adjusted = cone_adjusted_hill(p.ordered, p.cfg.k_n, cone).value
-        if not math.isfinite(adjusted):
-            raise ValueError(
-                f"the cone [{cone.a}, {cone.b}] makes the full-sample cone-adjusted Hill "
-                f"value {adjusted} at k_n = {p.cfg.k_n} (the theta = 0 ray puts every point "
-                "with x > 0 at infinite distance), so the strong-dependence test is undefined"
-            )
-        if _slope(cone.b) == math.inf and np.any(p.ordered.x > 0.0):
-            edge = ("is the theta = 0 ray" if cone.b == 0.0 else
-                    "has an upper edge b whose slope 1/b - 1 overflows to inf")
-            raise ValueError(
-                f"the cone [{cone.a}, {cone.b}] {edge}, which puts each of the "
-                f"{np.count_nonzero(p.ordered.x > 0.0)} points with x > 0 at infinite distance; "
-                "a resample that ranks one above its k_mn-th radius has an infinite "
-                "cone-adjusted Hill value, so the strong-dependence test is undefined"
-            )
+        if far := np.count_nonzero(cone_distances(p.ordered.x, p.ordered.y, cone) == np.inf):
+            raise ValueError(f"the cone [{cone.a}, {cone.b}] puts {far} of the {p.sample.n} points "
+                             "at infinite distance, as (1/b - 1) x overflows; a resample that ranks "
+                             "one above its k_mn-th radius has an infinite cone-adjusted Hill "
+                             "value, so the strong-dependence test is undefined")
 
 
 def _report(p: _Prepared, test_id: str, name: str, verdict: str, statistic: float,
@@ -290,7 +278,7 @@ def _resample_stats(
 
     Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
     keeps the k_mn first of a stable sort by p.rank (by decreasing radius,
-    as radial_order sorts).
+    as radial_order sorts). A non-finite value is refused, naming the test.
     """
     s, cfg, m, k, rank = p.sample, p.cfg, p.m_n, p.k_mn, p.rank
     draw = _SlotDraws(s.n, m)
@@ -309,6 +297,10 @@ def _resample_stats(
         idx = np.take_along_axis(idx, top, axis=1)
         rows = RadialOrder(s.x[idx], s.y[idx])
         out[start : start + _CHUNK_ROWS] = kernel(rows, _log_ratio_rows(rows.sorted_r, k), *args)
+    if bad := np.count_nonzero(~np.isfinite(out)):
+        raise ValueError(f"the {test_id} test is undefined on this sample: {bad} of its {cfg.B} "
+                         "resamples have a non-finite statistic, as a radius or cone distance "
+                         "over the resample's k_mn-th radius overflows")
     return out
 
 

@@ -160,22 +160,34 @@ def pareto(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
     """Standard Pareto draws with P(R > x) = x^(-alpha), x >= 1."""
     if not alpha > 0:  # NaN fails too
         raise ValueError(f"alpha must be positive, got {alpha}")
-    u = gen.random(size)
-    return (1.0 - u) ** (-1.0 / alpha)
+    with np.errstate(over="ignore"):
+        r = (1.0 - gen.random(size)) ** (-1.0 / alpha)
+    if np.isinf(r).any():
+        raise ValueError(f"alpha = {alpha} is too small: a Pareto draw overflows the float range")
+    return r
 
 
 def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Beta(p, q) draws via the ratio of two gamma variates.
+    """Beta(p, q) draws via the ratio G1 / (G1 + G2) of two gamma variates.
 
-    Valid for all shapes, including p, q < 1. The rare joint underflow
-    of both gamma draws is redrawn.
+    Valid for all shapes, including p, q < 1. A gamma draw that rounds to
+    0, common at shapes below about 0.01, lies below 2^-1075, where its
+    density is g^(a - 1) / Gamma(a) (e^-g = 1): given that, log G =
+    -1075 log 2 - E / a, E standard exponential, and its row takes the
+    ratio from the log difference.
     """
     if not (p > 0 and q > 0):  # NaN fails too
         raise ValueError(f"shapes must be positive, got p={p}, q={q}")
     g1, g2 = gen.standard_gamma(p, size), gen.standard_gamma(q, size)
-    while (bad := np.flatnonzero(g1 + g2 == 0.0)).size:
-        g1[bad], g2[bad] = gen.standard_gamma(p, bad.size), gen.standard_gamma(q, bad.size)
-    return g1 / (g1 + g2)
+    bad = np.flatnonzero((g1 == 0.0) | (g2 == 0.0))
+    s = min(p, q)  # s log G stays finite where log G overflows; divided out last
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = g1 / (g1 + g2)
+        l1, l2 = (np.where(g[bad] > 0.0, s * np.log(g[bad]),
+                           s * np.log(2.0) * -1075 - gen.standard_exponential(bad.size) * (s / a))
+                  for g, a in ((g1, p), (g2, q)))
+        z[bad] = 1.0 / (1.0 + np.exp((l2 - l1) / s))
+    return z
 
 
 def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> np.ndarray:

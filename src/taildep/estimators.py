@@ -97,7 +97,7 @@ def _hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
 def _cone_adjusted_hill_rows(rows: RadialOrder, logr: np.ndarray, cone: AngularCone) -> np.ndarray:
     k = logr.shape[-1]
     d = cone_distances(rows.x[..., :k], rows.y[..., :k], cone)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = (1.0 + d / rows.sorted_r[..., k - 1 : k]) * logr
     # inf * 0 at a zero log ratio: the log factor wins, the term is 0
     return np.where(logr > 0.0, terms, 0.0).mean(axis=-1)

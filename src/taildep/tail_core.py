@@ -161,15 +161,10 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
         return np.maximum(np.maximum(y - _slope_times(cone.a, x), below), 0.0)
 
 
-def _slope(c: float) -> float:
-    """The slope 1/c - 1 of a cone edge at angle c; +inf at 0 and where 1/c overflows."""
-    return np.inf if c == 0.0 else 1.0 / float(c) - 1.0
-
-
 def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
     """(1/c - 1) * x, with 1/0 = +inf, 0 (not inf * 0 = nan) where x == 0
     and +inf where the product overflows."""
-    slope = _slope(c)
+    slope = np.inf if c == 0.0 else 1.0 / float(c) - 1.0
     if slope < np.inf:
         return slope * x
     return np.multiply(slope, x, out=np.zeros(x.shape), where=x != 0.0)

@@ -179,10 +179,11 @@ def test_criterion_05_example1_battery(ex1_samples):
 
     The H3 clause hangs on the random streams. With today's per-slot
     streams the statistic is inside the band in 77 of seeds 0-99, so
-    16/20 is met with probability about 0.50; seeds 0-19 give 17. Stream
-    scheme v2 (one stream per (seed, test, batch) drawing all B slots as
-    rows, ROADMAP direction 5) gives 12/20 on the same seeds, and it
-    moves criterion 6's chi-square count from 12/20 to 14/20.
+    16/20 is met with probability about 0.50; seeds 0-19 give 17. A
+    shared draw (ROADMAP direction 2: one stream for H1, H2 and H3's
+    plain batch, a second for H3's masked batch, blocks of 64 rows) gave
+    an H1 mean rate of 0.0727, H3 18/20 and H2 15/20 on the same seeds,
+    and moved criterion 6's chi-square misses from 12/20 to 11/20.
     """
     rates, h2_hits, h3_hits = [], 0, 0
     for seed in SEEDS:

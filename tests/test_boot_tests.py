@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,34 @@ class TestWeakDependence:
         masked = rep.auxiliary["per_resample_masked"]
         assert len(rep.per_resample) == len(masked) == 100
         assert rep.per_resample != masked
+
+
+def _wide_radius_sample():
+    """3000 points at angles in [0.3, 0.7] whose radii span more than the
+    float range: the first 60 near 1e200, the rest near 1e-200."""
+    gen = np.random.Generator(np.random.Philox(23))
+    r = np.where(np.arange(3000) < 60, 1e200, 1e-200) * (1 - gen.random(3000)) ** -0.5
+    theta = 0.3 + 0.4 * gen.random(3000)
+    return BivariateSample(r * theta, r * (1 - theta))
+
+
+class TestNonFiniteStatistics:
+    @pytest.mark.parametrize("test_id, bad", [("H1", 151), ("H2", 138), ("H3", 133)])
+    def test_non_finite_resamples_refused(self, test_id, bad):
+        # a resample whose top k_mn holds a radius near 1e200 and one near
+        # 1e-200 has a log ratio of inf, so its statistic is inf or nan
+        run = {"H1": lambda s, cfg: strong_dependence_test(s, CONE, cfg),
+               "H2": full_dependence_test,
+               "H3": lambda s, cfg: weak_dependence_test(s, CONE, cfg)}[test_id]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                run(_wide_radius_sample(), Config(k_n=50, B=200))
+        assert str(exc.value) == (
+            f"the {test_id} test is undefined on this sample: {bad} of its 200 resamples have a "
+            "non-finite statistic, as a radius or cone distance over the resample's k_mn-th "
+            "radius overflows"
+        )
 
 
 class TestDeterminismAndInvariance:

@@ -71,6 +71,32 @@ class TestSimulate:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (2000, 2) and np.all(np.isfinite(data)) and np.all(data >= 0)
 
+    def test_shapes_where_every_gamma_draw_underflows(self, tmp_path):
+        # at shapes 1e-300 each Beta draw is 0 or 1, so each on-cone angle
+        # is a cone edge; a child process, so a draw that never ends times out
+        out = tmp_path / "t.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "taildep.cli", "simulate", "--n", "1000",
+             "--beta-p", "1e-300", "--beta-q", "1e-300", "--mix-prob", "1", "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        theta = data[:, 0] / data.sum(axis=1)
+        assert np.all(np.isclose(theta, 0.25) | np.isclose(theta, 0.75))
+
+    def test_overflowing_pareto_draw_refused(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--n", 30000, "--alpha-main", 0.01, "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: alpha = 0.01 is too small: a Pareto draw overflows the float range\n"
+        )
+        assert not out.exists()
+
     def test_invalid_spec_exits_nonzero(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
         assert run(["simulate", "--n", 10, "--alpha-main", 4,
@@ -331,7 +357,9 @@ class TestTest:
         # it, so the full sample's cone-adjusted Hill value on a cone whose
         # upper slope is inf is finite, but a resample whose top k_mn holds
         # a point with x > 0 is infinitely far from the cone and its value
-        # is +inf: the cone is refused before any resampling
+        # is +inf: the cone is refused before any resampling, by the count
+        # of points that cone_distances puts at infinite distance. The scale
+        # 1e9 makes a finite slope overflow too: 1e300 x for b = 1e-300
         def refuse(*args):
             raise AssertionError("resampled before refusing the cone")
 
@@ -340,22 +368,44 @@ class TestTest:
         gen = np.random.Generator(np.random.Philox(13))
         r = (1 - gen.random(3000)) ** -0.5
         top = r >= np.sort(r)[-100]
-        write_sample_csv(src, np.where(top, 0.0, 0.5 * r), np.where(top, r, 0.5 * r))
+        write_sample_csv(src, 1e9 * np.where(top, 0.0, 0.5 * r), 1e9 * np.where(top, r, 0.5 * r))
         out = tmp_path / "o.json"
         for cone, edge in [
-            ("0,0", "[0.0, 0.0] is the theta = 0 ray"),
+            ("0,0", "[0.0, 0.0]"),
             # 1/b overflows, so the distance's slope 1/b - 1 is inf as at b = 0
-            ("0,1e-320", "[0.0, 1e-320] has an upper edge b whose slope 1/b - 1 overflows to inf"),
+            ("0,1e-320", "[0.0, 1e-320]"),
+            ("0,1e-300", "[0.0, 1e-300]"),
         ]:
             assert run(["test", "--input", src, "--which", "strong", "--k", 100,
                         "--cone", cone, "--B", 20, "--format", fmt, "--output", out]) == 1
             assert capsys.readouterr().err == (
-                f"error: the cone {edge}, which puts each of the 2900 "
-                "points with x > 0 at infinite distance; a resample that ranks one above its "
-                "k_mn-th radius has an infinite cone-adjusted Hill value, so the "
-                "strong-dependence test is undefined\n"
+                f"error: the cone {edge} puts 2900 of the 3000 points at infinite distance, "
+                "as (1/b - 1) x overflows; a resample that ranks one above its k_mn-th radius "
+                "has an infinite cone-adjusted Hill value, so the strong-dependence test is "
+                "undefined\n"
             )
             assert not out.exists()
+
+    def test_non_finite_resamples_fail_without_report(self, tmp_path, capsys):
+        # radii span more than the float range (60 near 1e200, the rest near
+        # 1e-200), so a resample whose top k_mn holds both has a log ratio
+        # of inf; H1 runs first and is refused after resampling
+        gen = np.random.Generator(np.random.Philox(23))
+        r = np.where(np.arange(3000) < 60, 1e200, 1e-200) * (1 - gen.random(3000)) ** -0.5
+        theta = 0.3 + 0.4 * gen.random(3000)
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, r * theta, r * (1 - theta))
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["test", "--input", src, "--which", "all", "--k", 50, "--B", 200,
+                        "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the H1 test is undefined on this sample: 151 of its 200 resamples have a "
+            "non-finite statistic, as a radius or cone distance over the resample's k_mn-th "
+            "radius overflows\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_report_is_not_written(self, tmp_path, fmt):
@@ -366,21 +416,24 @@ class TestTest:
         assert not out.exists()
 
     def test_zero_ray_cone_refused_before_resampling(self, ex1_csv, tmp_path, capsys, monkeypatch):
-        # every top-k point of Example 1 has x > 0, so on the theta = 0 ray
-        # the full-sample cone-adjusted Hill value is already +inf
+        # every point of Example 1 has x > 0, so a cone whose upper slope
+        # 1/b - 1 is inf (b = 0, or 1/b overflows) puts all of them at
+        # infinite distance; only the first of the two is the theta = 0 ray
         def refuse(*args):
             raise AssertionError("resampled before refusing the cone")
 
         monkeypatch.setattr(boot_tests, "_resample_stats", refuse)
         out = tmp_path / "o.json"
-        assert run(["test", "--input", ex1_csv, "--which", "strong", "--k", 100,
-                    "--cone", "0,0", "--output", out]) == 1
-        assert capsys.readouterr().err == (
-            "error: the cone [0.0, 0.0] makes the full-sample cone-adjusted Hill value inf "
-            "at k_n = 100 (the theta = 0 ray puts every point with x > 0 at infinite "
-            "distance), so the strong-dependence test is undefined\n"
-        )
-        assert not out.exists()
+        for cone, edge in [("0,0", "[0.0, 0.0]"), ("0,1e-320", "[0.0, 1e-320]")]:
+            assert run(["test", "--input", ex1_csv, "--which", "strong", "--k", 100,
+                        "--cone", cone, "--output", out]) == 1
+            assert capsys.readouterr().err == (
+                f"error: the cone {edge} puts 30000 of the 30000 points at infinite distance, "
+                "as (1/b - 1) x overflows; a resample that ranks one above its k_mn-th radius "
+                "has an infinite cone-adjusted Hill value, so the strong-dependence test is "
+                "undefined\n"
+            )
+            assert not out.exists()
 
     def test_m_n_above_n_refused_before_any_draw(self, ex1_csv, tmp_path, capsys, monkeypatch):
         # m_n = 5e6 on 30000 points would draw a (64, 2500001) block of words per chunk

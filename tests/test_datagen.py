@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ class TestPareto:
         with pytest.raises(ValueError):
             pareto(0.0, 10, stream(4))
 
+    def test_overflowing_draw_refused(self):
+        # (1 - u)^(-1/alpha) overflows for 1 - u below 2^(-1024 alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^alpha = 0\.01 is too small: a Pareto draw "
+                                                 r"overflows the float range$"):
+                pareto(0.01, 30000, stream(4))
+
 
 class TestSampleBeta:
     def test_uniform_case(self):
@@ -63,13 +72,32 @@ class TestSampleBeta:
 
     def test_joint_underflow_is_redrawn(self):
         # at shapes 0.001 about a fifth of the pairs of gamma draws are both 0,
-        # whose ratio 0/0 the redraw replaces
+        # whose ratio 0/0 a draw from the law below the underflow replaces
         gen = stream(10)
         first = gen.standard_gamma(0.001, 2000) + gen.standard_gamma(0.001, 2000)
         assert np.any(first == 0.0)
         z = sample_beta(0.001, 0.001, 2000, stream(10))
         assert np.all(np.isfinite(z)) and np.all((z >= 0) & (z <= 1))
         assert z.tolist() == sample_beta(0.001, 0.001, 2000, stream(10)).tolist()
+
+    def test_shapes_where_every_gamma_draw_underflows(self):
+        # at shapes 1e-300 every gamma draw rounds to 0, and Beta(p, q) is
+        # 0 or 1 in floats, 1 with probability p / (p + q)
+        z = sample_beta(1e-300, 1e-300, 100000, stream(12))
+        assert np.isin(z, [0.0, 1.0]).all()
+        assert z.mean() == pytest.approx(0.5, abs=0.006)
+        z = sample_beta(1e-300, 3e-300, 100000, stream(13))
+        assert np.isin(z, [0.0, 1.0]).all()
+        assert z.mean() == pytest.approx(0.25, abs=0.006)
+
+    def test_law_where_gamma_draws_underflow(self):
+        # at shapes (0.001, 0.003) about half of the gamma draws round to 0;
+        # P(Z <= t) = t^p / (p B(p, q)) to within a factor 1 + t
+        p, q, t, n = 0.001, 0.003, 1e-100, 400000
+        cdf = math.exp(p * math.log(t) - math.log(p)
+                       - math.lgamma(p) - math.lgamma(q) + math.lgamma(p + q))
+        z = sample_beta(p, q, n, stream(14))
+        assert abs(np.mean(z <= t) - cdf) < 4 * math.sqrt(cdf * (1 - cdf) / n)
 
 
 class TestUniformOffCone:
