@@ -23,7 +23,7 @@ import os
 import stat
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from taildep.boot_tests import (
     strong_dependence_test,
     weak_dependence_test,
 )
-from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, MixtureSpec, generate
+from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, generate
 from taildep.support_fit import SupportFitOptions, estimate_support
 from taildep.tail_core import (
     AngularCone,
@@ -56,6 +56,12 @@ _TESTS = {"strong": ("H1",), "full": ("H2",), "weak": ("H3",), "all": ("H1", "H2
 def _default_k(n: int) -> int:
     # heuristic only; thresholds should be chosen by the analyst
     return min(-(-n // 10), 100)
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among names that the command line gave, keyed by dest: a
+    flag left out keeps the default of the library field it sets."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _parse_cone(text: str) -> AngularCone:
@@ -213,20 +219,8 @@ def _emit_report(path: str, payload: dict, fmt: str) -> None:
 # commands
 
 def cmd_simulate(args) -> int:
-    if args.example == 1:
-        spec = EXAMPLE1_SPEC
-    elif args.example == 2:
-        spec = EXAMPLE2_SPEC
-    else:
-        cone = args.cone if args.cone is not None else AngularCone(0.25, 0.75)
-        spec = MixtureSpec(
-            alpha_main=args.alpha_main,
-            alpha_hidden=args.alpha_hidden,
-            cone=cone,
-            z_p=args.beta_p,
-            z_q=args.beta_q,
-            mix_prob=args.mix_prob,
-        )
+    spec = replace(EXAMPLE2_SPEC if args.example == 2 else EXAMPLE1_SPEC,
+                   **_given(args, "alpha_main", "alpha_hidden", "cone", "z_p", "z_q", "mix_prob"))
     sample = generate(spec, args.n, args.seed)
     _write_csv(args.output, "x,y", sample.x, sample.y)
     return 0
@@ -252,7 +246,7 @@ def cmd_prep(args) -> int:
 
 
 def cmd_support(args) -> int:
-    fit_opts = SupportFitOptions(lam=args.lam)
+    fit_opts = SupportFitOptions(**_given(args, "lam"))
     x, y = _load_pair(args)
     sample = BivariateSample(x, y)
     ordered = radial_order(sample)
@@ -265,7 +259,7 @@ def cmd_support(args) -> int:
             "b_hat": est.b_hat,
             "objective_value": est.objective_value,
             "k": k,
-            "lambda": args.lam,
+            "lambda": fit_opts.lam,
             "n": sample.n,
         },
         args.format,
@@ -274,7 +268,7 @@ def cmd_support(args) -> int:
 
 
 def cmd_test(args) -> int:
-    fit_opts = SupportFitOptions(lam=args.lam)
+    fit_opts = SupportFitOptions(**_given(args, "lam"))
     if args.threads < 1:
         raise ValueError("threads must be positive")
     x, y = _load_pair(args)
@@ -283,14 +277,7 @@ def cmd_test(args) -> int:
     if args.k is None and k < 2:
         raise ValueError(f"k_n must be at least 2, got {k} from the default "
                          f"min(ceil(n/10), 100) with n = {sample.n}: give --k")
-    cfg = TestConfig(
-        k_n=k,
-        seed=args.seed,
-        m_n=args.mn,
-        k_mn=args.kmn,
-        B=args.B,
-        alpha_sig=args.alpha_sig,
-    )
+    cfg = TestConfig(k_n=k, seed=args.seed, **_given(args, "m_n", "k_mn", "B", "alpha_sig"))
     tests = _TESTS[args.which]
     # one sort serves the support fit and every test
     prepared = _prepare(sample, cfg)
@@ -315,7 +302,7 @@ def cmd_test(args) -> int:
         "which": args.which,
         "cone": [cone.a, cone.b] if cone is not None else None,
         "cone_source": cone_source if cone is not None else None,
-        "config": {**asdict(cfg), "lambda": args.lam},
+        "config": {**asdict(cfg), "lambda": fit_opts.lam},
         # a report's own fields; asdict would deep-copy each per-resample float
         "reports": [vars(r) for r in reports],
     }
@@ -357,7 +344,7 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None,
                    help="upper order statistics (default: min(ceil(n/10), 100), a heuristic)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,16 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     seed = dict(type=int, default=os.environ.get(DEFAULT_SEED_ENV, "0"))
 
     sim = sub.add_parser("simulate", help="emit a synthetic sample as CSV")
-    sim.add_argument("--example", type=int, choices=(1, 2), default=None,
-                     help="built-in generator preset; omit for custom flags")
+    sim.add_argument("--example", type=int, choices=(1, 2), default=1,
+                     help="the paper's Example 1 or 2 as the base spec (default 1); "
+                          "each mixture flag given overrides its field")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", **seed)
-    sim.add_argument("--alpha-main", type=float, default=2.0)
-    sim.add_argument("--alpha-hidden", type=float, default=4.0)
-    sim.add_argument("--cone", type=_parse_cone, default=None)
-    sim.add_argument("--beta-p", type=float, default=0.05)
-    sim.add_argument("--beta-q", type=float, default=0.1)
-    sim.add_argument("--mix-prob", type=float, default=0.5)
+    sim.add_argument("--alpha-main", type=float)
+    sim.add_argument("--alpha-hidden", type=float)
+    sim.add_argument("--cone", type=_parse_cone)
+    sim.add_argument("--beta-p", dest="z_p", type=float, metavar="P")
+    sim.add_argument("--beta-q", dest="z_q", type=float, metavar="Q")
+    sim.add_argument("--mix-prob", type=float)
     sim.add_argument("--output", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -406,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--which", choices=tuple(_TESTS), default="all")
     test.add_argument("--cone", type=_parse_cone, default=None,
                       help="fixed cone 'a,b'; omitted: estimated from the data")
-    test.add_argument("--mn", type=int, default=None)
-    test.add_argument("--kmn", type=int, default=None)
-    test.add_argument("--B", type=int, default=2000)
-    test.add_argument("--alpha-sig", type=float, default=0.05)
+    test.add_argument("--mn", dest="m_n", type=int)
+    test.add_argument("--kmn", dest="k_mn", type=int)
+    test.add_argument("--B", type=int)
+    test.add_argument("--alpha-sig", type=float)
     test.add_argument("--threads", type=int, default=1,
                       help="accepted for compatibility; the bootstrap runs on one thread")
     test.add_argument("--output", required=True)

@@ -16,6 +16,7 @@ the draws of the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,9 @@ class MixtureSpec:
             raise ValueError("off-cone tail must be at least as light as the on-cone tail")
         if not (self.z_p > 0 and self.z_q > 0):
             raise ValueError("Beta shapes must be positive")
+        if math.isinf(self.z_p) or math.isinf(self.z_q):  # inf / inf is NaN in sample_beta
+            raise ValueError(f"Beta shapes must be positive and finite, got z_p={self.z_p}, "
+                             f"z_q={self.z_q}")
         if not (0.0 < self.mix_prob <= 1.0):
             raise ValueError("mix_prob must lie in (0, 1]")
         if self.mix_prob < 1.0 and self.cone.is_full:
@@ -178,6 +182,8 @@ def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.n
     """
     if not (p > 0 and q > 0):  # NaN fails too
         raise ValueError(f"shapes must be positive, got p={p}, q={q}")
+    if math.isinf(p) or math.isinf(q):  # a gamma draw at shape inf is inf, and inf / inf NaN
+        raise ValueError(f"shapes must be positive and finite, got p={p}, q={q}")
     g1, g2 = gen.standard_gamma(p, size), gen.standard_gamma(q, size)
     bad = np.flatnonzero((g1 == 0.0) | (g2 == 0.0))
     s = min(p, q)  # s log G stays finite where log G overflows; divided out last

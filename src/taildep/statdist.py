@@ -255,14 +255,14 @@ def chisq_quantile(p: float, df: float) -> float:
     Wilson-Hilferty approximation."""
     p = _check_p(p)
     df = _check_df(df)
+    half = 0.5 * df
     z = normal_quantile(p)
     t = 2.0 / (9.0 * df)
     x0 = df * (1.0 - t + z * math.sqrt(t)) ** 3
     if x0 <= 0.0:
-        x0 = df * math.exp((math.log(p) + math.lgamma(0.5 * df) +
-                            0.5 * df * math.log(2.0)) / (0.5 * df)) / 2.0
-        x0 = max(x0, 1e-300)
-    half = 0.5 * df
+        # solve the series' leading term, P(h, x/2) ~ (x/2)^h / Gamma(h + 1) = p
+        # with h = df/2; lgamma(h + 1) -> 0 as h -> 0, so the exponent stays finite
+        x0 = max(2.0 * math.exp((math.log(p) + math.lgamma(half + 1.0)) / half), 1e-300)
     upper, q = p > 1.0 - _P_LOW, 1.0 - p
 
     def excess(x: float) -> float:

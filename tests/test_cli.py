@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from taildep import boot_tests, cli, tail_core
 from taildep.cli import main
-from taildep.datagen import pareto
+from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, generate, pareto
+from taildep.tail_core import AngularCone
 
 
 def run(args):
@@ -103,12 +105,46 @@ class TestSimulate:
                     "--alpha-hidden", 2, "--output", out]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, spec", [
+        ([], EXAMPLE1_SPEC),
+        (["--example", 1], EXAMPLE1_SPEC),
+        (["--example", 2, "--mix-prob", 1, "--cone", "0.1,0.2"],
+         replace(EXAMPLE2_SPEC, mix_prob=1.0, cone=AngularCone(0.1, 0.2))),
+    ], ids=["no_flags", "example_1", "example_2_overridden"])
+    def test_example_is_the_base_the_mixture_flags_override(self, tmp_path, flags, spec):
+        out, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
+        assert run(["simulate", *flags, "--n", 300, "--seed", 4, "--output", out]) == 0
+        sample = generate(spec, 300, 4)
+        cli._write_csv(str(ref), "x,y", sample.x, sample.y)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("flag, shapes", [("--beta-p", "z_p=inf, z_q=0.1"),
+                                              ("--beta-q", "z_p=0.05, z_q=inf")])
+    def test_infinite_beta_shape_refused(self, tmp_path, capsys, flag, shapes):
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--n", 10, flag, "inf", "--output", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: Beta shapes must be positive and finite, got {shapes}\n")
+        assert not out.exists()
+
     def test_negative_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run(["simulate", "--example", 1, "--n", 10, "--seed", -1,
                     "--output", out]) == 1
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_parser_states_no_library_default():
+    # a flag left out takes the default of the library field it sets
+    parser = cli.build_parser()
+    sim = parser.parse_args(["simulate", "--n", "1", "--output", "o"])
+    test = parser.parse_args(["test", "--input", "i", "--output", "o"])
+    support = parser.parse_args(["support", "--input", "i", "--output", "o"])
+    given = [getattr(sim, name) for name in
+             ("alpha_main", "alpha_hidden", "cone", "z_p", "z_q", "mix_prob")]
+    given += [getattr(test, name) for name in ("lam", "m_n", "k_mn", "B", "alpha_sig")]
+    assert given + [support.lam] == [None] * 12
 
 
 class TestPrep:

@@ -70,6 +70,16 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             sample_beta(0.0, 1.0, 10, stream(9))
 
+    @pytest.mark.parametrize("p, q", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_shapes_refused(self, p, q):
+        # a gamma draw at shape inf is inf, and inf / inf would be a NaN draw
+        with pytest.raises(ValueError,
+                           match=f"^shapes must be positive and finite, got p={p}, q={q}$"):
+            sample_beta(p, q, 10, stream(9))
+        with pytest.raises(ValueError, match=f"^Beta shapes must be positive and finite, "
+                                             f"got z_p={p}, z_q={q}$"):
+            MixtureSpec(2.0, 4.0, AngularCone(0.25, 0.75), p, q, 0.5)
+
     def test_joint_underflow_is_redrawn(self):
         # at shapes 0.001 about a fifth of the pairs of gamma draws are both 0,
         # whose ratio 0/0 a draw from the law below the underflow replaces

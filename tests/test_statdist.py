@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,23 @@ class TestChisq:
                 assert chisq_quantile(p, df) == pytest.approx(
                     scipy.stats.chi2.ppf(p, df), rel=1e-8
                 )
+
+    @pytest.mark.parametrize("df", [1e-4, 1e-3, 0.01, 0.1, 0.5])
+    def test_small_df_against_scipy(self, df):
+        # the Wilson-Hilferty start is <= 0 at most of these p; the start the
+        # series' leading term gives must not overflow as df -> 0
+        for p in (1e-300, 1e-20, 1e-3, 0.3, 0.9, 0.99, 1 - 1e-12):
+            expected = scipy.stats.chi2.ppf(p, df)
+            got = chisq_quantile(p, df)
+            if expected < sys.float_info.min:  # the quantile underflows
+                assert 0.0 <= got < sys.float_info.min
+            else:
+                assert got == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    def test_upper_bracket_doubles(self):
+        # the first upper bracket, twice the Wilson-Hilferty start (34.03), lies
+        # below the quantile; the value is scipy's chi2.ppf
+        assert chisq_quantile(1 - 1e-12, 0.01) == 38.68051167268304
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -150,6 +168,13 @@ class TestSpecialFunctions:
     def test_bad_arguments_refused(self, fn, args, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             fn(*args)
+
+    def test_zero_at_and_below_the_support(self):
+        assert gamma_p(2.0, 0.0) == 0.0
+        assert beta_inc(2.0, 3.0, 0.0) == 0.0
+        for x in (0.0, -1.0):
+            assert chisq_cdf(x, 3) == 0.0
+            assert f_cdf(x, 2, 7) == 0.0
 
     def test_beta_inc_against_scipy(self):
         for a, b in ((0.5, 0.5), (2, 3), (999.5, 999.5)):
