@@ -29,10 +29,11 @@ keys of a block of slots in one numpy pass, and _SlotDraws maps raw
 Philox words to indices by numpy's own rule. Each drawn point's key
 (dense radius rank in the full sample) * m + draw position orders a
 resample exactly as a stable sort by decreasing radius does, so a
-partition picks the k_mn largest without sorting the row. The ranks,
-the radial order and the Hill estimate come from one uint64 key sort
-(_prepare); `taildep test` prepares the sample once and passes it to
-each test, so a run sorts once. All of it runs on one thread.
+partition picks the k_mn largest without sorting the row. _prepare sorts
+the sample once, by one uint64 key sort, for the radial order and the
+Hill estimate, and derives the dense ranks from its sorted radii;
+`taildep test` prepares the sample once and passes it to each test, so a
+run sorts once. All of it runs on one thread.
 """
 
 from __future__ import annotations
@@ -163,15 +164,18 @@ def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
                              "its resamples and band would not follow cfg")
         return s
     m, k_m = cfg.resolve(s.n)
-    ordered, order, dense = _radial_order(s)
+    ordered, order = _radial_order(s)
     value = hill(ordered, cfg.k_n).value
     if value == 0.0:
         raise ValueError(
             f"the {cfg.k_n} largest radii are all tied, so the Hill estimate is 0 "
             "and the tests are undefined"
         )
-    rank = np.empty_like(dense)
-    rank[order] = dense
+    # sorted_r holds the radii the sort ranked, so its strict decreases are
+    # the steps of the dense rank: 0 at the largest radius, one more per step
+    r = ordered.sorted_r
+    rank = np.empty(s.n, dtype=np.int64)
+    rank[order] = np.concatenate(([0], np.cumsum(r[1:] < r[:-1])))
     band = normal_quantile(1.0 - cfg.alpha_sig / 2.0) * value / math.sqrt(k_m)
     return _Prepared(s, cfg, m, k_m, ordered, rank, value, band)
 

@@ -311,9 +311,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_diamond(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"bins must be a positive integer, got {args.bins}")
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
-    ordered, order, _ = _radial_order(BivariateSample(np.abs(x), np.abs(y)))
+    ordered, order = _radial_order(BivariateSample(np.abs(x), np.abs(y)))
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")

@@ -49,8 +49,6 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
 
     D >= H always, so the absolute value is the cone-adjustment gap.
     """
-    if not (0.0 <= a <= b <= 1.0):
-        raise ValueError(f"need 0 <= a <= b <= 1, got ({a}, {b})")
     _check_k(ord, k)
     return _objective(ord, a, b, _log_ratios(ord, k), _penalty_weight(lam, k))
 

@@ -178,10 +178,9 @@ def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
     return float(cone_distances(np.array([x]), np.array([y]), cone)[0])
 
 
-def _decreasing_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decreasing_order(values: np.ndarray) -> np.ndarray:
     """Indices that sort values (nonnegative, no -0.0) in decreasing order,
-    ties in sample order, and each sorted position's dense rank (0 for the
-    largest; equal values share a rank).
+    ties in sample order.
 
     One in-place sort of uint64 keys: a value's complemented bits, which
     ascend as it descends, with the low bits replaced by its index. Values
@@ -207,25 +206,17 @@ def _decreasing_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                        for end, side in ((bad | low, "right"), (bad & ~low, "left")))
         size = stop - start
         runs = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-        fixed = runs[np.argsort(-ranked[runs], kind="stable")]
-        order[runs], ranked[runs] = order[fixed], ranked[fixed]
-    step = ranked[1:] != ranked[:-1]
-    del ranked  # order and the dense ranks are the only n-long arrays left
-    if step.all():
-        return order, np.arange(n)
-    dense = np.zeros(n, dtype=np.int64)
-    dense[1:] = step  # cumsum of the bools would cast all of them to a temporary first
-    return order, np.cumsum(dense, out=dense)
+        order[runs] = order[runs[np.argsort(-ranked[runs], kind="stable")]]
+    return order
 
 
-def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray, np.ndarray]:
-    """radial_order(s), with the sort order and the dense rank of each
-    sorted position that _decreasing_order returns."""
-    order, dense = _decreasing_order(s.radii)
+def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray]:
+    """radial_order(s), with the sort order that _decreasing_order returns."""
+    order = _decreasing_order(s.radii)
     ordered = RadialOrder(s.x[order], s.y[order])
     if ordered.sorted_r[0] == 0.0:
         raise ValueError("all points are at the origin; no radial order exists")
-    return ordered, order, dense
+    return ordered, order
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:
@@ -237,7 +228,7 @@ def radial_order(s: BivariateSample) -> RadialOrder:
     return _radial_order(s)[0]
 
 
-def log_returns(prices, stride: int = 1) -> np.ndarray:
+def log_returns(prices, stride: int) -> np.ndarray:
     """Strided log returns log(p[(j+1)*stride] / p[j*stride]).
 
     A trailing partial stride window is dropped, so the result has

@@ -442,6 +442,27 @@ class TestDeterminismAndInvariance:
         assert np.array_equal(rank, np.unique(-s.radii, return_inverse=True)[1])
         _assert_slots_match_stable_argsort(s, AngularCone(0.2, 0.6), cfg)
 
+    def test_ranks_follow_the_run_repair(self, monkeypatch):
+        # radii 1 + i * 2**-52 differ only in the sort key's low bits, so the
+        # sort re-sorts their run by one stable argsort; repeats and zeros tie
+        gen = np.random.Generator(np.random.Philox(3))
+        ulps = 1.0 + np.arange(5000) * 2.0**-52
+        r = gen.permutation(np.concatenate([ulps, gen.choice(ulps, 500), np.zeros(300)]))
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: calls.append(a.size) or argsort(a, **kw))
+        rank = boot_tests._prepare(BivariateSample(r, np.zeros(r.size)), Config(k_n=100)).rank
+        monkeypatch.undo()
+        assert calls
+        assert np.array_equal(rank, np.unique(-r, return_inverse=True)[1])
+
+    def test_wide_keys_match_stable_argsort(self):
+        # (max rank + 1) * m_n = 46341**2 > 2**31 takes the int64 slot key
+        s = example1(46341, 5)
+        cfg = Config(k_n=100, seed=5, m_n=46341, k_mn=10, B=3)
+        assert (int(boot_tests._prepare(s, cfg).rank.max()) + 1) * cfg.m_n > 2**31
+        _assert_slots_match_stable_argsort(s, CONE, cfg)
+
 
 def _assert_slots_match_stable_argsort(s, cone, cfg):
     """H1/H2/H3 per_resample == the per-slot path: stream(seed, code,

@@ -512,6 +512,7 @@ class TestTest:
         ("support", ["--lambda", 0], "lambda must be positive and finite, got 0.0"),
         ("prep", ["--max-lag", 0], "max_lag must be a positive integer, got 0"),
         ("prep", ["--max-lag", -3], "max_lag must be a positive integer, got -3"),
+        ("diamond", ["--bins", 0], "bins must be a positive integer, got 0"),
     ])
     def test_flag_values_checked_before_reading_the_input(self, tmp_path, capsys, monkeypatch,
                                                           cmd, flags, error):

@@ -113,6 +113,17 @@ class TestF:
                     scipy.stats.f.ppf(p, d1, d2), rel=1e-8
                 )
 
+    @pytest.mark.parametrize("small", [0.01, 0.1, 1, 5, 30])
+    @pytest.mark.parametrize("big", [1e5, 1e6, 3e6])
+    def test_far_apart_df_against_scipy(self, small, big):
+        # log B(a, b) at a << b: lgamma(a + b) - lgamma(b) taken as a difference
+        # of two numbers near 6e6 missed 1e-8 by up to 1e-6
+        for d1, d2 in ((small, big), (big, small)):
+            for p in (1e-6, 1e-3, 0.025, 0.5, 0.9, 0.975, 0.999):
+                expected = scipy.stats.f.ppf(p, d1, d2)
+                if 1e-290 < expected < 1e290:
+                    assert f_quantile(p, d1, d2) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
 
 class TestRoundTripsAndMonotonicity:
     PS = np.linspace(0.001, 0.999, 211)

@@ -39,6 +39,12 @@ class TestObjective:
         with pytest.raises(ValueError):
             support_objective(o, 10, 0.2, 0.8, 0.0)
 
+    def test_reversed_cone_refused_by_the_cone(self):
+        # AngularCone alone decides what a valid cone is
+        o = radial_order(example1(100, 0))
+        with pytest.raises(ValueError, match=r"cone requires 0 <= a <= b <= 1, got \[0\.5, 0\.2\]"):
+            support_objective(o, 10, 0.5, 0.2, 1.0)
+
     def test_lambda_sqrt_k_overflow_refused(self):
         # lambda * sqrt(20) overflows, and inf * 0 would be nan
         o = radial_order(example1(100, 0))
