@@ -5,9 +5,13 @@ gamma and beta with safeguarded Newton inversion) so that the decision
 thresholds used by the bootstrap tests are bit-reproducible across
 platforms. Accuracy target is 1e-8 relative or better in both tails:
 above p = 1 - 0.02425 each quantile is solved on its upper tail at 1 - p.
-The series and both continued fractions share one modified-Lentz step and
-one iteration budget that grows with sqrt(shape), so they converge at the
-df of any bootstrap size (checked up to df = 1e7).
+Each incomplete function picks its expansion once, in _gamma_tails or
+_beta_tails, and returns both tails, so an inversion reads the tail it
+solves, never 1 minus the other. The series and both continued fractions
+share one modified-Lentz step and one iteration budget that grows with
+sqrt(shape) up to _MAX_TERMS, so they converge at the df of any bootstrap
+size (checked up to df = 1e7); the cap binds only above df = 1e10, where a
+call that does not converge raises ArithmeticError within about a second.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 
 _MAX_ITER = 1000
+_MAX_TERMS = 10**6
 _EPS = 1e-15
 _FPMIN = 1e-300
 _TINY = 5e-324
@@ -45,8 +50,9 @@ def _check_df(df: float, name: str = "df") -> float:
 def _budget(shape: float) -> int:
     # Near the mode the series terms shrink like exp(-i^2 / 2a) and the
     # continued fractions take O(sqrt(shape)) steps, so the budget grows
-    # with sqrt(shape); 10 sqrt(a) series terms reach exp(-50).
-    return _MAX_ITER + int(10.0 * math.sqrt(shape))
+    # with sqrt(shape); 10 sqrt(a) series terms reach exp(-50). The cap
+    # bounds a call's time at a shape no bootstrap reaches.
+    return min(_MAX_ITER + int(10.0 * math.sqrt(shape)), _MAX_TERMS)
 
 
 def _lentz(an: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -95,11 +101,17 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     )
 
 
-def _gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x), for x > 0."""
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """P(a, x) and Q(a, x) = 1 - P(a, x), for x >= 0: the series gives P
+    below x = a + 1 and the continued fraction Q above, and the other tail is
+    1 minus it."""
+    if x == 0.0:
+        return 0.0, 1.0
     if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+        lower = _gamma_p_series(a, x)
+        return lower, 1.0 - lower
+    upper = _gamma_q_contfrac(a, x)
+    return 1.0 - upper, upper
 
 
 def gamma_p(a: float, x: float) -> float:
@@ -108,11 +120,7 @@ def gamma_p(a: float, x: float) -> float:
         raise ValueError(f"shape must be positive, got {a}")
     if x < 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+    return _gamma_tails(a, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +176,29 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     )
 
 
+def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
+    """I_x(a, b) and 1 - I_x(a, b) = I_{1-x}(b, a), for 0 <= x <= 1: the
+    continued fraction gives the lower tail below x = (a + 1)/(a + b + 2)
+    and the upper one above, and the other tail is 1 minus it."""
+    if x <= 0.0:
+        return 0.0, 1.0
+    if x >= 1.0:
+        return 1.0, 0.0
+    front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+    if x < (a + 1.0) / (a + b + 2.0):
+        lower = front * _beta_contfrac(a, b, x) / a
+        return lower, 1.0 - lower
+    upper = front * _beta_contfrac(b, a, 1.0 - x) / b
+    return 1.0 - upper, upper
+
+
 def beta_inc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shapes must be positive, got a={a}, b={b}")
-    if x <= 0.0:
-        if x < 0.0:
-            raise ValueError(f"argument must lie in [0, 1], got {x}")
-        return 0.0
-    if x >= 1.0:
-        if x > 1.0:
-            raise ValueError(f"argument must lie in [0, 1], got {x}")
-        return 1.0
-    front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+    if x < 0.0 or x > 1.0:
+        raise ValueError(f"argument must lie in [0, 1], got {x}")
+    return _beta_tails(a, b, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +300,8 @@ def chisq_quantile(p: float, df: float) -> float:
     upper, q = p > 1.0 - _P_LOW, 1.0 - p
 
     def excess(x: float) -> float:
-        return q - _gamma_q(half, 0.5 * x) if upper else chisq_cdf(x, df) - p
+        lower_tail, upper_tail = _gamma_tails(half, 0.5 * x)
+        return q - upper_tail if upper else lower_tail - p
 
     # expand an upper bracket if needed
     hi = max(2.0 * x0, df + 20.0 * math.sqrt(2.0 * df))
@@ -323,13 +339,18 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     # order would move the last bits of some equal-df thresholds
     log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     # above y = 1 - 1e-3 the beta variate's 1 - y loses its digits, so there
-    # solve I_z(b, a) = 1 - p for z = 1 - y. The bootstrap thresholds never go
+    # solve for z = 1 - y, matching p to the upper tail 1 - I_z(b, a) itself:
+    # 1 - p would round away p's digits. The bootstrap thresholds never go
     # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
     near_one = p > beta_inc(a, b, 1.0 - 1e-3)
-    u, v, q, hi = (b, a, 1.0 - p, 1e-3) if near_one else (a, b, p, 1.0)
+    u, v, hi = (b, a, 1e-3) if near_one else (a, b, 1.0)
+
+    def excess(y: float) -> float:
+        lower_tail, upper_tail = _beta_tails(u, v, y)
+        return p - upper_tail if near_one else lower_tail - p
 
     def log_pdf(y: float) -> float:
         return (u - 1.0) * math.log(y) + (v - 1.0) * math.log1p(-y) - log_norm
 
-    y = _invert(lambda y: beta_inc(u, v, y) - q, log_pdf, u / (u + v), 0.0, hi)
+    y = _invert(excess, log_pdf, u / (u + v), 0.0, hi)
     return df2 * (1.0 - y) / (df1 * y) if near_one else df2 * y / (df1 * (1.0 - y))

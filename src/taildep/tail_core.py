@@ -2,8 +2,9 @@
 
 L1-polar radii and angles, the scaled distance to an angular cone,
 order statistics with concomitants, and time-series preparation
-helpers. One angle rule, _angles, gives every angle: a sample's, and a
-RadialOrder's, which derives its radii and angles from its (x, y) pairs.
+helpers. One angle rule, _angles, gives every angle by one division
+masked to the positive radii: a sample's, and a RadialOrder's, which
+derives its radii and angles from its (x, y) pairs.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
 its read-only arrays, and are safe to share across threads: a race on the
@@ -95,9 +96,7 @@ class BivariateSample:
 
 
 def _angles(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Angles x / r of points with radii r = x + y; 0 at the origin, r == 0."""
-    if r.min() > 0.0:  # the usual case, one divide
-        return x / r
+    """Angles x / r of points with radii r = x + y, divided where r > 0; 0 at the origin."""
     return np.divide(x, r, out=np.zeros(r.shape), where=r > 0.0)
 
 
@@ -168,14 +167,6 @@ def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
     if slope < np.inf:
         return slope * x
     return np.multiply(slope, x, out=np.zeros(x.shape), where=x != 0.0)
-
-
-def cone_distance(p: tuple[float, float], cone: AngularCone) -> float:
-    """Scalar version of :func:`cone_distances`."""
-    x, y = float(p[0]), float(p[1])
-    if x < 0 or y < 0:
-        raise ValueError(f"point must be nonnegative, got {p}")
-    return float(cone_distances(np.array([x]), np.array([y]), cone)[0])
 
 
 def _decreasing_order(values: np.ndarray) -> np.ndarray:

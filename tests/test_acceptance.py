@@ -33,7 +33,7 @@ from taildep.estimators import (
 )
 from taildep.statdist import chisq_cdf, chisq_quantile, f_cdf, f_quantile, normal_cdf, normal_quantile
 from taildep.support_fit import SupportFitOptions, estimate_support, support_objective
-from taildep.tail_core import AngularCone, BivariateSample, cone_distance, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, cone_distances, radial_order
 
 CONE = AngularCone(0.25, 0.75)
 SEEDS = range(20)
@@ -299,6 +299,9 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 
 def test_criterion_10_property_suites():
+    def cone_distance(p, cone):
+        return float(cone_distances(np.array([p[0]]), np.array([p[1]]), cone)[0])
+
     ok = True
 
     # d* homogeneity, cone monotonicity, zero set -- 1000 random cases

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import replace
@@ -1157,3 +1158,78 @@ class TestReader:
         path.write_bytes(data)
         expected = _outcome(_reference_read_finite, path, names)
         assert _outcome(cli._read_csv_columns, path, names) == expected
+
+
+@st.composite
+def _cli_runs(draw, cmd):
+    """(argv, x, y): cmd (support, test or diamond) with k, m_n and k_mn at
+    their bounds and cones at the edges of [0, 1], on a small sample of ties,
+    zeros, one ray, rounded Pareto counts or almost every x at 0."""
+    n = draw(st.integers(3, 30), label="n")
+    argv = [cmd]
+    k = draw(st.sampled_from([None, 1, 2, 3, n - 1, n]), label="k")
+    if k is not None:
+        argv += ["--k", k]
+    if cmd == "diamond":
+        argv += ["--bins", draw(st.sampled_from([1, 3]), label="bins")]
+    else:
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]), label="format")]
+    if cmd == "test":
+        m = draw(st.sampled_from([None, 3, n]), label="--mn")
+        if m is not None:
+            argv += ["--mn", m]
+        for flag, values in (("--kmn", [None, 2] if m is None else [2, m - 1]),
+                             ("--cone", [None, "0,0", "1,1", "0,1", "0,1e-300"]),
+                             ("--which", ["all", "strong", "full", "weak"]),
+                             ("--B", [2, 10, 50]), ("--seed", [0, 1])):
+            value = draw(st.sampled_from(values), label=flag)
+            if value is not None:
+                argv += [flag, value]
+    kind = draw(st.sampled_from(["ties", "zeros", "ray", "counts", "x_zero"]), label="kind")
+    if kind == "counts":
+        gen = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**16), label="seed")))
+        x, y = np.floor(gen.pareto(1.2, (2, n)))
+    elif kind == "ray":
+        w = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="w")
+        r = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n), label="r"), float)
+        x, y = r * w, r * (1.0 - w)
+    else:
+        cells = {"ties": [1.0, 2.0, 3.0], "zeros": [0.0, 0.0, 0.0, 1.0, 7.5],
+                 "x_zero": [0.0, 1.0, 2.0, 5.0]}[kind]
+        x, y = (np.array(draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n),
+                              label=name)) for name in "xy")
+        if kind == "x_zero":
+            x[1:] = 0.0
+    return argv, x, y
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+class TestEveryRun:
+    @pytest.mark.parametrize("cmd", ["support", "test", "diamond"])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_answers_or_refuses(self, tmp_path_factory, cmd, data):
+        # main answers (0) or refuses (1) with no exception or warning, a report
+        # holds no NaN or infinity, and a refusal writes nothing
+        argv, x, y = data.draw(_cli_runs(cmd), label="run")
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            src, out = Path(tmp) / "s.csv", Path(tmp) / "out"
+            write_sample_csv(src, x, y)
+            code = run([*argv, "--input", src, "--output", out])
+            assert code in (0, 1)
+            if code == 1:
+                assert not out.exists()
+            elif argv[0] == "diamond":
+                assert sorted(os.listdir(out)) == ["angles.csv", "diamond.csv"]
+            elif "json" in argv:
+                json.loads(out.read_text(), parse_constant=_refuse_constant)
+            else:
+                header, *rows = out.read_text().splitlines()
+                assert header == "key,value"
+                for row in rows:
+                    value = row.split(",", 1)[1]
+                    json.loads(value[1:-1].replace('""', '"'), parse_constant=_refuse_constant)

@@ -1,6 +1,9 @@
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,9 +120,11 @@ class TestF:
     @pytest.mark.parametrize("big", [1e5, 1e6, 3e6])
     def test_far_apart_df_against_scipy(self, small, big):
         # log B(a, b) at a << b: lgamma(a + b) - lgamma(b) taken as a difference
-        # of two numbers near 6e6 missed 1e-8 by up to 1e-6
+        # of two numbers near 6e6 missed 1e-8 by up to 1e-6. At p = 1e-10 and
+        # df1 = big the beta variate lies near 1: solved on I_z(b, a) = 1 - p,
+        # not on the upper tail itself, it missed by up to 3e-8
         for d1, d2 in ((small, big), (big, small)):
-            for p in (1e-6, 1e-3, 0.025, 0.5, 0.9, 0.975, 0.999):
+            for p in (1e-10, 1e-6, 1e-3, 0.025, 0.5, 0.9, 0.975, 0.999):
                 expected = scipy.stats.f.ppf(p, d1, d2)
                 if 1e-290 < expected < 1e290:
                     assert f_quantile(p, d1, d2) == pytest.approx(expected, rel=1e-8, abs=0.0)
@@ -245,6 +250,32 @@ class TestExtremes:
         monkeypatch.setattr(statdist, "_INVERT_STEPS", 20)
         with pytest.raises(ArithmeticError, match="failed to converge"):
             f_quantile(2.337211554210065e-15, 0.4302742666287781, 10.557701810843925)
+
+    def test_huge_df_refused_within_seconds(self):
+        # every expansion stops at _MAX_TERMS terms, so a quantile at df = 1e20
+        # or 1e300 raises rather than run for hours; a child process, so a
+        # loop that never ends times out
+        assert statdist._budget(0.5 * 1e10) < statdist._MAX_TERMS  # df <= 1e10 keeps its budget
+        code = "\n".join([
+            "from taildep.statdist import chisq_quantile, f_quantile, gamma_p",
+            "assert gamma_p(1e20, 1.0) == 0.0",
+            "for call, args in ((chisq_quantile, (0.5, 1e20)), (f_quantile, (0.5, 1e300, 1e300))):",
+            "    try:",
+            "        call(*args)",
+            "    except ArithmeticError as e:",
+            "        print(e)",
+        ])
+        src = str(Path(statdist.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.splitlines() == [
+            "incomplete gamma continued fraction failed to converge (a=5e+19, x=5e+19)",
+            "incomplete beta continued fraction failed to converge "
+            "(a=5e+299, b=5e+299, x=0.0010000000000000009)",
+        ]
 
     def test_every_cli_threshold(self):
         # the three thresholds the bootstrap tests take, at df = B - 1, for any
