@@ -315,10 +315,11 @@ def cmd_diamond(args) -> int:
         raise ValueError(f"bins must be a positive integer, got {args.bins}")
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
-    ordered, order = _radial_order(BivariateSample(np.abs(x), np.abs(y)))
+    sample = BivariateSample(np.abs(x), np.abs(y))
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
+    ordered, order = _radial_order(sample, k)
     # a point at the origin has no direction; it sorts after every other point
     top = order[:k][ordered.sorted_r[:k] > 0]
     norm, theta = ordered.sorted_r[: top.size], ordered.theta[: top.size]

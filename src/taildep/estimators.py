@@ -38,7 +38,8 @@ def _check_k(ord: RadialOrder, k: int) -> None:
     if not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
     # Python floats overflow to inf without a warning
-    r1, rk = float(ord.sorted_r[0]), float(ord.sorted_r[k - 1])
+    r = ord.head(k).sorted_r
+    r1, rk = float(r[0]), float(r[k - 1])
     if rk > 0.0 and r1 / rk == math.inf:
         raise ValueError(
             f"R_(1)/R_({k}) = {r1!r}/{rk!r} overflows, so the log ratios are not finite"
@@ -63,8 +64,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_rk(ord: RadialOrder, k: int) -> None:
-    if not ord.sorted_r[k - 1] > 0.0:
-        raise ValueError(f"R_({k}) must be positive, got {ord.sorted_r[k - 1]}")
+    if not (rk := ord.head(k).sorted_r[k - 1]) > 0.0:
+        raise ValueError(f"R_({k}) must be positive, got {rk}")
 
 
 def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
@@ -73,7 +74,7 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 
     def build() -> np.ndarray:
         _check_rk(ord, k)
-        logr = _log_ratio_rows(ord.sorted_r, k)
+        logr = _log_ratio_rows(ord.head(k).sorted_r, k)
         logr.setflags(write=False)
         return logr
 
@@ -81,10 +82,10 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# row kernels: rows is a RadialOrder, one order or a stack of resamples
-# (rows, width), sorted along the last axis by decreasing radius with ties
-# in sample order; logr is its log ratios, from which each kernel takes k,
-# and it returns one value per row. They are total by one convention:
+# row kernels: rows is a RadialOrder or its head, one order or a stack of
+# resamples (rows, width), sorted along the last axis by decreasing radius
+# with ties in sample order; logr is its log ratios, from which each kernel
+# takes k, and it returns one value per row. They are total by one convention:
 # where R_(k) = 0 every log term is 0, and an angle-weighted mean whose
 # angles sum to 0 is 0/0 = 1. Only the masked public function, the
 # angle-weighted statistic of the in-cone points with zeros after, takes
@@ -115,9 +116,9 @@ def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
-    """kernel on ord with ord's log ratios; refuses R_(k) = 0."""
+    """kernel on ord's first k pairs with their log ratios; refuses R_(k) = 0."""
     _check_k(ord, k)
-    return StatisticValue(float(kernel(ord, _log_ratios(ord, k), *args)), int(k), ord.n)
+    return StatisticValue(float(kernel(ord.head(k), _log_ratios(ord, k), *args)), int(k), ord.n)
 
 
 def hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -148,7 +149,7 @@ def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
     """
     value = _single_row(ord, k, _angle_weighted_hill_rows)
     # a zero angle sum gives the convention's 1, so only a 1 needs the check
-    if value.value == 1.0 and not ord.theta[:k].any():
+    if value.value == 1.0 and not ord.head(k).theta.any():
         raise ValueError("top-k concomitant angles sum to zero")
     return value
 
@@ -162,13 +163,17 @@ def masked_angle_weighted_hill(
     [a, b] moved to the origin: its top k are the first k in-cone points,
     then zeros. It takes the row kernels' convention where the k-th masked
     radius is 0 or the in-cone angles sum to 0, so it is defined on every
-    sample. ord is read up to its k-th in-cone point (or all of it).
+    sample. It reads ord's head at 2k, doubling the depth until the head
+    holds k in-cone points or all n points: an order of radial_order is
+    sorted to at most 2k or twice the depth of its k-th in-cone point, and
+    fully where the cone holds fewer than k points.
     """
     _check_k(ord, k)
     end = 2 * k
-    while (inside := np.flatnonzero(cone.contains_angle(ord.theta[:end]))).size < k and end < ord.n:
+    while ((inside := np.flatnonzero(cone.contains_angle((head := ord.head(end)).theta))).size < k
+           and end < ord.n):
         end *= 2
     top = inside[:k]
     r, th = np.zeros(k), np.zeros(k)
-    r[: top.size], th[: top.size] = ord.sorted_r[top], ord.theta[top]
+    r[: top.size], th[: top.size] = head.sorted_r[top], head.theta[top]
     return StatisticValue(float(_angle_weighted_mean(th, _log_ratio_rows(r, k))), int(k), ord.n)

@@ -12,6 +12,8 @@ share one modified-Lentz step and one iteration budget that grows with
 sqrt(shape) up to _MAX_TERMS, so they converge at the df of any bootstrap
 size (checked up to df = 1e7); the cap binds only above df = 1e10, where a
 call that does not converge raises ArithmeticError within about a second.
+At shapes of 1e8 and more the continued fractions' front factor is formed
+about the beta mean (_log_front), where its terms would cancel.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ _TINY = 5e-324
 # _invert's bisection halves [lo, hi] this many times before it halves log(hi/lo)
 _ARITHMETIC_STEPS = 100
 _INVERT_STEPS = 400
+# from this shape up _log_front is formed about the mean, not from log B(a, b)
+_HUGE_SHAPE = 1e8
 # above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
 # there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
 _P_LOW = 0.02425
@@ -152,6 +156,47 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(b) - (math.lgamma(a + b) - math.lgamma(a))
 
 
+def _rlog1(e: float, ratio: float) -> float:
+    """e - log(ratio) with ratio = 1 + e. For |e| <= 0.6 the difference
+    cancels, so there it is 2t (1/(1 - r) - r sum_j t^j / (2j + 3)) with
+    r = e / (2 + e) and t = r^2, as log(1 + e) = 2 atanh(r) (TOMS 708's rlog1)."""
+    if abs(e) > 0.6:
+        return e - math.log(ratio)
+    r = e / (2.0 + e)
+    t = r * r
+    w, power, j = 0.0, 1.0, 0
+    while power > _EPS * w:
+        w += power / (2 * j + 3)
+        power *= t
+        j += 1
+    return 2.0 * t * (1.0 / (1.0 - r) - r * w)
+
+
+def _log_front(a: float, b: float, x: float) -> float:
+    """log(x^a (1 - x)^b / B(a, b)), the front factor of both continued
+    fractions.
+
+    Below _HUGE_SHAPE it is -log B(a, b) + a log x + b log(1 - x), the sum
+    the CLI thresholds' bits rest on. Where both shapes reach it, the three
+    terms are far larger than their sum and their rounding swamps it (at
+    a = b = 5e19 it errs by about 1e4, and exp overflows), so there it is
+    formed about the mean x0 = a / (a + b), as TOMS 708's brcomp does
+    (DiDonato & Morris 1992): with lambda = a - (a + b) x,
+
+        -(a rlog1(-lambda / a) + b rlog1(lambda / b))
+        + log sqrt(ab / (2 pi (a + b))) - (del(a) + del(b) - del(a + b)),
+
+    rlog1(e) = e - log(1 + e) and del Stirling's series tail.
+    """
+    if min(a, b) < _HUGE_SHAPE:
+        return -_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
+    total = a + b
+    lam = a - total * x if a <= b else total * (1.0 - x) - b
+    spread = -(a * _rlog1(-lam / a, x * total / a) + b * _rlog1(lam / b, (1.0 - x) * total / b))
+    bcorr = _stirling_tail(a) + _stirling_tail(b) - _stirling_tail(total)
+    return spread + 0.5 * math.log(a * b / (2.0 * math.pi * total)) - bcorr
+
+
 def _beta_contfrac(a: float, b: float, x: float) -> float:
     qab = a + b
     qap = a + 1.0
@@ -184,7 +229,7 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
         return 0.0, 1.0
     if x >= 1.0:
         return 1.0, 0.0
-    front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+    front = math.exp(_log_front(a, b, x))
     if x < (a + 1.0) / (a + b + 2.0):
         lower = front * _beta_contfrac(a, b, x) / a
         return lower, 1.0 - lower
@@ -344,13 +389,21 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
     near_one = p > beta_inc(a, b, 1.0 - 1e-3)
     u, v, hi = (b, a, 1e-3) if near_one else (a, b, 1.0)
+    huge = min(a, b) >= _HUGE_SHAPE
 
     def excess(y: float) -> float:
         lower_tail, upper_tail = _beta_tails(u, v, y)
         return p - upper_tail if near_one else lower_tail - p
 
     def log_pdf(y: float) -> float:
+        if huge:  # log_norm cancels against the logs as _log_front's terms do
+            return _log_front(u, v, y) - math.log(y) - math.log1p(-y)
         return (u - 1.0) * math.log(y) + (v - 1.0) * math.log1p(-y) - log_norm
 
-    y = _invert(excess, log_pdf, u / (u + v), 0.0, hi)
+    try:
+        y = _invert(excess, log_pdf, u / (u + v), 0.0, hi)
+    except ArithmeticError as exc:
+        raise ArithmeticError(
+            f"the F quantile at p = {p}, df1 = {df1}, df2 = {df2} cannot be computed to 1e-8: {exc}"
+        ) from None
     return df2 * (1.0 - y) / (df1 * y) if near_one else df2 * y / (df1 * (1.0 - y))

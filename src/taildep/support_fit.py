@@ -55,8 +55,9 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
 
 def _objective(ord: RadialOrder, a: float, b: float, logr: np.ndarray, s: float) -> float:
     """g(a, b) given logr = _log_ratios(ord, k) and s = lam * sqrt(k): H and D share logr."""
-    h = _hill_rows(ord, logr)
-    d = _cone_adjusted_hill_rows(ord, logr, AngularCone(a, b))
+    top = ord.head(logr.size)
+    h = _hill_rows(top, logr)
+    d = _cone_adjusted_hill_rows(top, logr, AngularCone(a, b))
     return (b - a) + s * abs(float(d) - float(h))
 
 
@@ -122,11 +123,11 @@ def _fit_tables(ord: RadialOrder, k: int) -> tuple:
     b-part at b = 0. Refuses weights that overflow; k must pass _check_k."""
 
     def build() -> tuple:
-        logr = _log_ratios(ord, k)
-        order = np.argsort(ord.theta[:k], kind="stable")
-        theta = ord.theta[:k][order]
+        logr, top = _log_ratios(ord, k), ord.head(k)
+        order = np.argsort(top.theta, kind="stable")
+        theta = top.theta[order]
         with np.errstate(over="ignore"):
-            w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
+            w = (top.sorted_r / top.sorted_r[k - 1] * logr / k)[order]
             wt = w * theta
             # sums over theta[:i] and over theta[i:], i = 0..k
             w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
@@ -134,7 +135,7 @@ def _fit_tables(ord: RadialOrder, k: int) -> tuple:
         if not (math.isfinite(w_lo[-1]) and math.isfinite(w_hi[0])):
             raise ValueError(
                 f"the weights (R_(i)/R_({k})) log(R_(i)/R_({k})) / k overflow "
-                f"(R_(1)/R_({k}) = {float(ord.sorted_r[0])!r}/{float(ord.sorted_r[k - 1])!r}), "
+                f"(R_(1)/R_({k}) = {float(top.sorted_r[0])!r}/{float(top.sorted_r[k - 1])!r}), "
                 "so the support objective is not finite"
             )
         a = np.concatenate(([0.0], theta, [1.0]))  # ascending, as 0 <= theta <= 1

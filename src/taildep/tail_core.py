@@ -4,17 +4,18 @@ L1-polar radii and angles, the scaled distance to an angular cone,
 order statistics with concomitants, and time-series preparation
 helpers. One angle rule, _angles, gives every angle by one division
 masked to the positive radii: a sample's, and a RadialOrder's, which
-derives its radii and angles from its (x, y) pairs.
+derives its radii and angles from its (x, y) pairs. A sample's radial
+order sorts only as deep as it is read, about 2k points for a statistic at k.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
-its read-only arrays, and are safe to share across threads: a race on the
-memo only computes the same value twice.
+its read-only arrays and the sorted prefix it holds, and are safe to share
+across threads: a race on either only computes the same value twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -100,37 +101,66 @@ def _angles(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.divide(x, r, out=np.zeros(r.shape), where=r > 0.0)
 
 
-@dataclass(frozen=True)
+class _Pairs(NamedTuple):
+    """A RadialOrder's pairs with their radii and angles, or views of their head."""
+
+    x: np.ndarray
+    y: np.ndarray
+    sorted_r: np.ndarray
+    theta: np.ndarray
+
+
 class RadialOrder:
     """Pairs (x, y) sorted by decreasing radius along the last axis (one
     sample's order, or a stack of resamples, one per row), with the radii
     sorted_r = x + y and the angles theta that it derives by _angles, so
     neither can disagree with the pairs.
 
+    RadialOrder(x, y) takes pairs already in that order; head(L), its first
+    L pairs, are views of them. radial_order(s) sorts only as deep as it is
+    read: a head(L) deeper than the prefix held sorts the top 2 max(L, held)
+    points of s, so the depths sorted sum to under 4 times the deepest
+    read, and x, y, sorted_r and theta, its head at n, sort all of s. n is
+    the number of pairs per row, the sample size.
+
     The order holds read-only views of x and y, so the caller's arrays stay
     writeable; a caller must not write to them afterwards. The statistics
     and the support fit store what depends only on (order, k) in a private
     memo, through _cached alone, so repeated calls at one k (the fit at
-    several lambdas, the four estimators) do that work once. The memo takes
-    no part in equality or repr.
+    several lambdas, the four estimators) do that work once.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    sorted_r: np.ndarray = field(init=False)
-    theta: np.ndarray = field(init=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("_n", "_source", "_top", "_heads", "_memo")
 
-    def __post_init__(self) -> None:
-        x, y = np.asarray(self.x).view(), np.asarray(self.y).view()
+    def __init__(self, x, y) -> None:
+        x, y = np.asarray(x).view(), np.asarray(y).view()
         r = x + y
-        for name, arr in (("x", x), ("y", y), ("sorted_r", r), ("theta", _angles(x, r))):
+        self._top = _Pairs(x, y, r, _angles(x, r))
+        for arr in self._top:
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # _source: the sample and its radii, for an order that sorts on demand
+        self._n, self._source, self._heads, self._memo = r.shape[-1], None, {}, {}
 
-    @property
-    def n(self) -> int:
-        return int(self.sorted_r.size)
+    n = property(lambda self: self._n)
+    x = property(lambda self: self.head(self._n).x)
+    y = property(lambda self: self.head(self._n).y)
+    sorted_r = property(lambda self: self.head(self._n).sorted_r)
+    theta = property(lambda self: self.head(self._n).theta)
+
+    def head(self, depth: int) -> _Pairs:
+        """The first depth pairs (all n when depth >= n), as read-only views,
+        kept per depth: a prefix of any deeper sort is the same pairs. A race
+        between two deepenings only sorts twice."""
+        if (head := self._heads.get(depth)) is None:
+            top = self._top
+            if (held := top.sorted_r.shape[-1]) < min(depth, self._n):
+                s, r = self._source
+                order = _decreasing_head(r, 2 * max(depth, held))
+                top = self._top = RadialOrder(s.x[order], s.y[order])._top
+            if depth < top.sorted_r.shape[-1]:
+                top = _Pairs(*(arr[..., :depth] for arr in top))
+            head = self._heads[depth] = top
+        return head
 
     def _cached(self, key: tuple, build: Callable[[], T]) -> T:
         """The value stored under key, built by build() on first use; a
@@ -201,22 +231,44 @@ def _decreasing_order(values: np.ndarray) -> np.ndarray:
     return order
 
 
-def _radial_order(s: BivariateSample) -> tuple[RadialOrder, np.ndarray]:
-    """radial_order(s), with the sort order that _decreasing_order returns."""
-    order = _decreasing_order(s.radii)
-    ordered = RadialOrder(s.x[order], s.y[order])
-    if ordered.sorted_r[0] == 0.0:
+def _decreasing_head(values: np.ndarray, depth: int) -> np.ndarray:
+    """The first depth indices of _decreasing_order(values), all of them when
+    depth >= values.size: one partition finds the depth-th largest value t,
+    and _decreasing_order sorts only the values >= t, in sample order, so
+    ties at t keep their sample order and the head is the full order's."""
+    n = values.size
+    if depth >= n:
+        return _decreasing_order(values)
+    top = np.flatnonzero(values >= np.partition(values, n - depth)[n - depth])
+    return top[_decreasing_order(values[top])[:depth]]
+
+
+def _radii(s: BivariateSample) -> np.ndarray:
+    """s.radii, refused where every point is at the origin."""
+    r = s.radii
+    if not r.any():
         raise ValueError("all points are at the origin; no radial order exists")
-    return ordered, order
+    return r
+
+
+def _radial_order(s: BivariateSample, depth: int | None = None) -> tuple[RadialOrder, np.ndarray]:
+    """The first depth pairs of radial_order(s) (all n when depth is None) as
+    an order of sorted pairs, whose n is their number, and their sample indices."""
+    order = _decreasing_head(_radii(s), s.n if depth is None else depth)
+    return RadialOrder(s.x[order], s.y[order]), order
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:
-    """Sort the sample by decreasing radius, carrying concomitants.
+    """The sample in decreasing radius order, carrying concomitants; it
+    sorts on first read, and only as deep as it is read (RadialOrder.head).
 
     Ties in the radius are broken by original sample index, so the
-    result is deterministic. Raises if every point is at the origin.
+    result is deterministic, and every prefix is the full order's.
+    Raises if every point is at the origin.
     """
-    return _radial_order(s)[0]
+    order = RadialOrder(np.empty(0), np.empty(0))
+    order._n, order._source = s.n, (s, _radii(s))
+    return order
 
 
 def log_returns(prices, stride: int) -> np.ndarray:

@@ -840,6 +840,27 @@ class TestDiamond:
         assert (tmp_path / "out" / "diamond.csv").read_text() == (
             "x,y,theta\n0.0,1.0,0.0\n0.5,0.5,0.5\n1.0,0.0,1.0\n0.0,1.0,0.0\n")
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 9, 12])
+    def test_selection_writes_the_full_sorts_bytes(self, tmp_path, monkeypatch, k):
+        # five norms tie at 2, the k-th for k = 2..6, and three points lie at
+        # the origin: the top k by selection writes what the top k of the
+        # full sort writes, and sorts only the points at or above the k-th norm
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n0,0\n1,1\n2,0\n-0.0,0\n0,2\n3,-1\n-1,1\n0,-0.0\n1,-1\n",
+                       encoding="utf-8")
+        norm = np.array([0, 2, 2, 0, 2, 4, 2, 0, 2])
+        sizes = []
+        sort = tail_core._decreasing_order
+        monkeypatch.setattr(tail_core, "_decreasing_order",
+                            lambda values: sizes.append(values.size) or sort(values))
+        written = []
+        for out in (tmp_path / "select", tmp_path / "full"):
+            assert run(["diamond", "--input", src, "--k", k, "--bins", 4, "--output", out]) == 0
+            written.append([(out / name).read_bytes() for name in ("diamond.csv", "angles.csv")])
+            monkeypatch.setattr(cli, "_radial_order", lambda s, depth=None: tail_core._radial_order(s))
+        assert written[0] == written[1]
+        assert sizes == [np.count_nonzero(norm >= np.sort(norm)[::-1][min(k, 9) - 1]), 9]
+
     def test_tie_heavy_output_matches_stable_argsort(self, tmp_path):
         # integer coordinates of both signs: most norms tie
         gen = np.random.Generator(np.random.Philox(17))

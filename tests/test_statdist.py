@@ -129,6 +129,22 @@ class TestF:
                 if 1e-290 < expected < 1e290:
                     assert f_quantile(p, d1, d2) == pytest.approx(expected, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("df", [1e12, 1e14, 1e15, 1e16])
+    def test_huge_equal_df_against_scipy(self, df):
+        # -log B(a, b) + a log y + b log(1 - y) cancels from terms near 0.7 df:
+        # taken as that sum, f_quantile(0.5, 1e16, 1e16) gave 1.00000011 and
+        # f_quantile(0.05, 1e15, 1e15) 1.000000105, on the wrong side of 1
+        for p in (0.025, 0.05, 0.5, 0.975):
+            assert f_quantile(p, df, df) == pytest.approx(scipy.stats.f.ppf(p, df, df), rel=1e-8)
+
+    @pytest.mark.parametrize("df", [1e18, 1e20])
+    def test_huge_equal_df_refused_naming_the_df(self, df):
+        # the continued fraction cannot converge at the mode within its budget;
+        # at df = 1e18 the sum above overflowed exp, a bare OverflowError
+        with pytest.raises(ArithmeticError, match="^" + re.escape(
+                f"the F quantile at p = 0.5, df1 = {df}, df2 = {df} cannot be computed to 1e-8: ")):
+            f_quantile(0.5, df, df)
+
 
 class TestRoundTripsAndMonotonicity:
     PS = np.linspace(0.001, 0.999, 211)
@@ -184,6 +200,20 @@ class TestSpecialFunctions:
     def test_bad_arguments_refused(self, fn, args, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             fn(*args)
+
+    @pytest.mark.parametrize("e", [-0.6, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.25, 0.6])
+    def test_rlog1_against_its_series(self, e):
+        # e - log(1 + e) = sum_{j >= 2} (-e)^j / j, summed exactly enough by fsum
+        series = math.fsum((-e) ** j / j for j in range(2, 200))
+        assert statdist._rlog1(e, 1.0 + e) == pytest.approx(series, rel=1e-14, abs=0.0)
+
+    def test_log_front_forms_agree_at_the_switch(self):
+        # at _HUGE_SHAPE, where the front factor's log changes form, the form
+        # about the mean and the three-term sum differ by the sum's rounding
+        a = statdist._HUGE_SHAPE
+        for x in (0.5 - 1e-5, 0.5, 0.5 + 3e-5):
+            direct = -statdist._log_beta(a, a) + a * math.log(x) + a * math.log1p(-x)
+            assert statdist._log_front(a, a, x) == pytest.approx(direct, abs=1e-6)
 
     def test_zero_at_and_below_the_support(self):
         assert gamma_p(2.0, 0.0) == 0.0

@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 
 from taildep import tail_core
 from taildep.boot_tests import TestConfig as Config, _prepare
+from taildep.datagen import example1
+from taildep.estimators import (
+    angle_weighted_hill,
+    cone_adjusted_hill,
+    hill,
+    masked_angle_weighted_hill,
+)
+from taildep.support_fit import SupportFitOptions, estimate_support
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
     RadialOrder,
+    _decreasing_head,
     _decreasing_order,
     acf,
     cone_distances,
@@ -199,15 +208,17 @@ class TestRadialOrder:
             assert sorted(o.sorted_r) == sorted(s.radii)
 
     def test_sorts_on_every_call(self, monkeypatch):
-        # no order is cached: each call sorts the sample again
+        # no order is cached across calls: each call's order sorts the sample
+        # again, on its first read and not before
         calls = []
         sort = tail_core._decreasing_order
         monkeypatch.setattr(tail_core, "_decreasing_order",
                             lambda values: calls.append(values.size) or sort(values))
         s = BivariateSample([1, 3, 0], [0, 1, 2])
         first, second = radial_order(s), radial_order(s)
-        assert calls == [3, 3]
+        assert calls == []
         assert np.array_equal(first.sorted_r, second.sorted_r)
+        assert calls == [3, 3]
 
     def test_all_origin_rejected(self):
         with pytest.raises(ValueError):
@@ -366,6 +377,88 @@ class TestPackedKeySort:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * n
+
+
+TABLE_LAMBDAS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def _outcome(call, order):
+    """The bits of what call(order) returns, or the message it raises."""
+    try:
+        return [float(v).hex() for v in call(order)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _table_calls(k, cone):
+    """The statistics and fits of one Table-1 row at k on cone."""
+    fits = [lambda o, lam=lam: vars(estimate_support(o, k, SupportFitOptions(lam=lam))).values()
+            for lam in TABLE_LAMBDAS]
+    return fits + [
+        lambda o: [hill(o, k).value],
+        lambda o: [cone_adjusted_hill(o, k, cone).value],
+        lambda o: [angle_weighted_hill(o, k).value],
+        lambda o: [masked_angle_weighted_hill(o, k, cone).value],
+    ]
+
+
+class TestLazyOrder:
+    """radial_order sorts only as deep as it is read; what it gives must be,
+    bit for bit, what the order of the full stable argsort gives."""
+
+    CELLS = {
+        "tied": st.integers(0, 4).map(float),
+        "zero_heavy": st.sampled_from([0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 3.0, 7.25]),
+        # 1 + j ulp: radii that differ only in the sort key's low bits
+        "low_bits": st.integers(0, 6).map(lambda j: 1.0 + j * 2.0**-52),
+    }
+    CONES = [AngularCone(0.25, 0.75), AngularCone(0.0, 1.0), AngularCone(0.5, 0.5),
+             AngularCone(0.9, 1.0), AngularCone(0.0, 0.0)]
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_full_order(self, data):
+        n = data.draw(st.integers(2, 70), label="n")
+        cell = self.CELLS[data.draw(st.sampled_from(sorted(self.CELLS)), label="kind")]
+        x = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="x"))
+        y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="y"))
+        s = BivariateSample(x, y)
+        r = s.radii
+        stable = np.argsort(-r, kind="stable")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        for depth in (1, k, n - 1, n, n + 1):
+            assert np.array_equal(_decreasing_head(r, depth), stable[:depth]), depth
+        if not r.any():
+            return
+        full = RadialOrder(s.x[stable], s.y[stable])
+        # cones that hold fewer than k points make the masked statistic read all n
+        cone = data.draw(st.sampled_from(self.CONES), label="cone")
+        shared = radial_order(s)
+        for i, call in enumerate(_table_calls(k, cone)):
+            expected = _outcome(call, full)
+            assert _outcome(call, radial_order(s)) == expected, i
+            assert _outcome(call, shared) == expected, i
+        assert np.array_equal(shared.sorted_r, full.sorted_r)
+        assert np.array_equal(shared.theta, full.theta)
+
+    def test_support_table_sorts_at_most_4k_values(self, monkeypatch):
+        # the fit at five lambdas and the four statistics read the top k and,
+        # for the masked statistic, the top 2k: not the n = 30000 points
+        sizes = []
+        sort = tail_core._decreasing_order
+        monkeypatch.setattr(tail_core, "_decreasing_order",
+                            lambda values: sizes.append(values.size) or sort(values))
+        k, s = 100, example1(30000, 3)
+        o = radial_order(s)
+        fits = [estimate_support(o, k, SupportFitOptions(lam=lam)) for lam in TABLE_LAMBDAS]
+        cone = AngularCone(fits[0].a_hat, fits[0].b_hat)
+        hill(o, k), cone_adjusted_hill(o, k, cone), angle_weighted_hill(o, k)
+        masked_angle_weighted_hill(o, k, cone)
+        assert 0 < sum(sizes) <= 4 * k
+        # a cone that holds fewer than k points is read, and sorted, to the end
+        sizes.clear()
+        masked_angle_weighted_hill(radial_order(s), k, AngularCone(1.0, 1.0))
+        assert sizes[-1] == s.n and sum(sizes) < 2 * s.n
 
 
 class TestLogReturns:
