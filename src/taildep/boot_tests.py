@@ -29,11 +29,10 @@ keys of a block of slots in one numpy pass, and _SlotDraws maps raw
 Philox words to indices by numpy's own rule. Each drawn point's key
 (dense radius rank in the full sample) * m + draw position orders a
 resample exactly as a stable sort by decreasing radius does, so a
-partition picks the k_mn largest without sorting the row. _prepare sorts
-the sample once, by one uint64 key sort, for the radial order and the
-Hill estimate, and derives the dense ranks from its sorted radii;
-`taildep test` prepares the sample once and passes it to each test, so a
-run sorts once. All of it runs on one thread.
+partition picks the k_mn largest without sorting the row. _prepare takes
+the sample's lazy radial order (the Hill estimate sorts about 2 k_n points)
+and its dense ranks by np.unique; `taildep test` prepares the sample once
+and passes it to each test. All of it runs on one thread.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from taildep.estimators import (
     hill,
 )
 from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, _radial_order, cone_distances
+from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, cone_distances, radial_order
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
@@ -138,11 +137,11 @@ class TestReport:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """A sample prepared for the tests under cfg, from one sort: the
-    resolved (m_n, k_mn), the radial order, the dense rank of each sample
-    point's radius (0 for the largest; tied radii share a rank), the Hill
-    estimate at k_n and the half-width of the normal band around it by
-    which H1 and H2 flag resamples."""
+    """A sample prepared for the tests under cfg: the resolved (m_n, k_mn),
+    its radial order, which sorts as deep as it is read, the dense rank of
+    each sample point's radius (0 for the largest; tied radii share a
+    rank), the Hill estimate at k_n and the half-width of the normal band
+    around it by which H1 and H2 flag resamples."""
 
     sample: BivariateSample
     cfg: TestConfig
@@ -164,18 +163,15 @@ def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
                              "its resamples and band would not follow cfg")
         return s
     m, k_m = cfg.resolve(s.n)
-    ordered, order = _radial_order(s)
+    ordered = radial_order(s)
     value = hill(ordered, cfg.k_n).value
     if value == 0.0:
         raise ValueError(
             f"the {cfg.k_n} largest radii are all tied, so the Hill estimate is 0 "
             "and the tests are undefined"
         )
-    # sorted_r holds the radii the sort ranked, so its strict decreases are
-    # the steps of the dense rank: 0 at the largest radius, one more per step
-    r = ordered.sorted_r
-    rank = np.empty(s.n, dtype=np.int64)
-    rank[order] = np.concatenate(([0], np.cumsum(r[1:] < r[:-1])))
+    # 0 at the largest radius; a dense rank does not depend on how np.unique orders ties
+    rank = np.unique(-s.radii, return_inverse=True)[1]
     band = normal_quantile(1.0 - cfg.alpha_sig / 2.0) * value / math.sqrt(k_m)
     return _Prepared(s, cfg, m, k_m, ordered, rank, value, band)
 
@@ -186,8 +182,10 @@ def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
     that checks all its tests first refuses before any of them resamples.
     H1 is refused where cone_distances puts a point at infinite distance,
     as (1/b - 1) x overflows: a resample that ranks one above its k_mn-th
-    radius scores +inf. _resample_stats refuses any other non-finite batch."""
-    positive = p.ordered.theta > 0.0
+    radius scores +inf. _resample_stats refuses any other non-finite batch.
+    Every rule reads the sample's points unsorted, so it sorts nothing."""
+    theta = p.sample.angles
+    positive = theta > 0.0
     if "H3" in tests and cone.is_full:
         raise ValueError("weak-dependence test needs a proper cone [a, b] != [0, 1]")
     if ("H2" in tests or "H3" in tests) and not positive.any():
@@ -197,14 +195,14 @@ def _refuse(p: _Prepared, cone: AngularCone | None, tests) -> None:
         )
     # a point at angle 0 weighs nothing in the masked statistic, so with no
     # point of positive angle in the cone every masked resample is 1
-    if "H3" in tests and not np.any(cone.contains_angle(p.ordered.theta) & positive):
+    if "H3" in tests and not np.any(cone.contains_angle(theta) & positive):
         raise ValueError(
             f"the cone [{cone.a}, {cone.b}] holds no top-{p.k_mn} mass in any resample: no "
             "point with a positive angle lies in it, so the masked statistic is always 1 "
             "and the F ratio is undefined"
         )
     if "H1" in tests:
-        if far := np.count_nonzero(cone_distances(p.ordered.x, p.ordered.y, cone) == np.inf):
+        if far := np.count_nonzero(cone_distances(p.sample.x, p.sample.y, cone) == np.inf):
             raise ValueError(f"the cone [{cone.a}, {cone.b}] puts {far} of the {p.sample.n} points "
                              "at infinite distance, as (1/b - 1) x overflows; a resample that ranks "
                              "one above its k_mn-th radius has an infinite cone-adjusted Hill "
@@ -350,7 +348,7 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
         p, "H2", "full_dependence", verdict, statistic, threshold, stats,
         se_boot=se_boot, proportion_rule_rate=proportion,
         proportion_rule_reject=proportion > cfg.alpha_sig,
-        theta0_hat=float(np.mean(p.ordered.theta[: cfg.k_n])),
+        theta0_hat=float(np.mean(p.ordered.head(cfg.k_n).theta)),
     )
 
 

@@ -41,7 +41,9 @@ from taildep.support_fit import SupportFitOptions, estimate_support
 from taildep.tail_core import (
     AngularCone,
     BivariateSample,
-    _radial_order,
+    _angles,
+    _decreasing_head,
+    _radii,
     acf,
     log_returns,
     radial_order,
@@ -279,7 +281,7 @@ def cmd_test(args) -> int:
                          f"min(ceil(n/10), 100) with n = {sample.n}: give --k")
     cfg = TestConfig(k_n=k, seed=args.seed, **_given(args, "m_n", "k_mn", "B", "alpha_sig"))
     tests = _TESTS[args.which]
-    # one sort serves the support fit and every test
+    # one radial order serves the support fit and every test
     prepared = _prepare(sample, cfg)
     cone = args.cone
     cone_source = "flag"
@@ -319,10 +321,10 @@ def cmd_diamond(args) -> int:
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    ordered, order = _radial_order(sample, k)
+    top = _decreasing_head(r := _radii(sample), k)
     # a point at the origin has no direction; it sorts after every other point
-    top = order[:k][ordered.sorted_r[:k] > 0]
-    norm, theta = ordered.sorted_r[: top.size], ordered.theta[: top.size]
+    top = top[r[top] > 0]
+    norm, theta = r[top], _angles(sample.x[top], r[top])
     mx = x[top] / norm
     my = y[top] / norm
     counts, edges = np.histogram(theta, bins=args.bins, range=(0.0, 1.0))

@@ -348,16 +348,19 @@ def chisq_quantile(p: float, df: float) -> float:
         lower_tail, upper_tail = _gamma_tails(half, 0.5 * x)
         return q - upper_tail if upper else lower_tail - p
 
-    # expand an upper bracket if needed
-    hi = max(2.0 * x0, df + 20.0 * math.sqrt(2.0 * df))
-    while excess(hi) <= 0.0:
-        hi *= 2.0
-    log_norm = half * math.log(2.0) + math.lgamma(half)
+    try:
+        log_norm = half * math.log(2.0) + math.lgamma(half)
 
-    def log_pdf(x: float) -> float:
-        return (half - 1.0) * math.log(x) - 0.5 * x - log_norm
+        def log_pdf(x: float) -> float:
+            return (half - 1.0) * math.log(x) - 0.5 * x - log_norm
 
-    return _invert(excess, log_pdf, x0, 0.0, hi)
+        hi = max(2.0 * x0, df + 20.0 * math.sqrt(2.0 * df))  # an upper bracket, expanded if needed
+        while excess(hi) <= 0.0:
+            hi *= 2.0
+        return _invert(excess, log_pdf, x0, 0.0, hi)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the chi-square quantile at p = {p}, df = {df} cannot be computed "
+                              f"to 1e-8: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

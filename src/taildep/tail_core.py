@@ -5,7 +5,8 @@ order statistics with concomitants, and time-series preparation
 helpers. One angle rule, _angles, gives every angle by one division
 masked to the positive radii: a sample's, and a RadialOrder's, which
 derives its radii and angles from its (x, y) pairs. A sample's radial
-order sorts only as deep as it is read, about 2k points for a statistic at k.
+order sorts only as deep as it is read, about 2k points for a statistic at k,
+and every decreasing sort is one stable argsort.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
 its read-only arrays and the sorted prefix it holds, and are safe to share
@@ -200,41 +201,14 @@ def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
 
 
 def _decreasing_order(values: np.ndarray) -> np.ndarray:
-    """Indices that sort values (nonnegative, no -0.0) in decreasing order,
-    ties in sample order.
-
-    One in-place sort of uint64 keys: a value's complemented bits, which
-    ascend as it descends, with the low bits replaced by its index. Values
-    that differ only in those bits come out in sample order, not by value;
-    one stable argsort re-sorts their runs, exactly, as runs are disjoint.
-    """
-    n = values.size
-    if n >= 2**32:
-        raise ValueError(f"{n} values are too many to sort: the tie key needs n < 2**32")
-    low = np.uint64((1 << max(1, (n - 1).bit_length())) - 1)
-    key = np.bitwise_or(values.view(np.uint64), low)
-    np.invert(key, out=key)
-    np.bitwise_or(key, np.arange(n, dtype=np.uint64), out=key)
-    key.sort()
-    order = np.bitwise_and(key, low, out=key).view(np.int64)
-    ranked = values[order]
-    bad = ranked[1:][ranked[1:] > ranked[:-1]].view(np.uint64)
-    if bad.size:
-        # a bad value's run holds the values whose bits match its own but for
-        # the low ones; reversed, ranked ascends run by run, so binary search
-        # counts the values past each run's ends
-        start, stop = (n - np.unique(np.searchsorted(ranked[::-1], end.view(float), side))[::-1]
-                       for end, side in ((bad | low, "right"), (bad & ~low, "left")))
-        size = stop - start
-        runs = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-        order[runs] = order[runs[np.argsort(-ranked[runs], kind="stable")]]
-    return order
+    """Indices that sort values in decreasing order, ties in sample order."""
+    return np.argsort(-values, kind="stable")
 
 
 def _decreasing_head(values: np.ndarray, depth: int) -> np.ndarray:
     """The first depth indices of _decreasing_order(values), all of them when
     depth >= values.size: one partition finds the depth-th largest value t,
-    and _decreasing_order sorts only the values >= t, in sample order, so
+    and the stable sort sees only the values >= t, kept in sample order, so
     ties at t keep their sample order and the head is the full order's."""
     n = values.size
     if depth >= n:
@@ -249,13 +223,6 @@ def _radii(s: BivariateSample) -> np.ndarray:
     if not r.any():
         raise ValueError("all points are at the origin; no radial order exists")
     return r
-
-
-def _radial_order(s: BivariateSample, depth: int | None = None) -> tuple[RadialOrder, np.ndarray]:
-    """The first depth pairs of radial_order(s) (all n when depth is None) as
-    an order of sorted pairs, whose n is their number, and their sample indices."""
-    order = _decreasing_head(_radii(s), s.n if depth is None else depth)
-    return RadialOrder(s.x[order], s.y[order]), order
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from taildep import boot_tests
 from taildep.boot_tests import (
@@ -442,19 +444,38 @@ class TestDeterminismAndInvariance:
         assert np.array_equal(rank, np.unique(-s.radii, return_inverse=True)[1])
         _assert_slots_match_stable_argsort(s, AngularCone(0.2, 0.6), cfg)
 
-    def test_ranks_follow_the_run_repair(self, monkeypatch):
-        # radii 1 + i * 2**-52 differ only in the sort key's low bits, so the
-        # sort re-sorts their run by one stable argsort; repeats and zeros tie
+    def test_ranks_follow_the_run_repair(self):
+        # radii 1 + i * 2**-52 differ only in their low bits; repeats and zeros tie
         gen = np.random.Generator(np.random.Philox(3))
         ulps = 1.0 + np.arange(5000) * 2.0**-52
         r = gen.permutation(np.concatenate([ulps, gen.choice(ulps, 500), np.zeros(300)]))
-        calls = []
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda a, **kw: calls.append(a.size) or argsort(a, **kw))
         rank = boot_tests._prepare(BivariateSample(r, np.zeros(r.size)), Config(k_n=100)).rank
-        monkeypatch.undo()
-        assert calls
         assert np.array_equal(rank, np.unique(-r, return_inverse=True)[1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_ranks_are_the_stable_sorts_steps(self, data):
+        # a reference that is not np.unique: 0 at the largest radius of a
+        # stable argsort, one more at each strict decrease, scattered back
+        # to the sample by the order
+        n = data.draw(st.integers(3, 60), label="n")
+        cell = data.draw(st.sampled_from([
+            st.integers(0, 3).map(float),
+            st.sampled_from([0.0, 0.0, 0.0, 0.5, 2.0]),
+            st.integers(0, 30).map(lambda j: 1.0 + j * 2.0**-52),
+        ]), label="cell")
+        x = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="x"))
+        y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="y"))
+        s = BivariateSample(x, y * data.draw(st.sampled_from([0.0, 1.0]), label="y_scale"))
+        r = s.radii
+        order = np.argsort(-r, kind="stable")
+        expected = np.empty(n, dtype=np.int64)
+        expected[order] = np.concatenate(([0], np.cumsum(r[order][1:] < r[order][:-1])))
+        # _prepare needs a positive Hill estimate: R_(1) > R_(k_n) > 0
+        k_n = min(int(np.count_nonzero(r)), n - 1)
+        assume(k_n >= 2 and r[order][0] > r[order][k_n - 1])
+        rank = boot_tests._prepare(s, Config(k_n=k_n, m_n=n, k_mn=2)).rank
+        assert np.array_equal(rank, expected)
 
     def test_wide_keys_match_stable_argsort(self):
         # (max rank + 1) * m_n = 46341**2 > 2**31 takes the int64 slot key

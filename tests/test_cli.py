@@ -642,14 +642,15 @@ class TestTest:
                                        ["--which", "weak"]],
                              ids=["all_estimated", "all_flag", "weak_estimated"])
     def test_one_sort_per_run(self, ex1_csv, tmp_path, monkeypatch, flags):
-        # the support fit and every test share the one sort of the sample
+        # the support fit and every test share one radial order, which sorts
+        # 2 max(k_n, k) = 200 of the 30000 points and never all of them
         calls = []
         sort = tail_core._decreasing_order
         monkeypatch.setattr(tail_core, "_decreasing_order",
                             lambda values: calls.append(values.size) or sort(values))
         assert run(["test", "--input", ex1_csv, "--k", 100, "--B", 20, *flags,
                     "--output", tmp_path / "o.json"]) == 0
-        assert calls == [30000]
+        assert calls == [200]
 
     @pytest.mark.parametrize("flags, name", [(["--k", 1], "k_n"), (["--kmn", 1], "k_mn")])
     def test_one_radius_refused(self, tmp_path, capsys, flags, name):
@@ -843,23 +844,31 @@ class TestDiamond:
     @pytest.mark.parametrize("k", [1, 2, 3, 6, 7, 9, 12])
     def test_selection_writes_the_full_sorts_bytes(self, tmp_path, monkeypatch, k):
         # five norms tie at 2, the k-th for k = 2..6, and three points lie at
-        # the origin: the top k by selection writes what the top k of the
-        # full sort writes, and sorts only the points at or above the k-th norm
+        # the origin: the top k by selection writes what the top k of a
+        # stable argsort writes, and sorts only the points at or above the
+        # k-th norm
         src = tmp_path / "s.csv"
-        src.write_text("x,y\n0,0\n1,1\n2,0\n-0.0,0\n0,2\n3,-1\n-1,1\n0,-0.0\n1,-1\n",
-                       encoding="utf-8")
-        norm = np.array([0, 2, 2, 0, 2, 4, 2, 0, 2])
+        x = np.array([0, 1, 2, -0.0, 0, 3, -1, 0, 1])
+        y = np.array([0, 1, 0, 0, 2, -1, 1, -0.0, -1])
+        write_sample_csv(src, x, y)
         sizes = []
         sort = tail_core._decreasing_order
         monkeypatch.setattr(tail_core, "_decreasing_order",
                             lambda values: sizes.append(values.size) or sort(values))
-        written = []
-        for out in (tmp_path / "select", tmp_path / "full"):
-            assert run(["diamond", "--input", src, "--k", k, "--bins", 4, "--output", out]) == 0
-            written.append([(out / name).read_bytes() for name in ("diamond.csv", "angles.csv")])
-            monkeypatch.setattr(cli, "_radial_order", lambda s, depth=None: tail_core._radial_order(s))
-        assert written[0] == written[1]
-        assert sizes == [np.count_nonzero(norm >= np.sort(norm)[::-1][min(k, 9) - 1]), 9]
+        out = tmp_path / "out"
+        assert run(["diamond", "--input", src, "--k", k, "--bins", 4, "--output", out]) == 0
+        norm = np.abs(x) + np.abs(y)
+        assert sizes == [np.count_nonzero(norm >= np.sort(norm)[::-1][min(k, 9) - 1])]
+        top = np.argsort(-norm, kind="stable")[:k]
+        top = top[norm[top] > 0]
+        theta = np.abs(x[top]) / norm[top]
+        counts, edges = np.histogram(theta, bins=4, range=(0.0, 1.0))
+        for name, header, columns in (
+            ("diamond.csv", "x,y,theta", (x[top] / norm[top], y[top] / norm[top], theta)),
+            ("angles.csv", "bin_left,bin_right,count", (edges[:-1], edges[1:], counts)),
+        ):
+            rows = [",".join(map(repr, row)) for row in zip(*(v.tolist() for v in columns))]
+            assert (out / name).read_bytes() == "\n".join([header, *rows]).encode() + b"\n"
 
     def test_tie_heavy_output_matches_stable_argsort(self, tmp_path):
         # integer coordinates of both signs: most norms tie

@@ -302,10 +302,21 @@ class TestExtremes:
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout.splitlines() == [
+            "the chi-square quantile at p = 0.5, df = 1e+20 cannot be computed to 1e-8: "
             "incomplete gamma continued fraction failed to converge (a=5e+19, x=5e+19)",
             "incomplete beta continued fraction failed to converge "
             "(a=5e+299, b=5e+299, x=0.0010000000000000009)",
         ]
+
+    def test_huge_df_chisq_refusal_names_p_and_df(self):
+        # the series stops at _MAX_TERMS near the mode; the refusal names the
+        # quantile asked for, not only the series' shape and argument
+        with pytest.raises(ArithmeticError) as info:
+            chisq_quantile(0.5, 1e12)
+        assert str(info.value) == (
+            "the chi-square quantile at p = 0.5, df = 1000000000000.0 cannot be computed to "
+            "1e-8: incomplete gamma series failed to converge (a=500000000000.0, "
+            "x=499999999999.6666)")
 
     def test_every_cli_threshold(self):
         # the three thresholds the bootstrap tests take, at df = B - 1, for any
