@@ -52,11 +52,13 @@ from taildep.estimators import (
     _log_ratio_rows,
     hill,
 )
-from taildep.statdist import chisq_quantile, f_quantile, normal_quantile
+from taildep.statdist import _MAX_DF, chisq_quantile, f_quantile, normal_quantile
 from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, cone_distances, radial_order
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
+# the most resamples a test draws, so the thresholds' df = B - 1 stay in statdist's domain
+_MAX_B = int(_MAX_DF)
 
 REJECT = "reject"
 FAIL_TO_REJECT = "fail_to_reject"
@@ -68,7 +70,7 @@ class TestConfig:
 
     m_n defaults to round(n / k_n) and k_mn to max(5, round(0.05 * m_n))
     when left unset. k_n, seed, m_n, k_mn and B must be integers, k_n and
-    k_mn at least 2 (the default k_mn always is).
+    k_mn at least 2 (the default k_mn always is), and B in [2, 10**7].
     """
 
     k_n: int
@@ -94,6 +96,8 @@ class TestConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.B < 2:
             raise ValueError("B must be at least 2")
+        if self.B > _MAX_B:
+            raise ValueError(f"B must be at most {_MAX_B}, got {self.B}")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
         if 1.0 - self.alpha_sig / 2.0 == 1.0:

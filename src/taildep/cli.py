@@ -51,6 +51,8 @@ from taildep.tail_core import (
 
 SCHEMA_VERSION = 3
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
+# the most histogram bins diamond writes, as many as the resamples a test may draw
+_MAX_BINS = 10**7
 # the bootstrap tests that each --which value runs
 _TESTS = {"strong": ("H1",), "full": ("H2",), "weak": ("H3",), "all": ("H1", "H2", "H3")}
 
@@ -315,6 +317,8 @@ def cmd_test(args) -> int:
 def cmd_diamond(args) -> int:
     if args.bins < 1:
         raise ValueError(f"bins must be a positive integer, got {args.bins}")
+    if args.bins > _MAX_BINS:
+        raise ValueError(f"bins must be at most {_MAX_BINS}, got {args.bins}")
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
     sample = BivariateSample(np.abs(x), np.abs(y))

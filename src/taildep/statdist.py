@@ -3,17 +3,17 @@
 Self-contained implementations (series / continued-fraction incomplete
 gamma and beta with safeguarded Newton inversion) so that the decision
 thresholds used by the bootstrap tests are bit-reproducible across
-platforms. Accuracy target is 1e-8 relative or better in both tails:
+platforms. The quantiles aim at 1e-8 relative or better in both tails:
 above p = 1 - 0.02425 each quantile is solved on its upper tail at 1 - p.
 Each incomplete function picks its expansion once, in _gamma_tails or
 _beta_tails, and returns both tails, so an inversion reads the tail it
 solves, never 1 minus the other. The series and both continued fractions
 share one modified-Lentz step and one iteration budget that grows with
-sqrt(shape) up to _MAX_TERMS, so they converge at the df of any bootstrap
-size (checked up to df = 1e7); the cap binds only above df = 1e10, where a
-call that does not converge raises ArithmeticError within about a second.
-At shapes of 1e8 and more the continued fractions' front factor is formed
-about the beta mean (_log_front), where its terms would cancel.
+sqrt(shape).
+
+The domain is the bootstrap's: df in (0, _MAX_DF] and incomplete-function
+shapes in (0, _MAX_DF / 2], with ValueError naming the bound outside it. The
+tests take their thresholds at df = B - 1, and TestConfig caps B at _MAX_DF.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from __future__ import annotations
 import math
 
 _MAX_ITER = 1000
-_MAX_TERMS = 10**6
+# the largest df, and half of it the largest shape, that the functions accept
+_MAX_DF = 1e7
+_MAX_SHAPE = 0.5 * _MAX_DF
 _EPS = 1e-15
 _FPMIN = 1e-300
 _TINY = 5e-324
 # _invert's bisection halves [lo, hi] this many times before it halves log(hi/lo)
 _ARITHMETIC_STEPS = 100
 _INVERT_STEPS = 400
-# from this shape up _log_front is formed about the mean, not from log B(a, b)
-_HUGE_SHAPE = 1e8
 # above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
 # there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
 _P_LOW = 0.02425
@@ -45,18 +45,17 @@ def _check_p(p: float) -> float:
 
 
 def _check_df(df: float, name: str = "df") -> float:
-    df = float(df)
-    if not (df > 0.0) or not math.isfinite(df):
-        raise ValueError(f"{name} must be positive, got {df}")
-    return df
+    # compared before float(), which overflows on an int above 1e308
+    if not (0.0 < df <= _MAX_DF):
+        raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {df}")
+    return float(df)
 
 
 def _budget(shape: float) -> int:
     # Near the mode the series terms shrink like exp(-i^2 / 2a) and the
     # continued fractions take O(sqrt(shape)) steps, so the budget grows
-    # with sqrt(shape); 10 sqrt(a) series terms reach exp(-50). The cap
-    # bounds a call's time at a shape no bootstrap reaches.
-    return min(_MAX_ITER + int(10.0 * math.sqrt(shape)), _MAX_TERMS)
+    # with sqrt(shape); 10 sqrt(a) series terms reach exp(-50)
+    return _MAX_ITER + int(10.0 * math.sqrt(shape))
 
 
 def _lentz(an: float, b: float, c: float, d: float) -> tuple[float, float]:
@@ -111,6 +110,8 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     1 minus it."""
     if x == 0.0:
         return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
     if x < a + 1.0:
         lower = _gamma_p_series(a, x)
         return lower, 1.0 - lower
@@ -119,10 +120,12 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
 
 
 def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
+    """Regularized lower incomplete gamma P(a, x), for a in (0, _MAX_SHAPE]."""
     if a <= 0.0:
         raise ValueError(f"shape must be positive, got {a}")
-    if x < 0.0:
+    if not a <= _MAX_SHAPE:
+        raise ValueError(f"shape must lie in (0, {_MAX_SHAPE:g}], got {a}")
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     return _gamma_tails(a, x)[0]
 
@@ -154,47 +157,6 @@ def _log_beta(a: float, b: float) -> float:
                + _stirling_tail(a + b) - _stirling_tail(big))
         return math.lgamma(small) - gap
     return math.lgamma(b) - (math.lgamma(a + b) - math.lgamma(a))
-
-
-def _rlog1(e: float, ratio: float) -> float:
-    """e - log(ratio) with ratio = 1 + e. For |e| <= 0.6 the difference
-    cancels, so there it is 2t (1/(1 - r) - r sum_j t^j / (2j + 3)) with
-    r = e / (2 + e) and t = r^2, as log(1 + e) = 2 atanh(r) (TOMS 708's rlog1)."""
-    if abs(e) > 0.6:
-        return e - math.log(ratio)
-    r = e / (2.0 + e)
-    t = r * r
-    w, power, j = 0.0, 1.0, 0
-    while power > _EPS * w:
-        w += power / (2 * j + 3)
-        power *= t
-        j += 1
-    return 2.0 * t * (1.0 / (1.0 - r) - r * w)
-
-
-def _log_front(a: float, b: float, x: float) -> float:
-    """log(x^a (1 - x)^b / B(a, b)), the front factor of both continued
-    fractions.
-
-    Below _HUGE_SHAPE it is -log B(a, b) + a log x + b log(1 - x), the sum
-    the CLI thresholds' bits rest on. Where both shapes reach it, the three
-    terms are far larger than their sum and their rounding swamps it (at
-    a = b = 5e19 it errs by about 1e4, and exp overflows), so there it is
-    formed about the mean x0 = a / (a + b), as TOMS 708's brcomp does
-    (DiDonato & Morris 1992): with lambda = a - (a + b) x,
-
-        -(a rlog1(-lambda / a) + b rlog1(lambda / b))
-        + log sqrt(ab / (2 pi (a + b))) - (del(a) + del(b) - del(a + b)),
-
-    rlog1(e) = e - log(1 + e) and del Stirling's series tail.
-    """
-    if min(a, b) < _HUGE_SHAPE:
-        return -_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
-    total = a + b
-    lam = a - total * x if a <= b else total * (1.0 - x) - b
-    spread = -(a * _rlog1(-lam / a, x * total / a) + b * _rlog1(lam / b, (1.0 - x) * total / b))
-    bcorr = _stirling_tail(a) + _stirling_tail(b) - _stirling_tail(total)
-    return spread + 0.5 * math.log(a * b / (2.0 * math.pi * total)) - bcorr
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
@@ -229,7 +191,8 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
         return 0.0, 1.0
     if x >= 1.0:
         return 1.0, 0.0
-    front = math.exp(_log_front(a, b, x))
+    # x^a (1 - x)^b / B(a, b), the front factor of both continued fractions
+    front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         lower = front * _beta_contfrac(a, b, x) / a
         return lower, 1.0 - lower
@@ -238,10 +201,12 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
 
 
 def beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+    """Regularized incomplete beta I_x(a, b), for a, b in (0, _MAX_SHAPE]."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shapes must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not (a <= _MAX_SHAPE and b <= _MAX_SHAPE):
+        raise ValueError(f"shapes must lie in (0, {_MAX_SHAPE:g}], got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
     return _beta_tails(a, b, x)[0]
 
@@ -371,6 +336,8 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     df2 = _check_df(df2, "df2")
     if x <= 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     return beta_inc(0.5 * df1, 0.5 * df2, df1 * x / (df1 * x + df2))
 
 
@@ -392,15 +359,12 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
     near_one = p > beta_inc(a, b, 1.0 - 1e-3)
     u, v, hi = (b, a, 1e-3) if near_one else (a, b, 1.0)
-    huge = min(a, b) >= _HUGE_SHAPE
 
     def excess(y: float) -> float:
         lower_tail, upper_tail = _beta_tails(u, v, y)
         return p - upper_tail if near_one else lower_tail - p
 
     def log_pdf(y: float) -> float:
-        if huge:  # log_norm cancels against the logs as _log_front's terms do
-            return _log_front(u, v, y) - math.log(y) - math.log1p(-y)
         return (u - 1.0) * math.log(y) + (v - 1.0) * math.log1p(-y) - log_norm
 
     try:

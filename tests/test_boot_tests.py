@@ -61,6 +61,10 @@ class TestConfigAndReport:
             Config(k_n=0)
         with pytest.raises(ValueError):
             Config(k_n=10, B=1)
+        # the thresholds' df = B - 1 stay inside statdist's domain
+        with pytest.raises(ValueError, match=r"^B must be at most 10000000, got 10000001$"):
+            Config(k_n=10, B=10**7 + 1)
+        assert Config(k_n=10, B=10**7).B == 10**7
         with pytest.raises(ValueError):
             Config(k_n=10, alpha_sig=1.0)
         # 1 - 1e-17/2 rounds to 1: the refusal names alpha_sig, not a quantile

@@ -498,6 +498,15 @@ class TestTest:
         assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_B_above_the_cap_rejected(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])
+        out = tmp_path / "o.json"
+        assert run(["test", "--input", src, "--k", 2, "--B", 100000000000,
+                    "--output", out]) == 1
+        assert capsys.readouterr().err == "error: B must be at most 10000000, got 100000000000\n"
+        assert not out.exists()
+
     def test_zero_threads_rejected(self, tmp_path, capsys):
         src = tmp_path / "s.csv"
         write_sample_csv(src, [3.0, 1.0, 2.0], [1.0, 0.5, 2.5])
@@ -514,6 +523,7 @@ class TestTest:
         ("prep", ["--max-lag", 0], "max_lag must be a positive integer, got 0"),
         ("prep", ["--max-lag", -3], "max_lag must be a positive integer, got -3"),
         ("diamond", ["--bins", 0], "bins must be a positive integer, got 0"),
+        ("diamond", ["--bins", 100000000000], "bins must be at most 10000000, got 100000000000"),
     ])
     def test_flag_values_checked_before_reading_the_input(self, tmp_path, capsys, monkeypatch,
                                                           cmd, flags, error):
