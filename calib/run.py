@@ -41,6 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from taildep.boot_tests import (  # noqa: E402
     REJECT,
     TestConfig,
+    _prepare,
     full_dependence_test,
     strong_dependence_test,
     weak_dependence_test,
@@ -64,11 +65,12 @@ DATA = {
 
 def run_seed(spec: MixtureSpec, seed: int) -> tuple:
     """The H1, H2 and H3 reports on one seed of a data set; H3 is None
-    where the data set's cone is a ray."""
+    where the data set's cone is a ray. The sample is prepared once for
+    all three tests, as `taildep test` prepares it."""
     cone = spec.cone
-    s = generate(spec, N, seed)
     cfg = TestConfig(k_n=SETTINGS["k_n"], seed=seed, m_n=SETTINGS["m_n"],
                      k_mn=SETTINGS["k_mn"], B=SETTINGS["B"], alpha_sig=SETTINGS["alpha"])
+    s = _prepare(generate(spec, N, seed), cfg)
     h1 = strong_dependence_test(s, cone, cfg)
     h2 = full_dependence_test(s, cfg)
     return h1, h2, weak_dependence_test(s, cone, cfg) if cone.a < cone.b else None

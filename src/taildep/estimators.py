@@ -6,8 +6,9 @@ rescaling the whole sample.
 
 Each statistic has one implementation, a row kernel that scores the log
 ratios it is given along the last axis: the public functions run it on a
-radial order with that order's memoized log ratios, the bootstrap on a
-chunk of stacked resamples with theirs.
+radial order with that order's memoized log ratios (the masked one on the
+order's in-cone pairs, padded with zeros), the bootstrap on a chunk of
+stacked resamples with theirs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, RadialOrder, cone_distances
+from taildep.tail_core import AngularCone, RadialOrder, _Pairs, cone_distances
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,9 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 # with ties in sample order; logr is its log ratios, from which each kernel
 # takes k, and it returns one value per row. They are total by one convention:
 # where R_(k) = 0 every log term is 0, and an angle-weighted mean whose
-# angles sum to 0 is 0/0 = 1. Only the masked public function, the
-# angle-weighted statistic of the in-cone points with zeros after, takes
-# those values.
+# angles sum to 0 is 0/0 = 1. Only the masked statistic, the angle-weighted
+# kernel on the in-cone pairs with zeros after (its public function and H3's
+# masked batch), takes those values.
 
 def _hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
     return logr.mean(axis=-1)
@@ -105,14 +106,10 @@ def _cone_adjusted_hill_rows(rows: RadialOrder, logr: np.ndarray, cone: AngularC
 
 
 def _angle_weighted_hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
-    return _angle_weighted_mean(rows.theta[..., : logr.shape[-1]], logr)
-
-
-def _angle_weighted_mean(th: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum(th * terms) / sum(th) along the last axis; 1 where the angles sum to 0."""
+    th = rows.theta[..., : logr.shape[-1]]
     denom = th.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0.0, _row_dots(th, terms) / denom, 1.0)
+        return np.where(denom > 0.0, _row_dots(th, logr) / denom, 1.0)
 
 
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
@@ -161,19 +158,18 @@ def masked_angle_weighted_hill(
 
     The angle-weighted statistic of the sample with every point outside
     [a, b] moved to the origin: its top k are the first k in-cone points,
-    then zeros. It takes the row kernels' convention where the k-th masked
-    radius is 0 or the in-cone angles sum to 0, so it is defined on every
-    sample. It reads ord's head at 2k, doubling the depth until the head
-    holds k in-cone points or all n points: an order of radial_order is
-    sorted to at most 2k or twice the depth of its k-th in-cone point, and
-    fully where the cone holds fewer than k points.
+    then zeros, scored by the angle-weighted row kernel. It takes the row
+    kernels' convention where the k-th masked radius is 0 or the in-cone
+    angles sum to 0, so it is defined on every sample. It reads ord's head
+    at 2k and, only where that holds fewer than k in-cone points,
+    ord.within(cone, k), which sorts in-cone points alone, about k of them
+    (all of them where the cone holds fewer): it never sorts all n points.
     """
     _check_k(ord, k)
-    end = 2 * k
-    while ((inside := np.flatnonzero(cone.contains_angle((head := ord.head(end)).theta))).size < k
-           and end < ord.n):
-        end *= 2
-    top = inside[:k]
-    r, th = np.zeros(k), np.zeros(k)
-    r[: top.size], th[: top.size] = head.sorted_r[top], head.theta[top]
-    return StatisticValue(float(_angle_weighted_mean(th, _log_ratio_rows(r, k))), int(k), ord.n)
+    head = ord.head(2 * k)
+    inside = np.flatnonzero(cone.contains_angle(head.theta))[:k]
+    if inside.size < k:  # the cone's first k pairs, then zeros
+        head, inside = _Pairs(*(np.append(a, np.zeros(k)) for a in ord.within(cone, k))), slice(k)
+    top = _Pairs(*(arr[inside] for arr in head))
+    return StatisticValue(float(_angle_weighted_hill_rows(top, _log_ratio_rows(top.sorted_r, k))),
+                          int(k), ord.n)

@@ -6,7 +6,8 @@ helpers. One angle rule, _angles, gives every angle by one division
 masked to the positive radii: a sample's, and a RadialOrder's, which
 derives its radii and angles from its (x, y) pairs. A sample's radial
 order sorts only as deep as it is read, about 2k points for a statistic at k,
-and every decreasing sort is one stable argsort.
+its in-cone prefix sorts only the in-cone points, and every decreasing sort
+is one stable argsort.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
 its read-only arrays and the sorted prefix it holds, and are safe to share
@@ -122,7 +123,10 @@ class RadialOrder:
     read: a head(L) deeper than the prefix held sorts the top 2 max(L, held)
     points of s, so the depths sorted sum to under 4 times the deepest
     read, and x, y, sorted_r and theta, its head at n, sort all of s. n is
-    the number of pairs per row, the sample size.
+    the number of pairs per row, the sample size. within(cone, L), the
+    first L pairs whose angle lies in the cone, selects the in-cone points
+    of the unsorted source and sorts only them, however deep in the order
+    they lie. Both read the source (x, y, r): s's, or the pairs given.
 
     The order holds read-only views of x and y, so the caller's arrays stay
     writeable; a caller must not write to them afterwards. The statistics
@@ -139,8 +143,9 @@ class RadialOrder:
         self._top = _Pairs(x, y, r, _angles(x, r))
         for arr in self._top:
             arr.setflags(write=False)
-        # _source: the sample and its radii, for an order that sorts on demand
-        self._n, self._source, self._heads, self._memo = r.shape[-1], None, {}, {}
+        # _source: the unsorted (x, y, r) that head and within select from;
+        # pairs given in order are their own source
+        self._n, self._source, self._heads, self._memo = r.shape[-1], self._top[:3], {}, {}
 
     n = property(lambda self: self._n)
     x = property(lambda self: self.head(self._n).x)
@@ -155,13 +160,22 @@ class RadialOrder:
         if (head := self._heads.get(depth)) is None:
             top = self._top
             if (held := top.sorted_r.shape[-1]) < min(depth, self._n):
-                s, r = self._source
-                order = _decreasing_head(r, 2 * max(depth, held))
-                top = self._top = RadialOrder(s.x[order], s.y[order])._top
-            if depth < top.sorted_r.shape[-1]:
-                top = _Pairs(*(arr[..., :depth] for arr in top))
-            head = self._heads[depth] = top
+                top = self._top = self._select(_decreasing_head(self._source[2], 2 * max(depth, held)))
+            head = self._heads[depth] = _Pairs(*(arr[..., :depth] for arr in top))
         return head
+
+    def within(self, cone: AngularCone, depth: int) -> _Pairs:
+        """One sample's order's first depth pairs whose angle lies in the cone
+        (all of them when the cone holds fewer). _decreasing_head sees the
+        in-cone points alone, and a stable sort of a subset keeps its sample
+        order, so the pairs are the full order's in-cone prefix, bit for bit."""
+        x, _, r = self._source
+        inside = np.flatnonzero(cone.contains_angle(_angles(x, r)))
+        return self._select(inside[_decreasing_head(r[inside], depth)])
+
+    def _select(self, order: np.ndarray) -> _Pairs:
+        """The source pairs at the indices order, with their radii and angles."""
+        return RadialOrder(*(arr[order] for arr in self._source[:2]))._top
 
     def _cached(self, key: tuple, build: Callable[[], T]) -> T:
         """The value stored under key, built by build() on first use; a
@@ -207,12 +221,13 @@ def _decreasing_order(values: np.ndarray) -> np.ndarray:
 
 def _decreasing_head(values: np.ndarray, depth: int) -> np.ndarray:
     """The first depth indices of _decreasing_order(values), all of them when
-    depth >= values.size: one partition finds the depth-th largest value t,
-    and the stable sort sees only the values >= t, kept in sample order, so
-    ties at t keep their sample order and the head is the full order's."""
+    depth >= values.size and none when depth < 1: one partition finds the
+    depth-th largest value t, and the stable sort sees only the values >= t,
+    kept in sample order, so ties at t keep their sample order and the head
+    is the full order's."""
     n = values.size
-    if depth >= n:
-        return _decreasing_order(values)
+    if not 0 < depth < n:
+        return _decreasing_order(values)[: max(depth, 0)]
     top = np.flatnonzero(values >= np.partition(values, n - depth)[n - depth])
     return top[_decreasing_order(values[top])[:depth]]
 
@@ -234,7 +249,7 @@ def radial_order(s: BivariateSample) -> RadialOrder:
     Raises if every point is at the origin.
     """
     order = RadialOrder(np.empty(0), np.empty(0))
-    order._n, order._source = s.n, (s, _radii(s))
+    order._n, order._source = s.n, (s.x, s.y, _radii(s))
     return order
 
 
@@ -262,6 +277,8 @@ def acf(series, max_lag: int) -> np.ndarray:
     lag-0 value, the convention of standard statistical plotting tools.
     """
     x = np.asarray(series, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series must be finite")
     if int(max_lag) != max_lag or max_lag < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag}")
     max_lag = int(max_lag)

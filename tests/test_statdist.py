@@ -92,6 +92,8 @@ class TestChisq:
         # an int that float() cannot take
         with pytest.raises(ValueError, match=r"^df must lie in \(0, 1e\+07\], got 1000"):
             chisq_quantile(0.5, 10**400)
+        with pytest.raises(ValueError, match=r"^probability must lie in \(0, 1\), got 1000"):
+            chisq_quantile(10**400, 3)
 
     def test_at_the_df_cap(self):
         # at df = 1e7 and p <= 1e-6 scipy's chi2.ppf differs from this quantile
@@ -215,6 +217,13 @@ class TestSpecialFunctions:
         (f_quantile, (0.5, 10000001, 3), "df1 must lie in (0, 1e+07], got 10000001"),
         (f_quantile, (0.5, 3, 10000001), "df2 must lie in (0, 1e+07], got 10000001"),
         (f_cdf, (1.0, 3, 1e300), "df2 must lie in (0, 1e+07], got 1e+300"),
+        # a p that float() cannot take, and a NaN x, named as such
+        (chisq_quantile, (10**400, 3), f"probability must lie in (0, 1), got {10**400}"),
+        (f_quantile, (10**400, 3, 3), f"probability must lie in (0, 1), got {10**400}"),
+        (normal_quantile, (10**400,), f"probability must lie in (0, 1), got {10**400}"),
+        (normal_cdf, (math.nan,), "x must be a number, got nan"),
+        (chisq_cdf, (math.nan, 3), "x must be a number, got nan"),
+        (f_cdf, (math.nan, 3, 3), "x must be a number, got nan"),
     ])
     def test_bad_arguments_refused(self, fn, args, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
@@ -231,6 +240,14 @@ class TestSpecialFunctions:
         assert gamma_p(2.0, math.inf) == 1.0
         assert chisq_cdf(math.inf, 3) == 1.0
         assert f_cdf(math.inf, 3, 3) == 1.0
+
+    def test_beyond_the_float_range(self):
+        # an int that float() cannot take is read as +-inf
+        assert gamma_p(2.0, 10**400) == 1.0
+        assert chisq_cdf(10**400, 3) == 1.0
+        assert f_cdf(10**400, 3, 3) == 1.0
+        assert normal_cdf(10**400) == 1.0
+        assert chisq_cdf(-10**400, 3) == f_cdf(-10**400, 3, 3) == normal_cdf(-10**400) == 0.0
 
     def test_shapes_at_the_cap_against_scipy(self):
         # the front factors' exponents are formed from terms near 8e7, which

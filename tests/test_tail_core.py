@@ -418,7 +418,8 @@ class TestLazyOrder:
         if not r.any():
             return
         full = RadialOrder(s.x[stable], s.y[stable])
-        # cones that hold fewer than k points make the masked statistic read all n
+        # cones with fewer than k points in the top 2k make the masked
+        # statistic read within(cone, k)
         cone = data.draw(st.sampled_from(self.CONES), label="cone")
         shared = radial_order(s)
         for i, call in enumerate(_table_calls(k, cone)):
@@ -427,6 +428,35 @@ class TestLazyOrder:
             assert _outcome(call, shared) == expected, i
         assert np.array_equal(shared.sorted_r, full.sorted_r)
         assert np.array_equal(shared.theta, full.theta)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_within_is_the_in_cone_prefix(self, data):
+        n = data.draw(st.integers(1, 70), label="n")
+        cell = self.CELLS[data.draw(st.sampled_from(sorted(self.CELLS)), label="kind")]
+        x = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="x"))
+        y = np.array(data.draw(st.lists(cell, min_size=n, max_size=n), label="y"))
+        s = BivariateSample(x, y)
+        stable = np.argsort(-s.radii, kind="stable")
+        depth = data.draw(st.integers(1, n + 1), label="depth")
+        orders = [RadialOrder(s.x[stable], s.y[stable])] + ([radial_order(s)] if s.radii.any() else [])
+        for cone in self.CONES:
+            want = stable[cone.contains_angle(s.angles[stable])][:depth]
+            for order in orders:
+                got = order.within(cone, depth)
+                for arr, full in zip(got, (s.x, s.y, s.radii, s.angles)):
+                    assert np.array_equal(arr, full[want]), (cone, depth)
+
+    def test_within_at_cones_holding_none_and_all(self):
+        s = example1(2000, 3)
+        stable = np.argsort(-s.radii, kind="stable")
+        o = radial_order(s)
+        assert o.within(AngularCone(1.0, 1.0), 100).x.size == 0  # no point has y = 0
+        assert o.within(AngularCone(0.0, 1.0), 0).x.size == 0
+        for depth in (100, s.n, s.n + 1):
+            every = o.within(AngularCone(0.0, 1.0), depth)
+            assert np.array_equal(every.x, s.x[stable][:depth])
+            assert np.array_equal(every.theta, s.angles[stable][:depth])
 
     def test_support_table_sorts_at_most_4k_values(self, monkeypatch):
         # the fit at five lambdas and the four statistics read the top k and,
@@ -442,10 +472,16 @@ class TestLazyOrder:
         hill(o, k), cone_adjusted_hill(o, k, cone), angle_weighted_hill(o, k)
         masked_angle_weighted_hill(o, k, cone)
         assert 0 < sum(sizes) <= 4 * k
-        # a cone that holds fewer than k points is read, and sorted, to the end
-        sizes.clear()
-        masked_angle_weighted_hill(radial_order(s), k, AngularCone(1.0, 1.0))
-        assert sizes[-1] == s.n and sum(sizes) < 2 * s.n
+        # a cone with fewer than k points in the top 2k is read by within,
+        # which sorts only in-cone points (the cones hold 286 and none), never n
+        for narrow in (AngularCone(0.99, 1.0), AngularCone(1.0, 1.0)):
+            seen = []
+            monkeypatch.setattr(tail_core, "_decreasing_order",
+                                lambda values: seen.append(values) or sort(values))
+            masked_angle_weighted_hill(radial_order(s), k, narrow)
+            in_cone = s.radii[narrow.contains_angle(s.angles)]
+            assert seen[-1].size <= in_cone.size and np.isin(seen[-1], in_cone).all()
+            assert max(values.size for values in seen) < s.n
 
 
 class TestLogReturns:
@@ -492,6 +528,11 @@ class TestAcf:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError):
             acf([2.0, 2.0, 2.0], 1)
+
+    def test_non_finite_series_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^series must be finite$"):
+                acf([1.0, bad, 2.0, 3.0], 1)
 
     def test_max_lag_validation(self):
         with pytest.raises(ValueError):
