@@ -17,8 +17,9 @@ Three procedures, all resampling m points with replacement B times:
 
 Every resample draws integers(0, n, m) from its own Philox substream,
 stream(seed, test code, batch, slot, 0), and is scored once by its
-statistic's row kernel in taildep.estimators on a RadialOrder of the
-(x, y) pairs of its k_mn largest radii, which gives a degenerate resample
+statistic's row kernel in taildep.estimators on the (x, y) pairs of its
+k_mn largest radii in decreasing radius order, a row that tail_core._pairs
+builds as it builds every row of pairs, which gives a degenerate resample
 the kernels' convention. A test whose statistic is undefined on the
 sample is refused with a ValueError: by _refuse before any resampling
 where a rule needs none, and by _resample_stats, naming the test, where
@@ -38,7 +39,6 @@ and passes it to each test. All of it runs on one thread.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -53,7 +53,16 @@ from taildep.estimators import (
     hill,
 )
 from taildep.statdist import _MAX_DF, chisq_quantile, f_quantile, normal_quantile
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, cone_distances, radial_order
+from taildep.tail_core import (
+    AngularCone,
+    BivariateSample,
+    RadialOrder,
+    _integer,
+    _pairs,
+    _real,
+    cone_distances,
+    radial_order,
+)
 
 _TEST_CODES = {"H1": 1, "H2": 2, "H3": 3}
 _CHUNK_ROWS = 64  # resample slots evaluated together; bounds the working set
@@ -85,15 +94,13 @@ class TestConfig:
             value = getattr(self, name)
             if value is None and name in ("m_n", "k_mn"):
                 continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            _integer(name, value)
             if name in ("k_n", "k_mn") and value < 2:
                 raise ValueError(f"{name} must be at least 2, got {value}: on one radius every "
                                  "Hill-type statistic is log(R_(1)/R_(1)) = 0")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _real("alpha_sig", self.alpha_sig)
         if self.B < 2:
             raise ValueError("B must be at least 2")
         if self.B > _MAX_B:
@@ -279,8 +286,8 @@ def _resample_stats(
     p: _Prepared, test_id: str, batch: int, kernel: Callable[..., np.ndarray], *args
 ) -> np.ndarray:
     """kernel(rows, logr, *args) on resample slots 0..B-1 of p's sample, in
-    chunks of rows: rows stacks a chunk's resamples' (x, y) pairs as one
-    RadialOrder and logr their log ratios, made once per chunk.
+    chunks of rows: rows stacks a chunk's resamples' pairs, one row each,
+    by _pairs, and logr their log ratios, made once per chunk.
 
     Slot t draws m_n indices from stream(seed, test code, batch, t, 0) and
     keeps the k_mn first of a stable sort by p.rank (by decreasing radius,
@@ -301,7 +308,7 @@ def _resample_stats(
         order_key = rank_m[idx] + position
         top = np.sort(np.partition(order_key, k - 1, axis=1)[:, :k], axis=1) % m
         idx = np.take_along_axis(idx, top, axis=1)
-        rows = RadialOrder(s.x[idx], s.y[idx])
+        rows = _pairs(s.x[idx], s.y[idx])
         out[start : start + _CHUNK_ROWS] = kernel(rows, _log_ratio_rows(rows.sorted_r, k), *args)
     if bad := np.count_nonzero(~np.isfinite(out)):
         raise ValueError(f"the {test_id} test is undefined on this sample: {bad} of its {cfg.B} "

@@ -43,7 +43,7 @@ from taildep.tail_core import (
     BivariateSample,
     _angles,
     _decreasing_head,
-    _radii,
+    _off_origin,
     acf,
     log_returns,
     radial_order,
@@ -325,7 +325,7 @@ def cmd_diamond(args) -> int:
     k = args.k if args.k is not None else _default_k(x.size)
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
-    top = _decreasing_head(r := _radii(sample), k)
+    top = _decreasing_head(r := _off_origin(sample.radii), k)
     # a point at the origin has no direction; it sorts after every other point
     top = top[r[top] > 0]
     norm, theta = r[top], _angles(sample.x[top], r[top])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, BivariateSample
+from taildep.tail_core import AngularCone, BivariateSample, _integer, _real
 
 # substream indices for the five model components
 _SUB_BERNOULLI = 0
@@ -122,6 +122,8 @@ class MixtureSpec:
     mix_prob: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha_main", "alpha_hidden", "z_p", "z_q", "mix_prob"):
+            _real(name, getattr(self, name))
         if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
             raise ValueError("Pareto indices must be positive")
         if self.alpha_hidden < self.alpha_main:
@@ -209,6 +211,7 @@ def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> 
 
 def generate(spec: MixtureSpec, n: int, seed: int) -> BivariateSample:
     """Draw n iid points from the mixture, deterministically per seed."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if seed < 0:

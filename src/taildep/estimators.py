@@ -6,20 +6,19 @@ rescaling the whole sample.
 
 Each statistic has one implementation, a row kernel that scores the log
 ratios it is given along the last axis: the public functions run it on a
-radial order with that order's memoized log ratios (the masked one on the
-order's in-cone pairs, padded with zeros), the bootstrap on a chunk of
-stacked resamples with theirs.
+radial order's head with that order's memoized log ratios (the masked one
+on the order's in-cone pairs, padded with zeros), the bootstrap on a chunk
+of stacked resamples with theirs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, RadialOrder, _Pairs, cone_distances
+from taildep.tail_core import AngularCone, RadialOrder, _Pairs, _integer, cone_distances
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,7 @@ class StatisticValue:
 def _check_k(ord: RadialOrder, k: int) -> None:
     """Refuse a non-integer k, k outside 1 <= k < n, and a top k whose
     ratio R_(1)/R_(k) overflows: every statistic takes its logarithm."""
-    try:
-        operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
+    _integer("k", k)
     if not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
     # Python floats overflow to inf without a warning
@@ -83,20 +79,21 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# row kernels: rows is a RadialOrder or its head, one order or a stack of
-# resamples (rows, width), sorted along the last axis by decreasing radius
-# with ties in sample order; logr is its log ratios, from which each kernel
-# takes k, and it returns one value per row. They are total by one convention:
-# where R_(k) = 0 every log term is 0, and an angle-weighted mean whose
-# angles sum to 0 is 0/0 = 1. Only the masked statistic, the angle-weighted
-# kernel on the in-cone pairs with zeros after (its public function and H3's
-# masked batch), takes those values.
+# row kernels: rows is pairs as tail_core._pairs builds them, one row (an
+# order's head) or a stack of resamples (rows, width), sorted along the last
+# axis by decreasing radius with ties in sample order, of which a kernel
+# reads only x, y, sorted_r and theta; logr is its log ratios, from which
+# each kernel takes k, and it returns one value per row. They are total by
+# one convention: where R_(k) = 0 every log term is 0, and an angle-weighted
+# mean whose angles sum to 0 is 0/0 = 1. Only the masked statistic, the
+# angle-weighted kernel on the in-cone pairs with zeros after (its public
+# function and H3's masked batch), takes those values.
 
-def _hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
+def _hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
     return logr.mean(axis=-1)
 
 
-def _cone_adjusted_hill_rows(rows: RadialOrder, logr: np.ndarray, cone: AngularCone) -> np.ndarray:
+def _cone_adjusted_hill_rows(rows: _Pairs, logr: np.ndarray, cone: AngularCone) -> np.ndarray:
     k = logr.shape[-1]
     d = cone_distances(rows.x[..., :k], rows.y[..., :k], cone)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -105,7 +102,7 @@ def _cone_adjusted_hill_rows(rows: RadialOrder, logr: np.ndarray, cone: AngularC
     return np.where(logr > 0.0, terms, 0.0).mean(axis=-1)
 
 
-def _angle_weighted_hill_rows(rows: RadialOrder, logr: np.ndarray) -> np.ndarray:
+def _angle_weighted_hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
     th = rows.theta[..., : logr.shape[-1]]
     denom = th.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

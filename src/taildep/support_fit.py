@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taildep.estimators import _check_k, _cone_adjusted_hill_rows, _hill_rows, _log_ratios
-from taildep.tail_core import AngularCone, RadialOrder
+from taildep.tail_core import AngularCone, RadialOrder, _real
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class SupportFitOptions:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
+        _real("lam", self.lam)
         if not 0.0 < self.lam < math.inf:
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 

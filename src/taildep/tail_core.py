@@ -3,11 +3,11 @@
 L1-polar radii and angles, the scaled distance to an angular cone,
 order statistics with concomitants, and time-series preparation
 helpers. One angle rule, _angles, gives every angle by one division
-masked to the positive radii: a sample's, and a RadialOrder's, which
-derives its radii and angles from its (x, y) pairs. A sample's radial
-order sorts only as deep as it is read, about 2k points for a statistic at k,
-its in-cone prefix sorts only the in-cone points, and every decreasing sort
-is one stable argsort.
+masked to the positive radii: a sample's, and that of every row of pairs,
+which _pairs alone builds from (x, y) with its radii and angles. A
+RadialOrder(x, y) is the lazy order of any pairs: it sorts only as deep as
+it is read, about 2k points for a statistic at k, its in-cone prefix sorts
+only the in-cone points, and every decreasing sort is one stable argsort.
 All functions here are pure. The container types are immutable after
 construction, but for a RadialOrder's private memo of values derived from
 its read-only arrays and the sorted prefix it holds, and are safe to share
@@ -16,12 +16,30 @@ across threads: a race on either only computes the same value twice.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+
+def _real(name: str, value) -> None:
+    """Refuse, naming it, a value that is not a real number."""
+    # float first: a float passes without the slower abstract-class check
+    if not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a ValueError names a value that is not an integer
+    (numpy integers are)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -37,6 +55,8 @@ class AngularCone:
     b: float
 
     def __post_init__(self) -> None:
+        _real("cone endpoint a", self.a)
+        _real("cone endpoint b", self.b)
         if not (0.0 <= self.a <= self.b <= 1.0):
             raise ValueError(f"cone requires 0 <= a <= b <= 1, got [{self.a}, {self.b}]")
 
@@ -104,7 +124,11 @@ def _angles(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 class _Pairs(NamedTuple):
-    """A RadialOrder's pairs with their radii and angles, or views of their head."""
+    """Pairs (x, y) with their radii sorted_r = x + y and their angles theta,
+    all read-only, as _pairs builds them from one row of pairs (or a stack
+    of rows): a RadialOrder's head, its in-cone prefix, or a chunk of the
+    bootstrap's resamples, each sorted by decreasing radius along the last
+    axis."""
 
     x: np.ndarray
     y: np.ndarray
@@ -112,70 +136,96 @@ class _Pairs(NamedTuple):
     theta: np.ndarray
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, each made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _pairs(x, y) -> _Pairs:
+    """Read-only views of the pairs (x, y), so the caller's arrays stay
+    writeable, with the radii x + y and the angles _angles derives from them."""
+    x, y = np.asarray(x).view(), np.asarray(y).view()
+    r = x + y
+    return _Pairs(*_read_only(x, y, r, _angles(x, r)))
+
+
+def _depth(depth) -> int:
+    """A read depth as an int, 0 for any depth <= 0."""
+    if type(depth) is not int:  # an int, the common case, needs no conversion
+        depth = _integer("depth", depth)
+    return depth if depth > 0 else 0
+
+
 class RadialOrder:
-    """Pairs (x, y) sorted by decreasing radius along the last axis (one
-    sample's order, or a stack of resamples, one per row), with the radii
-    sorted_r = x + y and the angles theta that it derives by _angles, so
-    neither can disagree with the pairs.
+    """The lazy order of the pairs (x, y) by decreasing radius x + y, ties
+    in the order the pairs are given; pairs given already in that order
+    come back unchanged, as a stable sort of a decreasing array is the
+    identity. The radii sorted_r and angles theta of what it reads come
+    from _pairs, so neither can disagree with the pairs.
 
-    RadialOrder(x, y) takes pairs already in that order; head(L), its first
-    L pairs, are views of them. radial_order(s) sorts only as deep as it is
-    read: a head(L) deeper than the prefix held sorts the top 2 max(L, held)
-    points of s, so the depths sorted sum to under 4 times the deepest
-    read, and x, y, sorted_r and theta, its head at n, sort all of s. n is
-    the number of pairs per row, the sample size. within(cone, L), the
-    first L pairs whose angle lies in the cone, selects the in-cone points
-    of the unsorted source and sorts only them, however deep in the order
-    they lie. Both read the source (x, y, r): s's, or the pairs given.
+    It keeps read-only views of x and y and their radii as its source, so
+    the caller's arrays stay writeable; a caller must not write to them
+    afterwards. It sorts nothing until it is read, and then only as deep as
+    it is read: a head(L) deeper than the prefix held sorts the top
+    2 max(L, held) points, so the depths sorted sum to under 4 times the
+    deepest read, and x, y, sorted_r and theta, its head at n, sort all of
+    it. within(cone, L), the first L pairs whose angle lies in the cone,
+    selects the in-cone points of the source and sorts only them, however
+    deep in the order they lie. A depth must be an integer; one <= 0 reads
+    nothing.
 
-    The order holds read-only views of x and y, so the caller's arrays stay
-    writeable; a caller must not write to them afterwards. The statistics
-    and the support fit store what depends only on (order, k) in a private
-    memo, through _cached alone, so repeated calls at one k (the fit at
-    several lambdas, the four estimators) do that work once.
+    The statistics and the support fit store what depends only on
+    (order, k) in a private memo, through _cached alone, so repeated calls
+    at one k (the fit at several lambdas, the four estimators) do that work
+    once; within keeps the source's angles there too.
     """
 
-    __slots__ = ("_n", "_source", "_top", "_heads", "_memo")
+    __slots__ = ("_source", "_top", "_heads", "_memo")
 
     def __init__(self, x, y) -> None:
         x, y = np.asarray(x).view(), np.asarray(y).view()
-        r = x + y
-        self._top = _Pairs(x, y, r, _angles(x, r))
-        for arr in self._top:
-            arr.setflags(write=False)
-        # _source: the unsorted (x, y, r) that head and within select from;
-        # pairs given in order are their own source
-        self._n, self._source, self._heads, self._memo = r.shape[-1], self._top[:3], {}, {}
+        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
+            raise ValueError("a radial order's x and y must be 1-d arrays of equal length")
+        # the unsorted (x, y, r) that head and within select from
+        self._source = _read_only(x, y, x + y)
+        self._top, self._heads, self._memo = _pairs(x[:0], y[:0]), {}, {}
 
-    n = property(lambda self: self._n)
-    x = property(lambda self: self.head(self._n).x)
-    y = property(lambda self: self.head(self._n).y)
-    sorted_r = property(lambda self: self.head(self._n).sorted_r)
-    theta = property(lambda self: self.head(self._n).theta)
+    n = property(lambda self: self._source[2].size)
+    x = property(lambda self: self.head(self.n).x)
+    y = property(lambda self: self.head(self.n).y)
+    sorted_r = property(lambda self: self.head(self.n).sorted_r)
+    theta = property(lambda self: self.head(self.n).theta)
 
     def head(self, depth: int) -> _Pairs:
         """The first depth pairs (all n when depth >= n), as read-only views,
         kept per depth: a prefix of any deeper sort is the same pairs. A race
         between two deepenings only sorts twice."""
+        depth = _depth(depth)
         if (head := self._heads.get(depth)) is None:
             top = self._top
-            if (held := top.sorted_r.shape[-1]) < min(depth, self._n):
+            if (held := top.sorted_r.size) < min(depth, self.n):
                 top = self._top = self._select(_decreasing_head(self._source[2], 2 * max(depth, held)))
-            head = self._heads[depth] = _Pairs(*(arr[..., :depth] for arr in top))
+            head = self._heads[depth] = _Pairs(*(arr[:depth] for arr in top))
         return head
 
     def within(self, cone: AngularCone, depth: int) -> _Pairs:
-        """One sample's order's first depth pairs whose angle lies in the cone
-        (all of them when the cone holds fewer). _decreasing_head sees the
-        in-cone points alone, and a stable sort of a subset keeps its sample
-        order, so the pairs are the full order's in-cone prefix, bit for bit."""
+        """The first depth pairs whose angle lies in the cone (all of them
+        when the cone holds fewer). _decreasing_head sees the in-cone points
+        alone, and a stable sort of a subset keeps its order, so the pairs
+        are the full order's in-cone prefix, bit for bit. The angles of the
+        source are computed once per order."""
+        depth = _depth(depth)
         x, _, r = self._source
-        inside = np.flatnonzero(cone.contains_angle(_angles(x, r)))
+        theta = self._cached(("angles",), lambda: _read_only(_angles(x, r))[0])
+        inside = np.flatnonzero(cone.contains_angle(theta))
         return self._select(inside[_decreasing_head(r[inside], depth)])
 
     def _select(self, order: np.ndarray) -> _Pairs:
         """The source pairs at the indices order, with their radii and angles."""
-        return RadialOrder(*(arr[order] for arr in self._source[:2]))._top
+        x, y, _ = self._source
+        return _pairs(x[order], y[order])
 
     def _cached(self, key: tuple, build: Callable[[], T]) -> T:
         """The value stored under key, built by build() on first use; a
@@ -232,24 +282,24 @@ def _decreasing_head(values: np.ndarray, depth: int) -> np.ndarray:
     return top[_decreasing_order(values[top])[:depth]]
 
 
-def _radii(s: BivariateSample) -> np.ndarray:
-    """s.radii, refused where every point is at the origin."""
-    r = s.radii
+def _off_origin(r: np.ndarray) -> np.ndarray:
+    """The radii r, refused where every point is at the origin."""
     if not r.any():
         raise ValueError("all points are at the origin; no radial order exists")
     return r
 
 
 def radial_order(s: BivariateSample) -> RadialOrder:
-    """The sample in decreasing radius order, carrying concomitants; it
-    sorts on first read, and only as deep as it is read (RadialOrder.head).
+    """RadialOrder(s.x, s.y): the sample in decreasing radius order,
+    carrying concomitants; it sorts on first read, and only as deep as it
+    is read (RadialOrder.head).
 
     Ties in the radius are broken by original sample index, so the
     result is deterministic, and every prefix is the full order's.
     Raises if every point is at the origin.
     """
-    order = RadialOrder(np.empty(0), np.empty(0))
-    order._n, order._source = s.n, (s.x, s.y, _radii(s))
+    order = RadialOrder(s.x, s.y)
+    _off_origin(order._source[2])
     return order
 
 

@@ -71,6 +71,8 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match=r"^alpha_sig = 1e-17 is too small"):
             Config(k_n=10, alpha_sig=1e-17)
         assert Config(k_n=10, alpha_sig=1e-15).alpha_sig == 1e-15
+        with pytest.raises(ValueError, match="^alpha_sig must be a number, got None$"):
+            Config(k_n=10, alpha_sig=None)
         with pytest.raises(ValueError):
             Config(k_n=100).resolve(100)
         with pytest.raises(ValueError):

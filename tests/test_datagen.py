@@ -152,6 +152,8 @@ class TestMixtureSpec:
             MixtureSpec(2.0, 4.0, cone, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 4.0, AngularCone(0.0, 1.0), 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="^alpha_main must be a number, got '2'$"):
+            MixtureSpec("2", 4.0, cone, 1.0, 1.0, 0.5)
 
     def test_example2_analytic_moments(self):
         assert EXAMPLE2_SPEC.theta1_mean == pytest.approx(0.25 + 0.5 / 3, rel=1e-12)
@@ -220,6 +222,11 @@ class TestGenerate:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate(EXAMPLE1_SPEC, 0, 0)
+        for n, seed, message in ((10.5, 0, "n must be an integer, got 10.5"),
+                                 ("10", 0, "n must be an integer, got '10'"),
+                                 (10, 1.5, "seed must be an integer, got 1.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                generate(EXAMPLE1_SPEC, n, seed)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):

@@ -17,7 +17,7 @@ from taildep.estimators import (
     masked_angle_weighted_hill,
 )
 from taildep.support_fit import estimate_support, support_objective
-from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, _pairs, radial_order
 
 
 def _sample_from_polar(r, theta):
@@ -357,7 +357,7 @@ class TestRatioOverflow:
     def test_row_kernel_gives_inf_without_warning(self):
         # the bootstrap's rows: the value is not finite, so the report is refused
         r = np.sort(self.R)[::-1][None]
-        rows = RadialOrder(r * 0.5, r * 0.5)
+        rows = _pairs(r * 0.5, r * 0.5)
         assert _hill_rows(rows, _log_ratio_rows(rows.sorted_r, 20)).tolist() == [math.inf]
 
 
@@ -380,7 +380,7 @@ class TestOneCallShape:
     @pytest.mark.parametrize("name", list(ORDERS))
     def test_one_order_is_one_row(self, name):
         o = self.ORDERS[name]
-        stacked = RadialOrder(o.x[None], o.y[None])
+        stacked = _pairs(o.x[None], o.y[None])
         for k in (k for k in (2, 3, 25, 100) if k < o.n):
             logr, logr_rows = _log_ratio_rows(o.sorted_r, k), _log_ratio_rows(stacked.sorted_r, k)
             assert logr_rows.shape == (1, k) and logr_rows[0].tolist() == logr.tolist()

@@ -125,6 +125,8 @@ class TestEstimateSupport:
         for lam in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 SupportFitOptions(lam=lam)
+        with pytest.raises(ValueError, match="^lam must be a number, got '1'$"):
+            SupportFitOptions(lam="1")
 
 
 class TestExactness:

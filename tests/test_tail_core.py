@@ -23,6 +23,7 @@ from taildep.tail_core import (
     RadialOrder,
     _decreasing_head,
     _decreasing_order,
+    _pairs,
     acf,
     cone_distances,
     log_returns,
@@ -128,6 +129,10 @@ class TestConeDistance:
             AngularCone(0.6, 0.4)
         with pytest.raises(ValueError):
             AngularCone(-0.1, 0.5)
+        with pytest.raises(ValueError, match="^cone endpoint a must be a number, got '0'$"):
+            AngularCone("0", "1")
+        with pytest.raises(ValueError, match="^cone endpoint a must be a number, got None$"):
+            AngularCone(None, 1)
 
 
 class TestBivariateSample:
@@ -226,16 +231,53 @@ class TestRadialOrder:
 
     def test_arrays_are_read_only_views(self):
         # the memo keeps values derived from the arrays, so they must not change
-        x, y = np.array([3.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+        x, y = np.array([1.0, 3.0, 0.0]), np.array([1.0, 1.0, 0.0])
         o = RadialOrder(x, y)
-        for arr, src in ((o.x, x), (o.y, y)):
-            assert np.shares_memory(arr, src) and src.flags.writeable
+        assert o.x.tolist() == [3.0, 1.0, 0.0] and o.y.tolist() == [1.0, 1.0, 0.0]
         assert o.sorted_r.tolist() == [4.0, 2.0, 0.0] and o.theta.tolist() == [0.75, 0.5, 0.0]
+        assert x.flags.writeable and y.flags.writeable
+        assert x.tolist() == [1.0, 3.0, 0.0] and y.tolist() == [1.0, 1.0, 0.0]
         for arr in (o.sorted_r, o.theta, o.x, o.y):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
         assert "_memo" not in repr(o)
+
+    @pytest.mark.parametrize("x, y", [
+        (np.ones((1, 3)), np.ones((1, 3))),  # a stack of rows
+        (np.ones(3), np.ones(2)),
+        (5.0, 5.0),
+    ])
+    def test_only_one_row_of_pairs(self, x, y):
+        with pytest.raises(ValueError, match="^a radial order's x and y must be 1-d arrays of equal "
+                                             "length$"):
+            RadialOrder(x, y)
+
+    @pytest.mark.parametrize("read", [lambda o, depth: o.head(depth),
+                                      lambda o, depth: o.within(AngularCone(0.0, 1.0), depth)],
+                             ids=["head", "within"])
+    def test_one_depth_rule(self, read):
+        # a depth <= 0 reads nothing, however deep the order was read before
+        o = radial_order(example1(100, 0))
+        o.head(10)
+        for depth in (-5, -100, 0, np.int64(-5)):
+            assert read(o, depth).x.size == 0, depth
+        assert read(o, np.int64(3)).x.tolist() == read(o, 3).x.tolist() == o.x[:3].tolist()
+        for depth in (1.5, 10.0, np.float64(3.0), "3", None):
+            with pytest.raises(ValueError, match=r"^depth must be an integer, got "):
+                read(o, depth)
+
+    def test_within_computes_the_angles_once(self, monkeypatch):
+        sizes = []
+        angles = tail_core._angles
+        monkeypatch.setattr(tail_core, "_angles", lambda x, r: sizes.append(x.size) or angles(x, r))
+        s = example1(2000, 3)
+        o = radial_order(s)
+        first = o.within(AngularCone(0.9, 1.0), 10)
+        second = o.within(AngularCone(0.25, 0.75), 10)
+        assert sizes.count(s.n) == 1
+        for got, cone in ((first, AngularCone(0.9, 1.0)), (second, AngularCone(0.25, 0.75))):
+            assert got.x.size == 10 and cone.contains_angle(got.theta).all()
 
     @pytest.mark.parametrize("x, y", [
         ([0.0, 0.0], [0.0, 0.0]),  # origin points only
@@ -251,7 +293,7 @@ class TestRadialOrder:
         r = s.x + s.y
         expected = np.where(r > 0, s.x / np.where(r > 0, r, 1.0), 0.0)
         stable = np.argsort(-r, kind="stable")
-        rows = RadialOrder(s.x[stable][None], s.y[stable][None])
+        rows = _pairs(s.x[stable][None], s.y[stable][None])
         got = [(s.angles, expected), (rows.theta[0], expected[stable])]
         if r.max() > 0:
             got.append((radial_order(s).theta, expected[stable]))
@@ -425,6 +467,7 @@ class TestLazyOrder:
         for i, call in enumerate(_table_calls(k, cone)):
             expected = _outcome(call, full)
             assert _outcome(call, radial_order(s)) == expected, i
+            assert _outcome(call, RadialOrder(s.x, s.y)) == expected, i
             assert _outcome(call, shared) == expected, i
         assert np.array_equal(shared.sorted_r, full.sorted_r)
         assert np.array_equal(shared.theta, full.theta)
@@ -439,7 +482,8 @@ class TestLazyOrder:
         s = BivariateSample(x, y)
         stable = np.argsort(-s.radii, kind="stable")
         depth = data.draw(st.integers(1, n + 1), label="depth")
-        orders = [RadialOrder(s.x[stable], s.y[stable])] + ([radial_order(s)] if s.radii.any() else [])
+        orders = [RadialOrder(s.x[stable], s.y[stable]), RadialOrder(s.x, s.y)] + (
+            [radial_order(s)] if s.radii.any() else [])
         for cone in self.CONES:
             want = stable[cone.contains_angle(s.angles[stable])][:depth]
             for order in orders:
