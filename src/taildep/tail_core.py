@@ -153,9 +153,7 @@ def _pairs(x, y) -> _Pairs:
 
 def _depth(depth) -> int:
     """A read depth as an int, 0 for any depth <= 0."""
-    if type(depth) is not int:  # an int, the common case, needs no conversion
-        depth = _integer("depth", depth)
-    return depth if depth > 0 else 0
+    return max(_integer("depth", depth), 0)
 
 
 class RadialOrder:
@@ -179,7 +177,7 @@ class RadialOrder:
     The statistics and the support fit store what depends only on
     (order, k) in a private memo, through _cached alone, so repeated calls
     at one k (the fit at several lambdas, the four estimators) do that work
-    once; within keeps the source's angles there too.
+    once.
     """
 
     __slots__ = ("_source", "_top", "_heads", "_memo")
@@ -202,7 +200,8 @@ class RadialOrder:
         """The first depth pairs (all n when depth >= n), as read-only views,
         kept per depth: a prefix of any deeper sort is the same pairs. A race
         between two deepenings only sorts twice."""
-        depth = _depth(depth)
+        if type(depth) is not int or depth < 0:  # an int >= 0, the common case, is kept as is
+            depth = _depth(depth)
         if (head := self._heads.get(depth)) is None:
             top = self._top
             if (held := top.sorted_r.size) < min(depth, self.n):
@@ -214,12 +213,10 @@ class RadialOrder:
         """The first depth pairs whose angle lies in the cone (all of them
         when the cone holds fewer). _decreasing_head sees the in-cone points
         alone, and a stable sort of a subset keeps its order, so the pairs
-        are the full order's in-cone prefix, bit for bit. The angles of the
-        source are computed once per order."""
+        are the full order's in-cone prefix, bit for bit."""
         depth = _depth(depth)
         x, _, r = self._source
-        theta = self._cached(("angles",), lambda: _read_only(_angles(x, r))[0])
-        inside = np.flatnonzero(cone.contains_angle(theta))
+        inside = np.flatnonzero(cone.contains_angle(_angles(x, r)))
         return self._select(inside[_decreasing_head(r[inside], depth)])
 
     def _select(self, order: np.ndarray) -> _Pairs:
@@ -276,8 +273,10 @@ def _decreasing_head(values: np.ndarray, depth: int) -> np.ndarray:
     kept in sample order, so ties at t keep their sample order and the head
     is the full order's."""
     n = values.size
-    if not 0 < depth < n:
-        return _decreasing_order(values)[: max(depth, 0)]
+    if depth < 1:
+        return np.empty(0, dtype=np.intp)
+    if depth >= n:
+        return _decreasing_order(values)
     top = np.flatnonzero(values >= np.partition(values, n - depth)[n - depth])
     return top[_decreasing_order(values[top])[:depth]]
 

@@ -256,28 +256,22 @@ class TestRadialOrder:
     @pytest.mark.parametrize("read", [lambda o, depth: o.head(depth),
                                       lambda o, depth: o.within(AngularCone(0.0, 1.0), depth)],
                              ids=["head", "within"])
-    def test_one_depth_rule(self, read):
-        # a depth <= 0 reads nothing, however deep the order was read before
+    def test_one_depth_rule(self, read, monkeypatch):
+        # a depth <= 0 reads nothing, and sorts nothing, however deep the
+        # order was read before
         o = radial_order(example1(100, 0))
         o.head(10)
+        sizes = []
+        sort = tail_core._decreasing_order
+        monkeypatch.setattr(tail_core, "_decreasing_order",
+                            lambda values: sizes.append(values.size) or sort(values))
         for depth in (-5, -100, 0, np.int64(-5)):
             assert read(o, depth).x.size == 0, depth
+        assert sizes == []
         assert read(o, np.int64(3)).x.tolist() == read(o, 3).x.tolist() == o.x[:3].tolist()
         for depth in (1.5, 10.0, np.float64(3.0), "3", None):
             with pytest.raises(ValueError, match=r"^depth must be an integer, got "):
                 read(o, depth)
-
-    def test_within_computes_the_angles_once(self, monkeypatch):
-        sizes = []
-        angles = tail_core._angles
-        monkeypatch.setattr(tail_core, "_angles", lambda x, r: sizes.append(x.size) or angles(x, r))
-        s = example1(2000, 3)
-        o = radial_order(s)
-        first = o.within(AngularCone(0.9, 1.0), 10)
-        second = o.within(AngularCone(0.25, 0.75), 10)
-        assert sizes.count(s.n) == 1
-        for got, cone in ((first, AngularCone(0.9, 1.0)), (second, AngularCone(0.25, 0.75))):
-            assert got.x.size == 10 and cone.contains_angle(got.theta).all()
 
     @pytest.mark.parametrize("x, y", [
         ([0.0, 0.0], [0.0, 0.0]),  # origin points only
