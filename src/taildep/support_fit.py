@@ -99,16 +99,15 @@ def estimate_support(
 
     # a[i] pairs with b[start[i]:]; rounded addition is monotone, so the least
     # g(a[i], b) is a_part[i] + min(b_part[start[i]:]). Each a[i] that reaches
-    # the least g takes the first, narrowest, b that does: the first b whose
-    # b-part is that minimum, or an earlier one whose sum rounds to the same g.
+    # the least g takes the first, narrowest, b that does, by one scan of
+    # b_part[start[i]:]: the first b whose b-part is that minimum matches, so
+    # the scan always finds one, that b or an earlier one whose sum rounds to
+    # the same g. Almost every fit has one such a[i].
     start = np.searchsorted(b, a)
-    suffix_min = np.minimum.accumulate(b_part[::-1])[::-1]
-    at_min = np.where(b_part == suffix_min, np.arange(b.size), b.size)
-    first_min = np.minimum.accumulate(at_min[::-1])[::-1][start]
-    row_min = a_part + suffix_min[start]
+    row_min = a_part + np.minimum.accumulate(b_part[::-1])[::-1][start]
     best = []
     for i in np.flatnonzero(row_min == (gmin := row_min.min())):
-        j = start[i] + np.argmax(a_part[i] + b_part[start[i] : first_min[i] + 1] == gmin)
+        j = start[i] + np.argmax(a_part[i] + b_part[start[i] :] == gmin)
         best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
     _, a_hat, b_hat = min(best)
     return SupportEstimate(a_hat, b_hat, _objective(ord, a_hat, b_hat, _log_ratios(ord, k), s))

@@ -163,16 +163,17 @@ class RadialOrder:
     identity. The radii sorted_r and angles theta of what it reads come
     from _pairs, so neither can disagree with the pairs.
 
-    It keeps read-only views of x and y and their radii as its source, so
-    the caller's arrays stay writeable; a caller must not write to them
-    afterwards. It sorts nothing until it is read, and then only as deep as
-    it is read: a head(L) deeper than the prefix held sorts the top
-    2 max(L, held) points, so the depths sorted sum to under 4 times the
-    deepest read, and x, y, sorted_r and theta, its head at n, sort all of
-    it. within(cone, L), the first L pairs whose angle lies in the cone,
-    selects the in-cone points of the source and sorts only them, however
-    deep in the order they lie. A depth must be an integer; one <= 0 reads
-    nothing.
+    It keeps read-only views of x and y as floats (a copy only of pairs
+    given in another dtype) and their radii as its source, so the caller's
+    arrays stay writeable; a caller must not write to them afterwards. It
+    is read only through n, head(depth) and within(cone, depth). It sorts
+    nothing until it is read, and then only as deep as it is read: a
+    head(L) deeper than the prefix held sorts the top 2 max(L, held)
+    points, so the depths sorted sum to under 4 times the deepest read.
+    within(cone, L), the first L pairs whose angle lies in the cone,
+    computes the angles of the source and sorts only the in-cone points,
+    however deep in the order they lie. A depth must be an integer; one
+    <= 0 reads nothing.
 
     The statistics and the support fit store what depends only on
     (order, k) in a private memo, through _cached alone, so repeated calls
@@ -183,7 +184,7 @@ class RadialOrder:
     __slots__ = ("_source", "_top", "_heads", "_memo")
 
     def __init__(self, x, y) -> None:
-        x, y = np.asarray(x).view(), np.asarray(y).view()
+        x, y = np.asarray(x, dtype=float).view(), np.asarray(y, dtype=float).view()
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
             raise ValueError("a radial order's x and y must be 1-d arrays of equal length")
         # the unsorted (x, y, r) that head and within select from
@@ -191,10 +192,6 @@ class RadialOrder:
         self._top, self._heads, self._memo = _pairs(x[:0], y[:0]), {}, {}
 
     n = property(lambda self: self._source[2].size)
-    x = property(lambda self: self.head(self.n).x)
-    y = property(lambda self: self.head(self.n).y)
-    sorted_r = property(lambda self: self.head(self.n).sorted_r)
-    theta = property(lambda self: self.head(self.n).theta)
 
     def head(self, depth: int) -> _Pairs:
         """The first depth pairs (all n when depth >= n), as read-only views,
@@ -309,9 +306,8 @@ def log_returns(prices, stride: int) -> np.ndarray:
     floor((len(prices) - 1) / stride) entries.
     """
     p = np.asarray(prices, dtype=float)
-    if int(stride) != stride or stride < 1:
+    if (stride := _integer("stride", stride)) < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    stride = int(stride)
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise ValueError("prices must be positive and finite")
     if p.size <= stride:
@@ -328,9 +324,8 @@ def acf(series, max_lag: int) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
-    if int(max_lag) != max_lag or max_lag < 1:
+    if (max_lag := _integer("max_lag", max_lag)) < 1:
         raise ValueError(f"max_lag must be a positive integer, got {max_lag}")
-    max_lag = int(max_lag)
     n = x.size
     if n <= max_lag:
         raise ValueError("series must be longer than max_lag")

@@ -147,7 +147,7 @@ def test_criterion_04_table1_reproduction(ex1_samples):
     clean = clean_misses = cuts = certified = uncertified = 0
     for seed in SEEDS:
         o = radial_order(ex1_samples[seed])
-        top = o.theta[:100]
+        top = o.head(100).theta
         stray_low = top[top < 0.23]
         is_clean = bool(np.all((top >= 0.23) & (top <= 0.77)))
         clean += is_clean

@@ -372,7 +372,7 @@ class TestDeterminismAndInvariance:
             h2 = full_dependence_test(s, cfg)
             h3 = weak_dependence_test(s, CONE, cfg)
             cases = [
-                (h1.per_resample, 1, 0, lambda o: 0.0 if o.sorted_r[k - 1] == 0.0
+                (h1.per_resample, 1, 0, lambda o: 0.0 if o.head(k).sorted_r[k - 1] == 0.0
                  else cone_adjusted_hill(o, k, CONE).value),
                 (h2.per_resample, 2, 0, lambda o: plain(o, k).value),
                 (h3.per_resample, 3, 1, lambda o: plain(o, k).value),
@@ -508,7 +508,7 @@ def _assert_slots_match_stable_argsort(s, cone, cfg):
         return out
 
     def adjusted(o):
-        return 0.0 if o.sorted_r[k - 1] == 0.0 else cone_adjusted_hill(o, k, cone).value
+        return 0.0 if o.head(k).sorted_r[k - 1] == 0.0 else cone_adjusted_hill(o, k, cone).value
 
     def plain(o):
         try:

@@ -96,7 +96,7 @@ def test_resamples_follow_the_exact_law(name):
     assert s.n <= 7 and m <= 4
 
     def adjusted(o):
-        return 0.0 if o.sorted_r[k - 1] == 0.0 else cone_adjusted_hill(o, k, cone).value
+        return 0.0 if o.head(k).sorted_r[k - 1] == 0.0 else cone_adjusted_hill(o, k, cone).value
 
     def plain(o):
         try:

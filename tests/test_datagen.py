@@ -194,7 +194,7 @@ class TestGenerate:
         fracs = []
         for seed in range(50):
             o = radial_order(example1(30000, seed))
-            th = o.theta[:100]
+            th = o.head(100).theta
             fracs.append(np.mean((th >= 0.25) & (th <= 0.75)))
         assert np.mean(fracs) >= 0.95
 

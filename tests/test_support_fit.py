@@ -141,7 +141,7 @@ class TestExactness:
             o = radial_order(EXACTNESS_DATA[name](seed))
             pairs = [
                 (float(a), float(b))
-                for pts in (grid, np.unique(o.theta[:k]))
+                for pts in (grid, np.unique(o.head(k).theta))
                 for i, a in enumerate(pts) for b in pts[i:]
             ]
             width = np.array([b - a for a, b in pairs])
@@ -251,9 +251,10 @@ def dense_fit(ord, k, lam):
     k; the reference for estimate_support's selection."""
     s = _penalty_weight(lam, k)
     logr = _log_ratios(ord, k)
-    order = np.argsort(ord.theta[:k], kind="stable")
-    theta = ord.theta[:k][order]
-    w = (ord.sorted_r[:k] / ord.sorted_r[k - 1] * logr / k)[order]
+    top = ord.head(k)
+    order = np.argsort(top.theta, kind="stable")
+    theta = top.theta[order]
+    w = (top.sorted_r / top.sorted_r[k - 1] * logr / k)[order]
     wt = w * theta
     w_lo, wt_lo = (np.concatenate(([0.0], np.cumsum(v))) for v in (w, wt))
     w_hi, wt_hi = (np.concatenate(([0.0], np.cumsum(v[::-1])))[::-1] for v in (w, wt))

@@ -153,7 +153,7 @@ class TestBivariateSample:
         s = BivariateSample(x, y)
         assert s.x.tolist() == [0.0, 1.0, 0.0, 2.0] and s.y.tolist() == [3.0, 0.0, 1.0, 0.0]
         assert not np.signbit(s.x).any() and not np.signbit(s.y).any()
-        assert not np.signbit(s.angles).any() and not np.signbit(radial_order(s).theta).any()
+        assert not np.signbit(s.angles).any() and not np.signbit(radial_order(s).head(s.n).theta).any()
         assert np.signbit(x[0]) and x.flags.writeable  # the caller's array is copied, not changed
         with pytest.raises(ValueError, match="negative values"):
             BivariateSample([-0.0, -1e-300], [1.0, 1.0])
@@ -192,16 +192,16 @@ class TestBivariateSample:
 class TestRadialOrder:
     def test_hand_sort(self):
         s = BivariateSample([1, 3, 0], [0, 1, 2])
-        o = radial_order(s)
+        o = radial_order(s).head(s.n)
         assert o.sorted_r.tolist() == [4, 2, 1]
         assert o.theta.tolist() == [0.75, 0, 1]
 
     def test_single_point(self):
-        o = radial_order(BivariateSample([2], [2]))
+        o = radial_order(BivariateSample([2], [2])).head(1)
         assert o.sorted_r.tolist() == [4] and o.theta.tolist() == [0.5]
 
     def test_tie_break_by_index(self):
-        o = radial_order(BivariateSample([1, 2], [1, 0]))
+        o = radial_order(BivariateSample([1, 2], [1, 0])).head(2)
         assert o.x.tolist() == [1, 2]  # both r=2; input order kept
 
     def test_permutation_of_radii(self):
@@ -209,7 +209,7 @@ class TestRadialOrder:
         for _ in range(100):
             n = int(gen.integers(1, 40))
             s = BivariateSample(gen.random(n), gen.random(n))
-            o = radial_order(s)
+            o = radial_order(s).head(n)
             assert sorted(o.sorted_r) == sorted(s.radii)
 
     def test_sorts_on_every_call(self, monkeypatch):
@@ -222,7 +222,7 @@ class TestRadialOrder:
         s = BivariateSample([1, 3, 0], [0, 1, 2])
         first, second = radial_order(s), radial_order(s)
         assert calls == []
-        assert np.array_equal(first.sorted_r, second.sorted_r)
+        assert np.array_equal(first.head(s.n).sorted_r, second.head(s.n).sorted_r)
         assert calls == [3, 3]
 
     def test_all_origin_rejected(self):
@@ -233,15 +233,28 @@ class TestRadialOrder:
         # the memo keeps values derived from the arrays, so they must not change
         x, y = np.array([1.0, 3.0, 0.0]), np.array([1.0, 1.0, 0.0])
         o = RadialOrder(x, y)
-        assert o.x.tolist() == [3.0, 1.0, 0.0] and o.y.tolist() == [1.0, 1.0, 0.0]
-        assert o.sorted_r.tolist() == [4.0, 2.0, 0.0] and o.theta.tolist() == [0.75, 0.5, 0.0]
+        top = o.head(o.n)
+        assert top.x.tolist() == [3.0, 1.0, 0.0] and top.y.tolist() == [1.0, 1.0, 0.0]
+        assert top.sorted_r.tolist() == [4.0, 2.0, 0.0] and top.theta.tolist() == [0.75, 0.5, 0.0]
         assert x.flags.writeable and y.flags.writeable
         assert x.tolist() == [1.0, 3.0, 0.0] and y.tolist() == [1.0, 1.0, 0.0]
-        for arr in (o.sorted_r, o.theta, o.x, o.y):
+        for arr in top:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
         assert "_memo" not in repr(o)
+
+    @pytest.mark.parametrize("x, y, r, theta", [
+        (np.array([0, 5, 3, 2], np.uint32), np.zeros(4, np.uint32), [5.0, 3.0], [1.0, 1.0]),
+        (np.array([200], np.uint8), np.array([100], np.uint8), [300.0], [2 / 3]),
+        ([1, 3, 0], [0, 1, 2], [4.0, 2.0], [0.75, 0.0]),
+    ], ids=["uint32_with_a_zero", "uint8_overflow", "list_of_ints"])
+    def test_integer_pairs_are_read_as_floats(self, x, y, r, theta):
+        # summed in an unsigned dtype, -0 stays the least key, so a zero
+        # radius sorted first, and 200 + 100 wrapped to 44
+        top = RadialOrder(x, y).head(2)
+        assert top.sorted_r.tolist() == r and top.theta.tolist() == theta
+        assert all(arr.dtype == np.float64 for arr in top)
 
     @pytest.mark.parametrize("x, y", [
         (np.ones((1, 3)), np.ones((1, 3))),  # a stack of rows
@@ -268,7 +281,7 @@ class TestRadialOrder:
         for depth in (-5, -100, 0, np.int64(-5)):
             assert read(o, depth).x.size == 0, depth
         assert sizes == []
-        assert read(o, np.int64(3)).x.tolist() == read(o, 3).x.tolist() == o.x[:3].tolist()
+        assert read(o, np.int64(3)).x.tolist() == read(o, 3).x.tolist() == o.head(3).x.tolist()
         for depth in (1.5, 10.0, np.float64(3.0), "3", None):
             with pytest.raises(ValueError, match=r"^depth must be an integer, got "):
                 read(o, depth)
@@ -290,7 +303,7 @@ class TestRadialOrder:
         rows = _pairs(s.x[stable][None], s.y[stable][None])
         got = [(s.angles, expected), (rows.theta[0], expected[stable])]
         if r.max() > 0:
-            got.append((radial_order(s).theta, expected[stable]))
+            got.append((radial_order(s).head(s.n).theta, expected[stable]))
         for a, b in got:
             assert a.tobytes() == b.tobytes() and not np.signbit(a).any()
 
@@ -318,7 +331,7 @@ class TestRadialOrder:
         theta = np.where(r > 0, s.x / np.where(r > 0, r, 1.0), 0.0)  # a reference of its own
         expected = {"sorted_r": r[stable], "theta": theta[stable], "x": s.x[stable],
                     "y": s.y[stable]}
-        got = radial_order(s)
+        got = radial_order(s).head(n)
         for name, b in expected.items():
             a = getattr(got, name)
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
@@ -463,8 +476,8 @@ class TestLazyOrder:
             assert _outcome(call, radial_order(s)) == expected, i
             assert _outcome(call, RadialOrder(s.x, s.y)) == expected, i
             assert _outcome(call, shared) == expected, i
-        assert np.array_equal(shared.sorted_r, full.sorted_r)
-        assert np.array_equal(shared.theta, full.theta)
+        assert np.array_equal(shared.head(n).sorted_r, full.head(n).sorted_r)
+        assert np.array_equal(shared.head(n).theta, full.head(n).theta)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -542,8 +555,11 @@ class TestLogReturns:
             log_returns([1, 0, 2], stride=1)
         with pytest.raises(ValueError):
             log_returns([1, 2], stride=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got 0$"):
             log_returns([1, 2, 3], stride=0)
+        for stride in (None, math.inf, math.nan, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"^stride must be an integer, got {stride!r}$"):
+                log_returns([1, 2, 3], stride)
 
 
 class TestAcf:
@@ -575,6 +591,9 @@ class TestAcf:
     def test_max_lag_validation(self):
         with pytest.raises(ValueError):
             acf([1.0, 2.0], 5)
-        for max_lag in (0, -1, 2.5):
+        for max_lag in (0, -1):
             with pytest.raises(ValueError, match=f"^max_lag must be a positive integer, got {max_lag}$"):
+                acf([1.0, 2.0, 4.0, 3.0, 5.0], max_lag)
+        for max_lag in (2.5, None, math.inf, math.nan, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"^max_lag must be an integer, got {max_lag!r}$"):
                 acf([1.0, 2.0, 4.0, 3.0, 5.0], max_lag)
