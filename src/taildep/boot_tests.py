@@ -57,6 +57,7 @@ from taildep.tail_core import (
     AngularCone,
     BivariateSample,
     RadialOrder,
+    _cone,
     _integer,
     _pairs,
     _real,
@@ -329,6 +330,7 @@ def strong_dependence_test(
     statistic leaves the normal band around the full-sample Hill
     estimate exceeds the significance level.
     """
+    _cone("cone", cone)
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H1",))
     stats = _resample_stats(p, "H1", 0, _cone_adjusted_hill_rows, cone)
@@ -372,6 +374,7 @@ def weak_dependence_test(
     angle-weighted statistics; equal variances (ratio inside the F
     band) support the angular support being [a, b].
     """
+    _cone("cone", cone)
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H3",))
     stats_plain = _resample_stats(p, "H3", 1, _angle_weighted_hill_rows)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, RadialOrder, _Pairs, _integer, cone_distances
+from taildep.tail_core import AngularCone, RadialOrder, _cone, _integer, _Pairs, cone_distances
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,12 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 # one convention: where R_(k) = 0 every log term is 0, and an angle-weighted
 # mean whose angles sum to 0 is 0/0 = 1. Only the masked statistic, the
 # angle-weighted kernel on the in-cone pairs with zeros after (its public
-# function and H3's masked batch), takes those values.
+# function and H3's masked batch), takes those values. A mean is
+# np.add.reduce(v, axis=-1) / k, the sum and division v.mean(axis=-1) makes,
+# bit for bit, without the wrapper around them.
 
 def _hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
-    return logr.mean(axis=-1)
+    return np.add.reduce(logr, axis=-1) / logr.shape[-1]
 
 
 def _cone_adjusted_hill_rows(rows: _Pairs, logr: np.ndarray, cone: AngularCone) -> np.ndarray:
@@ -99,7 +101,7 @@ def _cone_adjusted_hill_rows(rows: _Pairs, logr: np.ndarray, cone: AngularCone) 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = (1.0 + d / rows.sorted_r[..., k - 1 : k]) * logr
     # inf * 0 at a zero log ratio: the log factor wins, the term is 0
-    return np.where(logr > 0.0, terms, 0.0).mean(axis=-1)
+    return np.add.reduce(np.where(logr > 0.0, terms, 0.0), axis=-1) / k
 
 
 def _angle_weighted_hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
@@ -109,10 +111,20 @@ def _angle_weighted_hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
         return np.where(denom > 0.0, _row_dots(th, logr) / denom, 1.0)
 
 
+def _head_value(ord: RadialOrder, k: int, kernel, *args) -> float:
+    """kernel's value on ord's first k pairs with their log ratios, made once
+    per (k, kernel, *args) and kept in ord's memo, so the support fit at
+    every lambda and the estimators score H, and D at each cone, once per
+    order; args must be hashable. Refuses R_(k) = 0; k must have passed
+    _check_k."""
+    return ord._cached((k, kernel, *args),
+                       lambda: float(kernel(ord.head(k), _log_ratios(ord, k), *args)))
+
+
 def _single_row(ord: RadialOrder, k: int, kernel, *args) -> StatisticValue:
     """kernel on ord's first k pairs with their log ratios; refuses R_(k) = 0."""
     _check_k(ord, k)
-    return StatisticValue(float(kernel(ord.head(k), _log_ratios(ord, k), *args)), int(k), ord.n)
+    return StatisticValue(_head_value(ord, k, kernel, *args), int(k), ord.n)
 
 
 def hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -132,7 +144,7 @@ def cone_adjusted_hill(ord: RadialOrder, k: int, cone: AngularCone) -> Statistic
     Hill estimator iff every contributing pair lies inside the cone; in
     particular the cone [0, 1] gives the Hill estimator exactly.
     """
-    return _single_row(ord, k, _cone_adjusted_hill_rows, cone)
+    return _single_row(ord, k, _cone_adjusted_hill_rows, _cone("cone", cone))
 
 
 def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -162,6 +174,7 @@ def masked_angle_weighted_hill(
     ord.within(cone, k), which sorts in-cone points alone, about k of them
     (all of them where the cone holds fewer): it never sorts all n points.
     """
+    _cone("cone", cone)
     _check_k(ord, k)
     head = ord.head(2 * k)
     inside = np.flatnonzero(cone.contains_angle(head.theta))[:k]

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.estimators import _check_k, _cone_adjusted_hill_rows, _hill_rows, _log_ratios
+from taildep.estimators import (
+    _check_k, _cone_adjusted_hill_rows, _head_value, _hill_rows, _log_ratios,
+)
 from taildep.tail_core import AngularCone, RadialOrder, _real
 
 
@@ -51,15 +53,16 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     D >= H always, so the absolute value is the cone-adjustment gap.
     """
     _check_k(ord, k)
-    return _objective(ord, a, b, _log_ratios(ord, k), _penalty_weight(lam, k))
+    return _objective(ord, k, a, b, lam)
 
 
-def _objective(ord: RadialOrder, a: float, b: float, logr: np.ndarray, s: float) -> float:
-    """g(a, b) given logr = _log_ratios(ord, k) and s = lam * sqrt(k): H and D share logr."""
-    top = ord.head(logr.size)
-    h = _hill_rows(top, logr)
-    d = _cone_adjusted_hill_rows(top, logr, AngularCone(a, b))
-    return (b - a) + s * abs(float(d) - float(h))
+def _objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) -> float:
+    """g(a, b) at a checked k. H and D(a, b) come from ord's memo, so the
+    fit at every lambda and each distinct cone score them once; H refuses
+    R_(k) = 0 before lambda * sqrt(k) is checked, as the estimators would."""
+    h = _head_value(ord, k, _hill_rows)
+    d = _head_value(ord, k, _cone_adjusted_hill_rows, AngularCone(a, b))
+    return (b - a) + _penalty_weight(lam, k) * abs(d - h)
 
 
 # s times a finite sum of weights may overflow: that candidate is +inf and loses
@@ -86,15 +89,19 @@ def estimate_support(
     _check_k(ord, k)
     s = _penalty_weight(opts.lam, k)
     theta, w_hi, wt_hi, a, a_coef, wt_hi_at_a, b0 = _fit_tables(ord, k)
+    # the pass below calls array and ufunc methods, not numpy's Python
+    # wrappers of them (np.sort, np.searchsorted, ...): the same bits, sooner
+
     # no angle lies below a = 0, so the a-part is 0 there
     a_part = np.concatenate(([0.0], -a[1:] + s * a_coef))
 
     # the b-part's stationary point on the piece right of each breakpoint;
     # one that falls outside its piece is still a feasible candidate
     stationary = np.sqrt(s * wt_hi_at_a)
-    b = np.sort(np.concatenate((a, np.minimum(stationary, 1.0))))
+    b = np.concatenate((a, np.minimum(stationary, 1.0)))
+    b.sort()
     b = b[np.concatenate(([True], b[1:] != b[:-1]))]
-    hi = np.searchsorted(theta, b[1:], side="right")
+    hi = theta.searchsorted(b[1:], side="right")
     b_part = np.concatenate(([b0], b[1:] + s * (wt_hi[hi] / b[1:] - w_hi[hi])))
 
     # a[i] pairs with b[start[i]:]; rounded addition is monotone, so the least
@@ -103,14 +110,14 @@ def estimate_support(
     # b_part[start[i]:]: the first b whose b-part is that minimum matches, so
     # the scan always finds one, that b or an earlier one whose sum rounds to
     # the same g. Almost every fit has one such a[i].
-    start = np.searchsorted(b, a)
+    start = b.searchsorted(a)
     row_min = a_part + np.minimum.accumulate(b_part[::-1])[::-1][start]
     best = []
-    for i in np.flatnonzero(row_min == (gmin := row_min.min())):
-        j = start[i] + np.argmax(a_part[i] + b_part[start[i] :] == gmin)
+    for i in (row_min == (gmin := np.minimum.reduce(row_min))).nonzero()[0]:
+        j = start[i] + (a_part[i] + b_part[start[i] :] == gmin).argmax()
         best.append((float(b[j] - a[i]), float(a[i]), float(b[j])))
     _, a_hat, b_hat = min(best)
-    return SupportEstimate(a_hat, b_hat, _objective(ord, a_hat, b_hat, _log_ratios(ord, k), s))
+    return SupportEstimate(a_hat, b_hat, _objective(ord, k, a_hat, b_hat, opts.lam))
 
 
 def _fit_tables(ord: RadialOrder, k: int) -> tuple:

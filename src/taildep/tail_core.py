@@ -69,6 +69,13 @@ class AngularCone:
         return (theta >= self.a) & (theta <= self.b)
 
 
+def _cone(name: str, value) -> AngularCone:
+    """value, refused, naming it, unless it is an AngularCone."""
+    if not isinstance(value, AngularCone):
+        raise ValueError(f"{name} must be an AngularCone, got {value!r}")
+    return value
+
+
 class BivariateSample:
     """Nonnegative data pairs (X_i, Y_i), stored as parallel arrays."""
 
@@ -176,9 +183,10 @@ class RadialOrder:
     <= 0 reads nothing.
 
     The statistics and the support fit store what depends only on
-    (order, k) in a private memo, through _cached alone, so repeated calls
-    at one k (the fit at several lambdas, the four estimators) do that work
-    once.
+    (order, k), and a statistic's value on (order, k, cone), in a private
+    memo, through _cached alone, so repeated calls at one k (the fit at
+    several lambdas, the four estimators) do that work once; each distinct
+    cone scored adds one float.
     """
 
     __slots__ = ("_source", "_top", "_heads", "_memo")
@@ -211,6 +219,7 @@ class RadialOrder:
         when the cone holds fewer). _decreasing_head sees the in-cone points
         alone, and a stable sort of a subset keeps its order, so the pairs
         are the full order's in-cone prefix, bit for bit."""
+        _cone("cone", cone)
         depth = _depth(depth)
         x, _, r = self._source
         inside = np.flatnonzero(cone.contains_angle(_angles(x, r)))

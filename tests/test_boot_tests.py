@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -190,6 +191,14 @@ class TestStrongDependence:
         rep = strong_dependence_test(s, AngularCone(0.4, 0.6), cfg)
         expected = REJECT if rep.statistic > cfg.alpha_sig else FAIL_TO_REJECT
         assert rep.verdict == expected
+
+
+@pytest.mark.parametrize("test", [strong_dependence_test, weak_dependence_test], ids=["H1", "H3"])
+@pytest.mark.parametrize("cone", [(0.25, 0.75), [0.25, 0.75], None])
+def test_cone_that_is_not_an_angular_cone_refused(test, cone):
+    # refused before the sample is prepared, naming the argument
+    with pytest.raises(ValueError, match=f"^cone must be an AngularCone, got {re.escape(repr(cone))}$"):
+        test(example1(300, 0), cone, Config(k_n=20, seed=0, m_n=100, k_mn=10, B=20))
 
 
 class TestFullDependence:

@@ -17,7 +17,7 @@ from taildep.estimators import (
     masked_angle_weighted_hill,
 )
 from taildep.support_fit import estimate_support, support_objective
-from taildep.tail_core import AngularCone, BivariateSample, _pairs, radial_order
+from taildep.tail_core import AngularCone, BivariateSample, _pairs, cone_distances, radial_order
 
 
 def _sample_from_polar(r, theta):
@@ -362,6 +362,49 @@ class TestRatioOverflow:
         assert _hill_rows(rows, _log_ratio_rows(rows.sorted_r, 20)).tolist() == [math.inf]
 
 
+class TestReductionBits:
+    # the Hill and cone-adjusted kernels sum with np.add.reduce and divide by
+    # k: bit for bit np.mean of the same terms, on 1-d heads and on stacks
+    # of rows, at every width up to 200, where R_(k) = 0 and where a ratio
+    # R_(1)/R_(k) overflows
+    CONE = AngularCone(0.25, 0.75)
+
+    @staticmethod
+    def stack(k):
+        """Six rows of k + 2 pairs by decreasing radius; in row 1 R_(k) = 0,
+        in row 2 R_(1)/R_(k) overflows (where k > 1)."""
+        gen = stream(41, k)
+        x, y = gen.pareto(2.0, (2, 6, k + 2))
+        x[1, k - 1 :] = y[1, k - 1 :] = 0.0
+        x[2] *= 1e-10
+        y[2] *= 1e-10
+        x[2, 0] = y[2, 0] = 1e300
+        order = np.argsort(-(x + y), axis=-1, kind="stable")
+        return _pairs(np.take_along_axis(x, order, -1), np.take_along_axis(y, order, -1))
+
+    @staticmethod
+    def terms(rows, logr):
+        """The cone-adjusted kernel's terms, (1 + d_i / R_(k)) log(R_(i)/R_(k)), 0 where the log is 0."""
+        k = logr.shape[-1]
+        d = cone_distances(rows.x[..., :k], rows.y[..., :k], TestReductionBits.CONE)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(logr > 0.0, (1.0 + d / rows.sorted_r[..., k - 1 : k]) * logr, 0.0)
+
+    def test_sums_divided_by_k_are_np_mean(self):
+        for k in range(1, 201):
+            stacked = self.stack(k)
+            heads = [_pairs(stacked.x[i], stacked.y[i]) for i in range(6)]
+            for rows in (stacked, *heads):
+                logr = _log_ratio_rows(rows.sorted_r, k)
+                got = [_hill_rows(rows, logr), _cone_adjusted_hill_rows(rows, logr, self.CONE)]
+                expected = [np.mean(logr, axis=-1), np.mean(self.terms(rows, logr), axis=-1)]
+                for g, e in zip(got, expected):
+                    assert np.shape(g) == np.shape(e) and [_bits(v) for v in np.ravel(g)] == [
+                        _bits(v) for v in np.ravel(e)], k
+            values = _hill_rows(stacked, _log_ratio_rows(stacked.sorted_r, k))
+            assert values[1] == 0.0 and (k == 1 or values[2] == math.inf), k
+
+
 class TestOneCallShape:
     # a kernel scores the log ratios it is given along the last axis: on a
     # 1-d order it gives, bit for bit, what it gives that order as one row
@@ -409,3 +452,13 @@ def test_non_integer_k_refused(call, k):
 def test_numpy_integer_k_accepted():
     o = radial_order(example1(300, 0))
     assert hill(o, np.int64(10)) == hill(o, 10)
+
+
+@pytest.mark.parametrize("statistic", [cone_adjusted_hill, masked_angle_weighted_hill],
+                         ids=["cone_adjusted", "masked"])
+@pytest.mark.parametrize("cone", [(0.25, 0.75), [0.25, 0.75], None])
+def test_cone_that_is_not_an_angular_cone_refused(statistic, cone):
+    # a ValueError naming the argument, not an AttributeError on cone.b or,
+    # for a list, the memo's TypeError: unhashable
+    with pytest.raises(ValueError, match=f"^cone must be an AngularCone, got {re.escape(repr(cone))}$"):
+        statistic(radial_order(example1(300, 0)), 10, cone)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taildep import estimators
+from taildep import estimators, support_fit
 from taildep.datagen import MixtureSpec, example1, example2, generate
 from taildep.estimators import (
     _log_ratios, angle_weighted_hill, cone_adjusted_hill, hill, masked_angle_weighted_hill,
@@ -401,8 +401,8 @@ def table_calls(k):
 
 
 class TestMemo:
-    # a RadialOrder keeps what depends only on (order, k): the log ratios
-    # and the fit's lambda-free tables
+    # a RadialOrder keeps what depends only on (order, k): the log ratios,
+    # the fit's lambda-free tables and each head statistic's value
 
     @pytest.mark.parametrize("make", [lambda: example1(3000, 5), lambda: example2(3000, 5),
                                       lambda: degree_sample(5)],
@@ -428,11 +428,51 @@ class TestMemo:
                             lambda *a: passes.append(1) or log_ratio_rows(*a))
         o = radial_order(example1(3000, 2))
         cone = AngularCone(0.25, 0.75)
-        for lam in TABLE_LAMBDAS:
-            estimate_support(o, 100, SupportFitOptions(lam=lam))
+        fits = [estimate_support(o, 100, SupportFitOptions(lam=lam)) for lam in TABLE_LAMBDAS]
         hill(o, 100), cone_adjusted_hill(o, 100, cone), angle_weighted_hill(o, 100)
-        assert builds == [("fit_tables", 100), ("log_ratios", 100)]
+        # H once, D once per distinct cone, fitted or asked for, in first use
+        cones = dict.fromkeys([*(AngularCone(f.a_hat, f.b_hat) for f in fits), cone])
+        assert builds == [("fit_tables", 100), ("log_ratios", 100), (100, estimators._hill_rows),
+                          *((100, estimators._cone_adjusted_hill_rows, c) for c in cones),
+                          (100, estimators._angle_weighted_hill_rows)]
         assert len(checks) == len(passes) == 1
+
+    @pytest.mark.parametrize("make", [lambda: example1(3000, 0), lambda: example2(3000, 2),
+                                      lambda: degree_sample(0)],
+                             ids=["example1", "example2", "integer_degrees"])
+    def test_each_head_statistic_is_scored_once(self, make, monkeypatch):
+        # a Table-1 row: the fit at five lambdas, then the four statistics at
+        # the lambda = 1 cone, scores H once and D once per distinct fitted cone
+        scored_h, scored_d = [], []
+        hill_rows, cone_rows = estimators._hill_rows, estimators._cone_adjusted_hill_rows
+
+        def spy_hill(rows, logr):
+            scored_h.append(1)
+            return hill_rows(rows, logr)
+
+        def spy_cone(rows, logr, cone):
+            scored_d.append(cone)
+            return cone_rows(rows, logr, cone)
+
+        for module in (estimators, support_fit):
+            monkeypatch.setattr(module, "_hill_rows", spy_hill)
+            monkeypatch.setattr(module, "_cone_adjusted_hill_rows", spy_cone)
+
+        def row(order):
+            """The row's fits and values, each call on order()."""
+            fits = [estimate_support(order(), 100, SupportFitOptions(lam=lam))
+                    for lam in TABLE_LAMBDAS]
+            cone = AngularCone(fits[0].a_hat, fits[0].b_hat)
+            stats = [hill(order(), 100), cone_adjusted_hill(order(), 100, cone),
+                     angle_weighted_hill(order(), 100), masked_angle_weighted_hill(order(), 100, cone)]
+            return fits, [*(v for f in fits for v in vars(f).values()), *(v.value for v in stats)]
+
+        s = make()
+        shared = radial_order(s)
+        fits, values = row(lambda: shared)
+        assert len(scored_h) == 1
+        assert scored_d == list(dict.fromkeys(AngularCone(f.a_hat, f.b_hat) for f in fits))
+        assert bits(values) == bits(row(lambda: radial_order(s))[1])
 
     def test_refusals_store_nothing(self):
         # each repeat raises again; the overflowing weights' log ratios are

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -508,6 +509,11 @@ class TestLazyOrder:
             every = o.within(AngularCone(0.0, 1.0), depth)
             assert np.array_equal(every.x, s.x[stable][:depth])
             assert np.array_equal(every.theta, s.angles[stable][:depth])
+
+    @pytest.mark.parametrize("cone", [(0.25, 0.75), [0.25, 0.75], None])
+    def test_within_refuses_a_cone_that_is_not_an_angular_cone(self, cone):
+        with pytest.raises(ValueError, match=f"^cone must be an AngularCone, got {re.escape(repr(cone))}$"):
+            radial_order(example1(300, 0)).within(cone, 10)
 
     def test_support_table_sorts_at_most_4k_values(self, monkeypatch):
         # the fit at five lambdas and the four statistics read the top k and,
