@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, BivariateSample, _integer, _real
+from taildep.tail_core import AngularCone, BivariateSample, _cone, _integer, _real
 
 # substream indices for the five model components
 _SUB_BERNOULLI = 0
@@ -124,6 +124,7 @@ class MixtureSpec:
     def __post_init__(self) -> None:
         for name in ("alpha_main", "alpha_hidden", "z_p", "z_q", "mix_prob"):
             _real(name, getattr(self, name))
+        _cone("cone", self.cone)
         if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
             raise ValueError("Pareto indices must be positive")
         if self.alpha_hidden < self.alpha_main:

@@ -1,23 +1,24 @@
-"""Quantile functions for the normal, chi-square and F distributions.
+"""CDFs and quantile functions of the normal, chi-square and F distributions.
 
-Self-contained implementations (series / continued-fraction incomplete
-gamma and beta with safeguarded Newton inversion) so that the decision
-thresholds used by the bootstrap tests are bit-reproducible across
-platforms. The quantiles aim at 1e-8 relative or better in both tails:
-above p = 1 - 0.02425 each quantile is solved on its upper tail at 1 - p.
-The incomplete gamma and beta themselves meet only about 3e-8 near the
-mode at shapes near _MAX_SHAPE, where the front factor's exponent is summed
-from terms near 8e7 (beta_inc(5e6, 5e6, 0.5) = 0.5000000150; TOMS 708's
-brcomp and rcomp would mend it); the quantiles still meet 1e-8 there.
-Each incomplete function picks its expansion once, in _gamma_tails or
-_beta_tails, and returns both tails, so an inversion reads the tail it
-solves, never 1 minus the other. The series and both continued fractions
-share one modified-Lentz step and one iteration budget that grows with
-sqrt(shape).
+The six public functions are normal_cdf, normal_quantile, chisq_cdf,
+chisq_quantile, f_cdf and f_quantile. Self-contained implementations
+(series / continued-fraction incomplete gamma and beta with safeguarded
+Newton inversion) make the decision thresholds used by the bootstrap tests
+bit-reproducible across platforms. The quantiles aim at 1e-8 relative or
+better in both tails: above p = 1 - 0.02425 each quantile is solved on its
+upper tail at 1 - p. The CDFs meet only about 3e-8 near the mode at df near
+_MAX_DF, where the front factor's exponent is summed from terms near 8e7
+(f_cdf(1, 1e7, 1e7) = 0.5000000150; TOMS 708's brcomp and rcomp would mend
+it); the quantiles still meet 1e-8 there. The incomplete gamma and beta
+pick their expansion once, in _gamma_tails or _beta_tails, and return both
+tails, so an inversion reads the tail it solves, never 1 minus the other.
+The series and both continued fractions share one modified-Lentz step and
+one iteration budget that grows with sqrt(df).
 
-The domain is the bootstrap's: df in (0, _MAX_DF] and incomplete-function
-shapes in (0, _MAX_DF / 2], with ValueError naming the bound outside it. The
-tests take their thresholds at df = B - 1, and TestConfig caps B at _MAX_DF.
+The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError naming
+the bound outside it. The tests take their thresholds at df = B - 1, and
+TestConfig caps B at _MAX_DF. A quantile beyond the float range is +inf,
+and one below the least positive float is 0.0.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 import sys
 
 _MAX_ITER = 1000
-# the largest df, and half of it the largest shape, that the functions accept
+# the largest df that the functions accept
 _MAX_DF = 1e7
-_MAX_SHAPE = 0.5 * _MAX_DF
 _EPS = 1e-15
 _FPMIN = 1e-300
 _TINY = 5e-324
@@ -122,31 +122,17 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     """P(a, x) and Q(a, x) = 1 - P(a, x), for x >= 0: the series gives P
     below x = a + 1 and the continued fraction Q above, and the other tail is
-    1 minus it."""
+    1 minus it. A tail is at most 1: at tiny a the front factor, formed from
+    lgamma(a) near -log(a), rounds one near 1 above it."""
     if x == 0.0:
         return 0.0, 1.0
     if x == math.inf:
         return 1.0, 0.0
     if x < a + 1.0:
-        lower = _gamma_p_series(a, x)
+        lower = min(_gamma_p_series(a, x), 1.0)
         return lower, 1.0 - lower
-    upper = _gamma_q_contfrac(a, x)
+    upper = min(_gamma_q_contfrac(a, x), 1.0)
     return 1.0 - upper, upper
-
-
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), for a in (0, _MAX_SHAPE].
-
-    Near the mode at a near _MAX_SHAPE it meets only about 3e-8 relative
-    (gamma_p(5e6, 5e6 - 1) is 1.0e-8 off); see the module docstring.
-    """
-    if a <= 0.0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if not a <= _MAX_SHAPE:
-        raise ValueError(f"shape must lie in (0, {_MAX_SHAPE:g}], got {a}")
-    if not x >= 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    return _gamma_tails(a, _check_x(x))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,8 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
 def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
     """I_x(a, b) and 1 - I_x(a, b) = I_{1-x}(b, a), for 0 <= x <= 1: the
     continued fraction gives the lower tail below x = (a + 1)/(a + b + 2)
-    and the upper one above, and the other tail is 1 minus it."""
+    and the upper one above, and the other tail is 1 minus it; as in
+    _gamma_tails, a tail is at most 1."""
     if x <= 0.0:
         return 0.0, 1.0
     if x >= 1.0:
@@ -213,25 +200,10 @@ def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
     # x^a (1 - x)^b / B(a, b), the front factor of both continued fractions
     front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
-        lower = front * _beta_contfrac(a, b, x) / a
+        lower = min(front * _beta_contfrac(a, b, x) / a, 1.0)
         return lower, 1.0 - lower
-    upper = front * _beta_contfrac(b, a, 1.0 - x) / b
+    upper = min(front * _beta_contfrac(b, a, 1.0 - x) / b, 1.0)
     return 1.0 - upper, upper
-
-
-def beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), for a, b in (0, _MAX_SHAPE].
-
-    Near the mode at shapes near _MAX_SHAPE it meets only about 3e-8
-    relative (beta_inc(5e6, 5e6, 0.5) = 0.5000000150); see the module docstring.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shapes must be positive, got a={a}, b={b}")
-    if not (a <= _MAX_SHAPE and b <= _MAX_SHAPE):
-        raise ValueError(f"shapes must lie in (0, {_MAX_SHAPE:g}], got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must lie in [0, 1], got {x}")
-    return _beta_tails(a, b, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +236,18 @@ def normal_quantile(p: float) -> float:
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
             (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    if p < sys.float_info.min:
+        # a subnormal p has too few digits for Halley steps on normal_cdf, and
+        # exp(x^2 / 2) overflows there: take Newton steps on log Phi(x) = log p,
+        # with log Phi(x) = -x^2/2 - log(sqrt(2 pi) v) and its derivative
+        # v = phi(x)/Phi(x) from Laplace's continued fraction, exact to 1e-16 at x < -37
+        log_p = math.log(p)
+        for _ in range(3):
+            v = -x
+            for n in range(20, 0, -1):
+                v = n / v - x
+            x -= (-0.5 * x * x - math.log(_SQRT_2PI * v) - log_p) / v
+        return x
     for _ in range(2):
         e = normal_cdf(x) - p
         u = e * _SQRT_2PI * math.exp(0.5 * x * x)
@@ -313,7 +297,7 @@ def chisq_cdf(x: float, df: float) -> float:
     df = _check_df(df)
     if (x := _check_x(x)) <= 0.0:
         return 0.0
-    return gamma_p(0.5 * df, 0.5 * x)
+    return _gamma_tails(0.5 * df, 0.5 * x)[0]
 
 
 def chisq_quantile(p: float, df: float) -> float:
@@ -325,7 +309,9 @@ def chisq_quantile(p: float, df: float) -> float:
     half = 0.5 * df
     z = normal_quantile(p)
     t = 2.0 / (9.0 * df)
-    x0 = df * (1.0 - t + z * math.sqrt(t)) ** 3
+    # a base <= 0 is not cubed: near -2e149 at df = 1e-150, its cube overflows
+    base = 1.0 - t + z * math.sqrt(t)
+    x0 = df * base ** 3 if base > 0.0 else 0.0
     if x0 <= 0.0:
         # solve the series' leading term, P(h, x/2) ~ (x/2)^h / Gamma(h + 1) = p
         # with h = df/2; lgamma(h + 1) -> 0 as h -> 0, so the exponent stays finite
@@ -359,9 +345,16 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
     df2 = _check_df(df2, "df2")
     if (x := _check_x(x)) <= 0.0:
         return 0.0
-    if x == math.inf:
+    # where df1 x overflows (x = inf too) the beta variate is 1 to double precision
+    if (y := df1 * x) == math.inf:
         return 1.0
-    return beta_inc(0.5 * df1, 0.5 * df2, df1 * x / (df1 * x + df2))
+    return _beta_tails(0.5 * df1, 0.5 * df2, y / (y + df2))[0]
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den for num > 0, +inf where den rounds to 0 (at tiny df the beta
+    variate can round to 0 or 1)."""
+    return num / den if den > 0.0 else math.inf
 
 
 def f_quantile(p: float, df1: float, df2: float) -> float:
@@ -370,17 +363,17 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
     df1 = _check_df(df1, "df1")
     df2 = _check_df(df2, "df2")
     if p > 1.0 - _P_LOW:
-        return 1.0 / f_quantile(1.0 - p, df2, df1)
+        return _ratio(1.0, f_quantile(1.0 - p, df2, df1))
     a = 0.5 * df1
     b = 0.5 * df2
-    # log B(a, b) only scales the Newton steps to beta_inc's root; _log_beta's
-    # order would move the last bits of some equal-df thresholds
+    # log B(a, b) only scales the Newton steps to the beta variate's root;
+    # _log_beta's order would move the last bits of some equal-df thresholds
     log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     # above y = 1 - 1e-3 the beta variate's 1 - y loses its digits, so there
     # solve for z = 1 - y, matching p to the upper tail 1 - I_z(b, a) itself:
     # 1 - p would round away p's digits. The bootstrap thresholds never go
     # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
-    near_one = p > beta_inc(a, b, 1.0 - 1e-3)
+    near_one = p > _beta_tails(a, b, 1.0 - 1e-3)[0]
     u, v, hi = (b, a, 1e-3) if near_one else (a, b, 1.0)
 
     def excess(y: float) -> float:
@@ -396,4 +389,4 @@ def f_quantile(p: float, df1: float, df2: float) -> float:
         raise ArithmeticError(
             f"the F quantile at p = {p}, df1 = {df1}, df2 = {df2} cannot be computed to 1e-8: {exc}"
         ) from None
-    return df2 * (1.0 - y) / (df1 * y) if near_one else df2 * y / (df1 * (1.0 - y))
+    return _ratio(df2 * (1.0 - y), df1 * y) if near_one else _ratio(df2 * y, df1 * (1.0 - y))

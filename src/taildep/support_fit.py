@@ -53,6 +53,7 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     D >= H always, so the absolute value is the cone-adjustment gap.
     """
     _check_k(ord, k)
+    _real("lam", lam)
     return _objective(ord, k, a, b, lam)
 
 

@@ -24,6 +24,8 @@ from typing import Callable, NamedTuple, TypeVar
 import numpy as np
 
 T = TypeVar("T")
+# RadialOrder._cached's mark for a key not in the memo
+_MISSING = object()
 
 
 def _real(name: str, value) -> None:
@@ -233,9 +235,9 @@ class RadialOrder:
     def _cached(self, key: tuple, build: Callable[[], T]) -> T:
         """The value stored under key, built by build() on first use; a
         build that raises stores nothing, so a repeat call raises again."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        if (value := self._memo.get(key, _MISSING)) is _MISSING:
+            value = self._memo[key] = build()
+        return value
 
 
 def cone_distances(x, y, cone: AngularCone) -> np.ndarray:

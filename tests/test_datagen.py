@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -154,6 +155,13 @@ class TestMixtureSpec:
             MixtureSpec(2.0, 4.0, AngularCone(0.0, 1.0), 1.0, 1.0, 0.5)
         with pytest.raises(ValueError, match="^alpha_main must be a number, got '2'$"):
             MixtureSpec("2", 4.0, cone, 1.0, 1.0, 0.5)
+
+    def test_cone_that_is_not_an_angular_cone_refused(self):
+        # a ValueError naming the argument, not an AttributeError on cone.is_full
+        for cone in ((0.25, 0.75), [0.25, 0.75], None):
+            with pytest.raises(ValueError,
+                               match=f"^cone must be an AngularCone, got {re.escape(repr(cone))}$"):
+                MixtureSpec(2, 4, cone, 1, 1, 0.5)
 
     def test_example2_analytic_moments(self):
         assert EXAMPLE2_SPEC.theta1_mean == pytest.approx(0.25 + 0.5 / 3, rel=1e-12)

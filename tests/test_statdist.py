@@ -5,15 +5,15 @@ import sys
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taildep import statdist
 from taildep.statdist import (
-    beta_inc,
     chisq_cdf,
     chisq_quantile,
     f_cdf,
     f_quantile,
-    gamma_p,
     normal_cdf,
     normal_quantile,
 )
@@ -67,10 +67,11 @@ class TestChisq:
                     scipy.stats.chi2.ppf(p, df), rel=1e-8
                 )
 
-    @pytest.mark.parametrize("df", [1e-4, 1e-3, 0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("df", [1e-4, 1e-3, 0.01, 0.1, 0.5, 1e-150])
     def test_small_df_against_scipy(self, df):
         # the Wilson-Hilferty start is <= 0 at most of these p; the start the
-        # series' leading term gives must not overflow as df -> 0
+        # series' leading term gives must not overflow as df -> 0, nor the
+        # Wilson-Hilferty base, near -2e149 at df = 1e-150, be cubed
         for p in (1e-300, 1e-20, 1e-3, 0.3, 0.9, 0.99, 1 - 1e-12):
             expected = scipy.stats.chi2.ppf(p, df)
             got = chisq_quantile(p, df)
@@ -186,31 +187,34 @@ class TestRoundTripsAndMonotonicity:
 
 
 class TestSpecialFunctions:
+    # the regularized incomplete gamma P(a, x) is chisq_cdf(2x, 2a), and
+    # I_y(a, b) is f_cdf at df = (2a, 2b) and F = (b / a) y / (1 - y)
+
     def test_gamma_p_against_scipy(self):
         for a in (0.1, 1.0, 7.5, 999.5):
             for x in (0.01, 0.5, 1.0, 5.0, 900.0, 1100.0):
-                assert gamma_p(a, x) == pytest.approx(
+                assert chisq_cdf(2 * x, 2 * a) == pytest.approx(
                     scipy.stats.gamma.cdf(x, a), abs=1e-12, rel=1e-10
                 )
 
     @pytest.mark.parametrize("fn, args, error", [
-        (gamma_p, (0.0, 1.0), "shape must be positive, got 0.0"),
-        (gamma_p, (-2.0, 1.0), "shape must be positive, got -2.0"),
-        (gamma_p, (1.0, -0.5), "argument must be nonnegative, got -0.5"),
-        (beta_inc, (0.0, 1.0, 0.5), "shapes must be positive, got a=0.0, b=1.0"),
-        (beta_inc, (1.0, -1.0, 0.5), "shapes must be positive, got a=1.0, b=-1.0"),
-        (beta_inc, (1.0, 1.0, -0.25), "argument must lie in [0, 1], got -0.25"),
-        (beta_inc, (1.0, 1.0, 1.5), "argument must lie in [0, 1], got 1.5"),
-        (gamma_p, (1.0, math.nan), "argument must be nonnegative, got nan"),
-        (beta_inc, (1.0, 1.0, math.nan), "argument must lie in [0, 1], got nan"),
-        (gamma_p, (math.nan, 1.0), "shape must lie in (0, 5e+06], got nan"),
-        (gamma_p, (math.inf, 1.0), "shape must lie in (0, 5e+06], got inf"),
-        (beta_inc, (math.inf, 1.0, 0.5), "shapes must lie in (0, 5e+06], got a=inf, b=1.0"),
-        (beta_inc, (1.0, math.nan, 0.5), "shapes must lie in (0, 5e+06], got a=1.0, b=nan"),
-        # just above the domain's caps: df 1e7, shape 5e6
-        (gamma_p, (5000000.5, 1.0), "shape must lie in (0, 5e+06], got 5000000.5"),
-        (beta_inc, (5000000.5, 1.0, 0.5), "shapes must lie in (0, 5e+06], got a=5000000.5, b=1.0"),
-        (beta_inc, (1.0, 5000000.5, 0.5), "shapes must lie in (0, 5e+06], got a=1.0, b=5000000.5"),
+        # a df of 0, below 0, NaN, inf or just above the cap of 1e7, named
+        (chisq_cdf, (2.0, 0.0), "df must lie in (0, 1e+07], got 0.0"),
+        (chisq_cdf, (2.0, -4.0), "df must lie in (0, 1e+07], got -4.0"),
+        (chisq_quantile, (0.5, 0.0), "df must lie in (0, 1e+07], got 0.0"),
+        (f_cdf, (1.0, 0.0, 2.0), "df1 must lie in (0, 1e+07], got 0.0"),
+        (f_cdf, (1.0, 2.0, -2.0), "df2 must lie in (0, 1e+07], got -2.0"),
+        (f_quantile, (0.5, 0.0, 2.0), "df1 must lie in (0, 1e+07], got 0.0"),
+        (f_quantile, (0.5, 2.0, -2.0), "df2 must lie in (0, 1e+07], got -2.0"),
+        (normal_quantile, (math.nan,), "probability must lie in (0, 1), got nan"),
+        (f_quantile, (math.nan, 3, 3), "probability must lie in (0, 1), got nan"),
+        (chisq_cdf, (2.0, math.nan), "df must lie in (0, 1e+07], got nan"),
+        (chisq_cdf, (2.0, math.inf), "df must lie in (0, 1e+07], got inf"),
+        (f_cdf, (1.0, math.inf, 2.0), "df1 must lie in (0, 1e+07], got inf"),
+        (f_cdf, (1.0, 2.0, math.nan), "df2 must lie in (0, 1e+07], got nan"),
+        (chisq_quantile, (0.5, 10000000.5), "df must lie in (0, 1e+07], got 10000000.5"),
+        (f_cdf, (1.0, 10000000.5, 2.0), "df1 must lie in (0, 1e+07], got 10000000.5"),
+        (f_quantile, (0.5, 2.0, 10000000.5), "df2 must lie in (0, 1e+07], got 10000000.5"),
         (chisq_quantile, (0.5, 10000001), "df must lie in (0, 1e+07], got 10000001"),
         (chisq_quantile, (0.5, math.inf), "df must lie in (0, 1e+07], got inf"),
         (chisq_cdf, (1.0, 10000001), "df must lie in (0, 1e+07], got 10000001"),
@@ -230,20 +234,16 @@ class TestSpecialFunctions:
             fn(*args)
 
     def test_zero_at_and_below_the_support(self):
-        assert gamma_p(2.0, 0.0) == 0.0
-        assert beta_inc(2.0, 3.0, 0.0) == 0.0
         for x in (0.0, -1.0):
             assert chisq_cdf(x, 3) == 0.0
             assert f_cdf(x, 2, 7) == 0.0
 
     def test_one_at_plus_infinity(self):
-        assert gamma_p(2.0, math.inf) == 1.0
         assert chisq_cdf(math.inf, 3) == 1.0
         assert f_cdf(math.inf, 3, 3) == 1.0
 
     def test_beyond_the_float_range(self):
         # an int that float() cannot take is read as +-inf
-        assert gamma_p(2.0, 10**400) == 1.0
         assert chisq_cdf(10**400, 3) == 1.0
         assert f_cdf(10**400, 3, 3) == 1.0
         assert normal_cdf(10**400) == 1.0
@@ -252,17 +252,19 @@ class TestSpecialFunctions:
     def test_shapes_at_the_cap_against_scipy(self):
         # the front factors' exponents are formed from terms near 8e7, which
         # round at about 1.5e-8 of the result
-        a = statdist._MAX_SHAPE
-        for x in (a - 5e3, a, a + 5e3):
-            assert gamma_p(a, x) == pytest.approx(scipy.stats.gamma.cdf(x, a), rel=1e-7)
-        for x in (0.4999, 0.5, 0.5001):
-            assert beta_inc(a, a, x) == pytest.approx(scipy.stats.beta.cdf(x, a, a), rel=1e-7)
+        df = statdist._MAX_DF
+        for x in (df - 1e4, df, df + 1e4):
+            assert chisq_cdf(x, df) == pytest.approx(scipy.stats.chi2.cdf(x, df), rel=1e-7)
+        for y in (0.4999, 0.5, 0.5001):
+            x = y / (1 - y)
+            assert f_cdf(x, df, df) == pytest.approx(scipy.stats.f.cdf(x, df, df), rel=1e-7)
 
     def test_beta_inc_against_scipy(self):
         for a, b in ((0.5, 0.5), (2, 3), (999.5, 999.5)):
-            for x in (0.01, 0.3, 0.5, 0.7, 0.99):
-                assert beta_inc(a, b, x) == pytest.approx(
-                    scipy.stats.beta.cdf(x, a, b), abs=1e-12, rel=1e-10
+            for y in (0.01, 0.3, 0.5, 0.7, 0.99):
+                x = b / a * y / (1 - y)
+                assert f_cdf(x, 2 * a, 2 * b) == pytest.approx(
+                    scipy.stats.f.cdf(x, 2 * a, 2 * b), abs=1e-12, rel=1e-10
                 )
 
 
@@ -289,8 +291,9 @@ class TestExtremes:
         assert f_quantile(p, d1, d2) == pytest.approx(scipy.stats.f.ppf(p, d1, d2), rel=1e-8)
 
     def test_gamma_p_near_the_mode_at_large_shape(self):
-        # the series needs about 8 sqrt(a) terms here, more than 1000
-        assert gamma_p(49999.5, 49999.17) == pytest.approx(
+        # P(a, x) at a = 49999.5, x = 49999.17: the series needs about
+        # 8 sqrt(a) terms here, more than 1000
+        assert chisq_cdf(99998.34, 99999) == pytest.approx(
             scipy.stats.gamma.cdf(49999.17, 49999.5), rel=1e-9)
 
     # roots far below the bracket's scale: [0, 1] for the beta variate; the
@@ -311,6 +314,61 @@ class TestExtremes:
     ])
     def test_beta_variate_near_one_against_scipy(self, args, expected):
         assert f_quantile(*args) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-310, 2.2e-308])
+    def test_normal_quantile_at_a_subnormal_p(self, p):
+        # exp(x^2 / 2) overflowed in the Halley step below p = 6e-311
+        assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), rel=0.0, abs=1e-8)
+
+    def test_normal_quantile_unmoved_down_to_1e_300(self):
+        # from the least normal float up, the Halley steps on normal_cdf give
+        # these values, bit for bit
+        assert normal_quantile(1e-300) == -37.0470962993612
+        assert normal_quantile(sys.float_info.min) == -37.5193793471445
+
+    @pytest.mark.parametrize("args", [
+        (0.99, 1e-100, 1e-100),  # the reciprocal of a lower quantile that underflows to 0
+        (0.6515926695368175, 1.3742596606145555e-58, 6.52969866407356e-272),  # 1 - y rounds to 0
+    ])
+    def test_f_quantile_beyond_the_float_range_is_inf(self, args):
+        assert f_quantile(*args) == scipy.stats.f.ppf(*args) == math.inf
+
+    def test_f_cdf_where_df1_x_overflows(self):
+        assert f_cdf(1e308, 10, 10) == 1.0
+
+    def test_cdfs_at_tiny_df_are_at_most_one(self):
+        # the front factor, formed from lgamma near -log(shape), rounded these
+        # to 1 + 2e-15 and 1 + 5e-14
+        assert chisq_cdf(1.7460159584841998e-188, 6.748437634720973e-55) == 1.0
+        assert f_cdf(22.757777069956465, 3.3436301348778544e-214, 1.076194272162911e-68) == 1.0
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_call_answers_or_cannot_be_computed(self, data):
+        # in the domain a call returns a float in its range, or refuses a
+        # quantile it cannot compute to 1e-8 (far in a lower tail, or at a
+        # subnormal p, a CDF has too few digits to invert)
+        p = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.sampled_from([5e-324, 1e-320, 2.2e-308, 1e-300, 1 - 1e-16]))
+        df = st.floats(-300.0, 7.0, exclude_min=True).map(lambda e: 10.0**e)
+        x = st.one_of(st.floats(-1e308, 1e308), st.floats(-320.0, 308.0).map(lambda e: 10.0**e))
+        fn, args, lo, hi = data.draw(st.sampled_from([
+            (normal_cdf, (x,), 0.0, 1.0),
+            (chisq_cdf, (x, df), 0.0, 1.0),
+            (f_cdf, (x, df, df), 0.0, 1.0),
+            (normal_quantile, (p,), -math.inf, math.inf),
+            (chisq_quantile, (p, df), 0.0, math.inf),
+            (f_quantile, (p, df, df), 0.0, math.inf),
+        ]))
+        drawn = tuple(data.draw(arg) for arg in args)
+        try:
+            value = fn(*drawn)
+        except ArithmeticError as exc:
+            assert "cannot be computed to 1e-8" in str(exc)
+            assert fn in (chisq_quantile, f_quantile)
+            return
+        assert type(value) is float and lo <= value <= hi
+        assert math.isfinite(value) or fn is f_quantile
 
     def test_no_quantile_after_the_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(statdist, "_INVERT_STEPS", 20)

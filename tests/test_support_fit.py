@@ -39,6 +39,11 @@ class TestObjective:
         with pytest.raises(ValueError):
             support_objective(o, 10, 0.2, 0.8, 0.0)
 
+    def test_lambda_that_is_not_a_number_refused(self):
+        o = radial_order(example1(100, 0))
+        with pytest.raises(ValueError, match="^lam must be a number, got '1'$"):
+            support_objective(o, 10, 0.2, 0.7, "1")
+
     def test_reversed_cone_refused_by_the_cone(self):
         # AngularCone alone decides what a valid cone is
         o = radial_order(example1(100, 0))
