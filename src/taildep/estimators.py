@@ -30,12 +30,17 @@ class StatisticValue:
 
 def _check_k(ord: RadialOrder, k: int) -> None:
     """Refuse a non-integer k, k outside 1 <= k < n, and a top k whose
-    ratio R_(1)/R_(k) overflows: every statistic takes its logarithm."""
+    ratio R_(1)/R_(k) overflows: every statistic takes its logarithm. The
+    masked statistic checks its in-cone top's ratio too."""
     _integer("k", k)
     if not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
+    _check_ratio(ord.head(k).sorted_r, k)
+
+
+def _check_ratio(r: np.ndarray, k: int) -> None:
+    """Refuse decreasing radii r whose ratio R_(1)/R_(k) overflows."""
     # Python floats overflow to inf without a warning
-    r = ord.head(k).sorted_r
     r1, rk = float(r[0]), float(r[k - 1])
     if rk > 0.0 and r1 / rk == math.inf:
         raise ValueError(
@@ -181,5 +186,6 @@ def masked_angle_weighted_hill(
     if inside.size < k:  # the cone's first k pairs, then zeros
         head, inside = _Pairs(*(np.append(a, np.zeros(k)) for a in ord.within(cone, k))), slice(k)
     top = _Pairs(*(arr[inside] for arr in head))
+    _check_ratio(top.sorted_r, k)
     return StatisticValue(float(_angle_weighted_hill_rows(top, _log_ratio_rows(top.sorted_r, k))),
                           int(k), ord.n)

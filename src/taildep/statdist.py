@@ -1,29 +1,30 @@
 """CDFs and quantile functions of the normal, chi-square and F distributions.
 
 The six public functions are normal_cdf, normal_quantile, chisq_cdf,
-chisq_quantile, f_cdf and f_quantile. Self-contained implementations
-(series / continued-fraction incomplete gamma and beta with safeguarded
-Newton inversion) make the decision thresholds used by the bootstrap tests
-bit-reproducible across platforms. The quantiles aim at 1e-8 relative or
-better in both tails: above p = 1 - 0.02425 each quantile is solved on its
-upper tail at 1 - p. The CDFs meet only about 3e-8 near the mode at df near
+chisq_quantile, f_cdf and f_quantile. Self-contained series and
+continued-fraction incomplete gamma and beta make the decision thresholds
+used by the bootstrap tests bit-reproducible across platforms. They pick
+their expansion once, in _gamma_tails or _beta_tails, and return both tails
+with their absolute error and derivative in log x. A chi-square or F
+quantile is the least float at which the computed CDF reaches p, found by
+bisecting the floats' bit patterns in at most 64 tail evaluations: exact to
+the float grid, so it cannot stall. Above p = 1 - 0.02425 it is solved on
+the upper tail at 1 - p. It is refused (ArithmeticError, "... cannot be
+computed to 1e-8") at a subnormal p, or where the CDF's rounding error spans
+more than 1e-8 of it. The CDFs meet only about 3e-8 near the mode at df near
 _MAX_DF, where the front factor's exponent is summed from terms near 8e7
-(f_cdf(1, 1e7, 1e7) = 0.5000000150; TOMS 708's brcomp and rcomp would mend
-it); the quantiles still meet 1e-8 there. The incomplete gamma and beta
-pick their expansion once, in _gamma_tails or _beta_tails, and return both
-tails, so an inversion reads the tail it solves, never 1 minus the other.
-The series and both continued fractions share one modified-Lentz step and
-one iteration budget that grows with sqrt(df).
+(f_cdf(1, 1e7, 1e7) = 0.5000000150); the quantiles still meet 1e-8 there.
 
 The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError naming
-the bound outside it. The tests take their thresholds at df = B - 1, and
-TestConfig caps B at _MAX_DF. A quantile beyond the float range is +inf,
-and one below the least positive float is 0.0.
+the bound outside it, and a subnormal df refused by name. The tests take
+their thresholds at df = B - 1, and TestConfig caps B at _MAX_DF. A quantile
+beyond the float range is +inf, and one below the least positive float 0.0.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 _MAX_ITER = 1000
@@ -31,10 +32,9 @@ _MAX_ITER = 1000
 _MAX_DF = 1e7
 _EPS = 1e-15
 _FPMIN = 1e-300
-_TINY = 5e-324
-# _invert's bisection halves [lo, hi] this many times before it halves log(hi/lo)
-_ARITHMETIC_STEPS = 100
-_INVERT_STEPS = 400
+_LEAST = math.ulp(0.0)
+# a float's bits, and the int64 they read as
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
 # above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
 # there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
 _P_LOW = 0.02425
@@ -44,15 +44,21 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # p and df are compared before float(), which overflows on an int above 1e308
 
-def _check_p(p: float) -> float:
+def _check_p(p: float, what: str = "") -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
+    # a subnormal p has fewer than 53 significant bits to solve a quantile on
+    if what and p < sys.float_info.min:
+        raise ArithmeticError(f"{what} cannot be computed to 1e-8: p is subnormal")
     return float(p)
 
 
 def _check_df(df: float, name: str = "df") -> float:
     if not (0.0 < df <= _MAX_DF):
         raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {df}")
+    # a subnormal df has fewer than 53 significant bits: it broke the series
+    if df < sys.float_info.min:
+        raise ValueError(f"{name} must not be subnormal, got {df}")
     return float(df)
 
 
@@ -89,15 +95,15 @@ def _lentz(an: float, b: float, c: float, d: float) -> tuple[float, float]:
 # regularized incomplete gamma
 
 def _gamma_p_series(a: float, x: float) -> float:
+    # 1 + x/(a + 1) + x^2/((a + 1)(a + 2)) + ..., P(a, x) Gamma(a + 1) e^x / x^a
     ap = a
-    term = 1.0 / a
-    total = term
+    term = total = 1.0
     for _ in range(_budget(a)):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
     raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, x={x})")
 
 
@@ -113,26 +119,31 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    raise ArithmeticError(
-        f"incomplete gamma continued fraction failed to converge (a={a}, x={x})"
-    )
+            return h
+    raise ArithmeticError(f"incomplete gamma continued fraction failed to converge (a={a}, x={x})")
 
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    """P(a, x) and Q(a, x) = 1 - P(a, x), for x >= 0: the series gives P
-    below x = a + 1 and the continued fraction Q above, and the other tail is
-    1 minus it. A tail is at most 1: at tiny a the front factor, formed from
-    lgamma(a) near -log(a), rounds one near 1 above it."""
+def _gamma_tails(a: float, x: float) -> tuple[float, float, float, float]:
+    """P(a, x), Q(a, x) = 1 - P(a, x), their absolute error and x dP/dx, for
+    x >= 0: the series gives P (at most 1) below x = a + 1 and the continued
+    fraction Q above, and the other tail is 1 minus it. The series' front
+    factor x^a e^-x / Gamma(a + 1) is x dP/dx over a: at tiny a, lgamma(a)
+    ~ -log(a) would round the exponent at its size, and P near 1 with it."""
     if x == 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0, 0.0
     if x == math.inf:
-        return 1.0, 0.0
-    if x < a + 1.0:
-        lower = min(_gamma_p_series(a, x), 1.0)
-        return lower, 1.0 - lower
-    upper = min(_gamma_q_contfrac(a, x), 1.0)
-    return 1.0 - upper, upper
+        return 1.0, 0.0, 0.0, 0.0
+    series = x < a + 1.0
+    log_x, lgamma_a = math.log(x), math.lgamma(a + 1.0 if series else a)
+    front = math.exp(-x + a * log_x - lgamma_a)
+    # each term of the exponent rounds at most _EPS of its size, and the
+    # expansion stops at _EPS; 1 minus the tail has the same absolute error
+    rho = _EPS * (1.0 + x + abs(a * log_x) + abs(lgamma_a))
+    if series:
+        lower = min(_gamma_p_series(a, x) * front, 1.0)
+        return lower, 1.0 - lower, rho * lower, a * front
+    upper = min(front * _gamma_q_contfrac(a, x), 1.0)
+    return 1.0 - upper, upper, rho * upper, front
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +194,28 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
-    )
+    raise ArithmeticError(f"incomplete beta continued fraction failed to converge "
+                          f"(a={a}, b={b}, x={x})")
 
 
-def _beta_tails(a: float, b: float, x: float) -> tuple[float, float]:
-    """I_x(a, b) and 1 - I_x(a, b) = I_{1-x}(b, a), for 0 <= x <= 1: the
-    continued fraction gives the lower tail below x = (a + 1)/(a + b + 2)
-    and the upper one above, and the other tail is 1 minus it; as in
-    _gamma_tails, a tail is at most 1."""
+def _beta_tails(a: float, b: float, x: float) -> tuple[float, float, float, float]:
+    """I_x(a, b), 1 - I_x(a, b) = I_{1-x}(b, a), their absolute error and
+    F dI/dF, for 0 <= x <= 1: the continued fraction gives the lower tail
+    below x = (a + 1)/(a + b + 2) and the upper one above, and the other tail
+    is 1 minus it, as in _gamma_tails. The front factor x^a (1 - x)^b / B(a, b)
+    is F dI/dF in the F variate F = (b/a) x / (1 - x)."""
     if x <= 0.0:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0.0, 0.0
     if x >= 1.0:
-        return 1.0, 0.0
-    # x^a (1 - x)^b / B(a, b), the front factor of both continued fractions
-    front = math.exp(-_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
+        return 1.0, 0.0, 0.0, 0.0
+    log_beta, log_x, log1m_x = _log_beta(a, b), math.log(x), math.log1p(-x)
+    front = math.exp(-log_beta + a * log_x + b * log1m_x)
+    rho = _EPS * (1.0 + abs(log_beta) + abs(a * log_x) + abs(b * log1m_x))
     if x < (a + 1.0) / (a + b + 2.0):
         lower = min(front * _beta_contfrac(a, b, x) / a, 1.0)
-        return lower, 1.0 - lower
+        return lower, 1.0 - lower, rho * lower, front
     upper = min(front * _beta_contfrac(b, a, 1.0 - x) / b, 1.0)
-    return 1.0 - upper, upper
+    return 1.0 - upper, upper, rho * upper, front
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +268,37 @@ def normal_quantile(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# safeguarded Newton inversion shared by chi-square and F
+# bisection on the float grid, shared by chi-square and F
 
-def _invert(excess, log_pdf, x0: float, lo: float, hi: float) -> float:
-    """Solve excess(x) = 0 by Newton iteration bracketed by bisection.
+def _solve(what: str, tails, upper: bool, target: float, hi: float, quantile) -> float:
+    """quantile(root) at the least float root in (0, hi] at which the computed
+    tails(x) reach target: the lower tail rises to it, or the upper falls to
+    it, at the root and not at 0; refused unless known to 1e-8.
 
-    excess is cdf(x) - p, or (1 - p) - sf(x) in an upper tail; lo/hi must
-    bracket the root (excess(lo) < 0 < excess(hi)); log_pdf is the log
-    density of the distribution, the derivative of excess. After
-    _ARITHMETIC_STEPS the bisection is geometric, so a root far below the
-    bracket's scale (an F quantile of 1e-68 in [0, 1]) is reached in few
-    steps. Raises ArithmeticError rather than return an unconverged x.
-    """
-    x = x0 if lo < x0 < hi else 0.5 * (lo + hi)
-    for step in range(_INVERT_STEPS):
-        f = excess(x)
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        neg_log_pdf = -log_pdf(x)
-        # a density below e^-700 would overflow the Newton step; lo fails the
-        # bracket test below, so such a step bisects
-        x_new = x - f * math.exp(neg_log_pdf) if neg_log_pdf < 700.0 else lo
-        if not (lo < x_new < hi):
-            if step < _ARITHMETIC_STEPS:
-                x_new = 0.5 * (lo + hi)
-            else:  # the geometric mean, with the least positive float for lo = 0
-                x_new = math.sqrt(max(lo, _TINY)) * math.sqrt(hi)
-        if abs(x_new - x) <= 1e-14 * max(abs(x), 1e-300):
-            return x_new
-        x = x_new
-    raise ArithmeticError(f"quantile inversion failed to converge in [{lo!r}, {hi!r}]")
+    The non-negative floats are ordered by their bit patterns read as
+    integers, so halving the integer bracket ends at two adjacent floats after
+    at most 64 evaluations. An end whose tail is within its error of target
+    blurs the root by (error - |tail - target|) / front, relative. A root at
+    the least positive float lies anywhere in (0, root]: quantile(0) is kept
+    where it and quantile(root) are both below the least normal float or inf."""
+    ends, blur = [0, _BITS.unpack(_FLOAT.pack(hi))[0]], [0.0, 0.0]  # 0.0's bits are 0
+    while ends[1] - ends[0] > 1:
+        mid = (ends[0] + ends[1]) // 2
+        lower, upper_tail, error, front = tails(_FLOAT.unpack(_BITS.pack(mid))[0])
+        value = target - upper_tail if upper else lower - target
+        end = int(value >= 0.0)
+        ends[end], blur[end] = mid, (error - abs(value)) / front if error > abs(value) else 0.0
+    root = _FLOAT.unpack(_BITS.pack(ends[1]))[0]
+    if root > _LEAST:
+        if max(blur) <= 1e-8:
+            return quantile(root)
+        why = "the CDF's rounding error there spans more than 1e-8 of it"
+    else:
+        bounds = quantile(0.0), quantile(root)
+        if max(bounds) < sys.float_info.min or min(bounds) == math.inf:
+            return bounds[0]
+        why = "its root lies below the least positive float"
+    raise ArithmeticError(f"{what} cannot be computed to 1e-8: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -301,48 +312,21 @@ def chisq_cdf(x: float, df: float) -> float:
 
 
 def chisq_quantile(p: float, df: float) -> float:
-    """Inverse chi-square CDF via Newton on the regularized lower
-    incomplete gamma (the upper one above 1 - _P_LOW), started from the
-    Wilson-Hilferty approximation."""
-    p = _check_p(p)
-    df = _check_df(df)
-    half = 0.5 * df
-    z = normal_quantile(p)
-    t = 2.0 / (9.0 * df)
-    # a base <= 0 is not cubed: near -2e149 at df = 1e-150, its cube overflows
-    base = 1.0 - t + z * math.sqrt(t)
-    x0 = df * base ** 3 if base > 0.0 else 0.0
-    if x0 <= 0.0:
-        # solve the series' leading term, P(h, x/2) ~ (x/2)^h / Gamma(h + 1) = p
-        # with h = df/2; lgamma(h + 1) -> 0 as h -> 0, so the exponent stays finite
-        x0 = max(2.0 * math.exp((math.log(p) + math.lgamma(half + 1.0)) / half), 1e-300)
-    upper, q = p > 1.0 - _P_LOW, 1.0 - p
-
-    def excess(x: float) -> float:
-        lower_tail, upper_tail = _gamma_tails(half, 0.5 * x)
-        return q - upper_tail if upper else lower_tail - p
-
-    try:
-        log_norm = half * math.log(2.0) + math.lgamma(half)
-
-        def log_pdf(x: float) -> float:
-            return (half - 1.0) * math.log(x) - 0.5 * x - log_norm
-
-        hi = max(2.0 * x0, df + 20.0 * math.sqrt(2.0 * df))  # an upper bracket, expanded if needed
-        while excess(hi) <= 0.0:
-            hi *= 2.0
-        return _invert(excess, log_pdf, x0, 0.0, hi)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"the chi-square quantile at p = {p}, df = {df} cannot be computed "
-                              f"to 1e-8: {exc}") from None
+    """Inverse chi-square CDF: twice the least float t at which P(df/2, t)
+    (Q above 1 - _P_LOW) reaches p."""
+    what = f"the chi-square quantile at p = {p}, df = {df}"
+    p = _check_p(p, what)
+    half = 0.5 * _check_df(df)
+    upper = p > 1.0 - _P_LOW
+    return _solve(what, lambda t: _gamma_tails(half, t), upper, 1.0 - p if upper else p,
+                  sys.float_info.max, lambda t: 2.0 * t)
 
 
 # ---------------------------------------------------------------------------
 # F
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
-    df1 = _check_df(df1, "df1")
-    df2 = _check_df(df2, "df2")
+    df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     if (x := _check_x(x)) <= 0.0:
         return 0.0
     # where df1 x overflows (x = inf too) the beta variate is 1 to double precision
@@ -358,35 +342,24 @@ def _ratio(num: float, den: float) -> float:
 
 
 def f_quantile(p: float, df1: float, df2: float) -> float:
-    """Inverse F CDF via inversion of the regularized incomplete beta."""
-    p = _check_p(p)
-    df1 = _check_df(df1, "df1")
-    df2 = _check_df(df2, "df2")
+    """Inverse F CDF: F at the least float root y of I_y(df1/2, df2/2) = p (1 - y near 1)."""
+    what = f"the F quantile at p = {p}, df1 = {df1}, df2 = {df2}"
+    p = _check_p(p, what)
+    df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     if p > 1.0 - _P_LOW:
         return _ratio(1.0, f_quantile(1.0 - p, df2, df1))
-    a = 0.5 * df1
-    b = 0.5 * df2
-    # log B(a, b) only scales the Newton steps to the beta variate's root;
-    # _log_beta's order would move the last bits of some equal-df thresholds
-    log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    a, b = 0.5 * df1, 0.5 * df2
     # above y = 1 - 1e-3 the beta variate's 1 - y loses its digits, so there
     # solve for z = 1 - y, matching p to the upper tail 1 - I_z(b, a) itself:
     # 1 - p would round away p's digits. The bootstrap thresholds never go
-    # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145
-    near_one = p > _beta_tails(a, b, 1.0 - 1e-3)[0]
+    # there: at df1 = df2 >= 1 and p <= 1 - _P_LOW, 1 - y >= 0.00145. Above
+    # y = (a + 1)/(a + b + 2) I_y(a, b) is 1 minus the upper tail and can round
+    # to 0; just below, where it is computed itself, it is no greater
+    split = math.nextafter(min((a + 1.0) / (a + b + 2.0), 1.0 - 1e-3), 0.0)
+    near_one = p > max(_beta_tails(a, b, split)[0], _beta_tails(a, b, 1.0 - 1e-3)[0])
     u, v, hi = (b, a, 1e-3) if near_one else (a, b, 1.0)
 
-    def excess(y: float) -> float:
-        lower_tail, upper_tail = _beta_tails(u, v, y)
-        return p - upper_tail if near_one else lower_tail - p
+    def quantile(y: float) -> float:
+        return _ratio(df2 * (1.0 - y), df1 * y) if near_one else _ratio(df2 * y, df1 * (1.0 - y))
 
-    def log_pdf(y: float) -> float:
-        return (u - 1.0) * math.log(y) + (v - 1.0) * math.log1p(-y) - log_norm
-
-    try:
-        y = _invert(excess, log_pdf, u / (u + v), 0.0, hi)
-    except ArithmeticError as exc:
-        raise ArithmeticError(
-            f"the F quantile at p = {p}, df1 = {df1}, df2 = {df2} cannot be computed to 1e-8: {exc}"
-        ) from None
-    return _ratio(df2 * (1.0 - y), df1 * y) if near_one else _ratio(df2 * y, df1 * (1.0 - y))
+    return _solve(what, lambda y: _beta_tails(u, v, y), near_one, p, hi, quantile)

@@ -355,6 +355,16 @@ class TestRatioOverflow:
         with pytest.raises(ValueError, match=r"^R_\(1\)/R_\(20\) = 1e\+300/.* overflows"):
             statistic(o, 20)
 
+    def test_masked_statistic_refuses_its_in_cone_top(self):
+        # radii 1e300 and five 1e-10 at angle 0.5, twenty 1.0 at angle 0.05: the
+        # head's R_(1)/R_(3) is 1e300, but the in-cone top's is 1e310
+        x = np.r_[0.5e300, np.full(5, 0.5e-10), np.full(20, 0.05)]
+        y = np.r_[0.5e300, np.full(5, 0.5e-10), np.full(20, 0.95)]
+        o = radial_order(BivariateSample(x, y))
+        assert hill(o, 3).value == pytest.approx(230.25850929940455)
+        with pytest.raises(ValueError, match=r"^R_\(1\)/R_\(3\) = 1e\+300/1e-10 overflows"):
+            masked_angle_weighted_hill(o, 3, AngularCone(0.4, 0.6))
+
     def test_row_kernel_gives_inf_without_warning(self):
         # the bootstrap's rows: the value is not finite, so the report is refused
         r = np.sort(self.R)[::-1][None]

@@ -11,7 +11,11 @@ fit or a test statistic that moves any report value, tie order included,
 fails here. A deliberate change to a report bumps SCHEMA_VERSION and
 re-pins them. Schema 3 scores a degenerate resample once, by the
 estimators' convention, where schema 2 drew it again: of the five reports
-only the degrees test report's values moved.
+only the degrees test report's values moved. Schema 4 takes the chi-square
+and F thresholds by bisection on the float grid, where schema 3 took them
+by a safeguarded Newton inversion: H2's threshold and H3's band moved by
+ulps in every test report, the schema field in every report, and no
+verdict; all seven hashes were re-pinned.
 
 The two weak-dependence reports on the degrees input pin the masked
 statistic's edge cases under schema 3: origin points inside the cone, and
@@ -65,19 +69,19 @@ _COMMANDS = {
 
 _GOLDEN = {
     ("example1", "test"):
-        "9bd93d3b9bd5dd48f95757e80134a3684af9b69e3299b89dc3b0cf933d5d4813",
+        "01f06eb71111cb35fccce0052d5953b023ff63d9cd01ba5741a5feb657154b37",
     ("example1", "support"):
-        "544a0447bb5ca815f5f578aa2515da57a47625d7a2b83307e7b0a08973b79a55",
+        "a7a07111c9b46121172d5f80a87a1bc895986b60954d43f08a54bc375c8b4fb2",
     ("degrees", "test"):
-        "d231e30b8a2e7dfd57da177bfb12ea0460414246fe855f52cff198dc63bfb1ae",
+        "676d188fa904738033c89d44b9163cc2beab11067ce17d50f77a98aa94224765",
     ("degrees", "support"):
-        "7ffb7b18affb3bad799b927f123df906080ca6deff4495207a2a6e795301e559",
+        "796766b821c7f8b86de2a27860b482b0da6db2b7672d5e0b3bbcb403e09faffa",
     ("example1_30000", "paper_test"):
-        "51f6cc9a9aa830970938bb8e5a5f1397c418854a60c77294d325a3708eb4b01a",
+        "1e73f6bd04ddc2adea6fa50a543bf6c7f1a78eab8f86877f3a395ee3ec35b97e",
     ("degrees", "weak_origin_in_cone"):
-        "ffd58b477cfc933e47b2994ebd23d01a7a0c56c0d7b1462eb7b8269f49a92f45",
+        "b5ae0bb6f525c12e726e7043dabc650dc196bf6392f2f369a667864b876a7795",
     ("degrees", "weak_masked_convention"):
-        "028efaabdb19ed4212a704cc8bf0868e59fa42820a017407c09a80f7db988594",
+        "291cd12cd004d3f01d5a139ec6817dff04a8540d7baeb5a8f998588c4dc92aef",
 }
 
 

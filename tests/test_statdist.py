@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -17,6 +18,9 @@ from taildep.statdist import (
     normal_cdf,
     normal_quantile,
 )
+
+# the sha256 of the 168 thresholds' reprs in test_every_cli_threshold
+_CLI_THRESHOLDS = "363e1434497b67249a6a1599e6e452995dbfc0c5535ae905c6479f55f72dd55f"
 
 
 class TestNormal:
@@ -69,9 +73,8 @@ class TestChisq:
 
     @pytest.mark.parametrize("df", [1e-4, 1e-3, 0.01, 0.1, 0.5, 1e-150])
     def test_small_df_against_scipy(self, df):
-        # the Wilson-Hilferty start is <= 0 at most of these p; the start the
-        # series' leading term gives must not overflow as df -> 0, nor the
-        # Wilson-Hilferty base, near -2e149 at df = 1e-150, be cubed
+        # as df -> 0 most of these quantiles underflow, and near p = 1 Q is 1
+        # minus the series' P, which must not round it away
         for p in (1e-300, 1e-20, 1e-3, 0.3, 0.9, 0.99, 1 - 1e-12):
             expected = scipy.stats.chi2.ppf(p, df)
             got = chisq_quantile(p, df)
@@ -81,8 +84,8 @@ class TestChisq:
                 assert got == pytest.approx(expected, rel=1e-8, abs=0.0)
 
     def test_upper_bracket_doubles(self):
-        # the first upper bracket, twice the Wilson-Hilferty start (34.03), lies
-        # below the quantile; the value is scipy's chi2.ppf
+        # far in the upper tail at a tiny df, solved on Q; the value is
+        # scipy's chi2.ppf
         assert chisq_quantile(1 - 1e-12, 0.01) == 38.68051167268304
 
     def test_invalid(self):
@@ -228,6 +231,11 @@ class TestSpecialFunctions:
         (normal_cdf, (math.nan,), "x must be a number, got nan"),
         (chisq_cdf, (math.nan, 3), "x must be a number, got nan"),
         (f_cdf, (math.nan, 3, 3), "x must be a number, got nan"),
+        # a subnormal df: these raised ZeroDivisionError, "math domain error"
+        # and an ArithmeticError from the gamma series that named no public call
+        (chisq_cdf, (1.0, 5e-324), "df must not be subnormal, got 5e-324"),
+        (f_quantile, (0.5, 3, 5e-324), "df2 must not be subnormal, got 5e-324"),
+        (chisq_cdf, (0.5, 1e-310), "df must not be subnormal, got 1e-310"),
     ])
     def test_bad_arguments_refused(self, fn, args, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
@@ -286,7 +294,7 @@ class TestUpperTail:
 
 class TestExtremes:
     def test_newton_step_does_not_overflow(self):
-        # the beta density underflows below e^-700 inside the bracket
+        # the beta density underflows below e^-700 on part of [0, 1]
         p, d1, d2 = 0.32297268495544185, 2236.0868220753473, 3.6914689928343885
         assert f_quantile(p, d1, d2) == pytest.approx(scipy.stats.f.ppf(p, d1, d2), rel=1e-8)
 
@@ -314,6 +322,72 @@ class TestExtremes:
     ])
     def test_beta_variate_near_one_against_scipy(self, args, expected):
         assert f_quantile(*args) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+    def test_far_lower_tail_answered(self):
+        # the Newton inversion stopped in [0.0949, 1.736] after 400 steps and
+        # refused this call; the value is scipy's chi2.ppf
+        assert chisq_quantile(1.8810074364994573e-178, 211.54322808487115) == pytest.approx(
+            1.6889168238097987, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 2.2e-308])
+    def test_quantiles_refuse_a_subnormal_p(self, p):
+        # such a p has fewer than 53 significant bits
+        for fn, args in ((chisq_quantile, (p, 3)), (f_quantile, (p, 3, 3))):
+            with pytest.raises(ArithmeticError, match="cannot be computed to 1e-8: p is subnormal"):
+                fn(*args)
+
+    @pytest.mark.parametrize("args", [(0.5, 1e-300, 3), (0.5, 1e-20, 3)])
+    def test_f_quantile_whose_beta_root_is_the_least_float_is_refused(self, args):
+        # the beta variate's root lies in (0, 5e-324], where df2 y / df1 is 0 to
+        # 1.5e-23 and 0 to 1.5e-303; the Newton inversion returned 2.8e-14 and
+        # 2.7e-299, where f_cdf is 1 minus 3e-14 and the quantile underflows
+        with pytest.raises(ArithmeticError, match="root lies below the least positive float"):
+            f_quantile(*args)
+
+    def test_f_quantile_whose_beta_root_underflows_is_zero(self):
+        # the root lies in (0, 5e-324], and df2 5e-324 / df1 underflows
+        assert f_quantile(0.05, 1e-20, 1e-21) == scipy.stats.f.ppf(0.05, 1e-20, 1e-21) == 0.0
+
+    # at tiny df one tail is 1 minus a tail near 1; values from scipy
+    @pytest.mark.parametrize("fn, args, expected", [
+        # the Newton inversion returned 0.00226
+        (chisq_quantile, (0.9999999999999998, 3.3610030193921878e-149), 0.0),
+        # I_y at 1 - 1e-3 rounds to 0 though it is 2e-110 > p, so the near-one
+        # branch was taken and answered +inf
+        (f_quantile, (5.0048993207995267e-281, 1.734579197385107e-165, 3.5522969196834217e-275),
+         0.0),
+        (f_quantile, (2.110773076563467e-13, 1.4450995914245297e-158, 6.777591623195208e-240),
+         math.inf),
+    ])
+    def test_tiny_df_against_scipy(self, fn, args, expected):
+        assert fn(*args) == expected
+
+    def test_quantile_the_cdf_cannot_resolve_is_refused(self):
+        # the upper tail is 1.6e-59 at every positive F, so the quantile is 0.0,
+        # where scipy and the Newton inversion gave 6.3e58; the tail solved on
+        # is 1 minus a tail near 1, with an error of about 2e-13
+        with pytest.raises(ArithmeticError, match="rounding error there spans more than 1e-8"):
+            f_quantile(0.9999999999999999, 4.594094138532574e-83, 2.884444777721164e-24)
+
+    @pytest.mark.parametrize("fn, args", [
+        (chisq_quantile, (0.5, 3)),
+        (chisq_quantile, (1 - 1e-12, 0.01)),
+        (chisq_quantile, (1e-300, 1e-4)),
+        (chisq_quantile, (0.95, 1e7)),
+        (f_quantile, (0.025, 1999, 1999)),
+        (f_quantile, (0.975, 1999, 1999)),
+        (f_quantile, (0.9, 1.0, 0.1)),
+        (f_quantile, (2.337211554210065e-15, 0.4302742666287781, 10.557701810843925)),
+    ])
+    def test_at_most_64_tail_evaluations(self, monkeypatch, fn, args):
+        # the bisection halves a bracket of fewer than 2^63 floats, and
+        # f_quantile reads two more tails to choose its branch
+        calls = []
+        for name in ("_gamma_tails", "_beta_tails"):
+            tails = getattr(statdist, name)
+            monkeypatch.setattr(statdist, name, lambda *a, tails=tails: calls.append(a) or tails(*a))
+        fn(*args)
+        assert 0 < len(calls) <= 64
 
     @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-310, 2.2e-308])
     def test_normal_quantile_at_a_subnormal_p(self, p):
@@ -346,8 +420,8 @@ class TestExtremes:
     @given(st.data())
     def test_every_call_answers_or_cannot_be_computed(self, data):
         # in the domain a call returns a float in its range, or refuses a
-        # quantile it cannot compute to 1e-8 (far in a lower tail, or at a
-        # subnormal p, a CDF has too few digits to invert)
+        # quantile it cannot compute to 1e-8 (where the CDF's rounding error
+        # spans more than 1e-8 of it, or at a subnormal p)
         p = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                       st.sampled_from([5e-324, 1e-320, 2.2e-308, 1e-300, 1 - 1e-16]))
         df = st.floats(-300.0, 7.0, exclude_min=True).map(lambda e: 10.0**e)
@@ -370,14 +444,10 @@ class TestExtremes:
         assert type(value) is float and lo <= value <= hi
         assert math.isfinite(value) or fn is f_quantile
 
-    def test_no_quantile_after_the_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(statdist, "_INVERT_STEPS", 20)
-        with pytest.raises(ArithmeticError, match="failed to converge"):
-            f_quantile(2.337211554210065e-15, 0.4302742666287781, 10.557701810843925)
-
     def test_every_cli_threshold(self):
         # the three thresholds the bootstrap tests take, at df = B - 1, for any
-        # B and alpha the CLI accepts
+        # B and alpha the CLI accepts; the sha256 of their reprs pins their bits
+        reprs = []
         for B in (2, 3, 10, 2000, 10**4, 10**5, 10**6, 10**7):
             df = B - 1
             for alpha in (1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9, 1 - 1e-9):
@@ -389,4 +459,7 @@ class TestExtremes:
                 ):
                     assert math.isfinite(q) and q > 0.0
                     assert cdf(q) == pytest.approx(p, abs=1e-7)
+                    reprs.append(repr(q))
+        assert len(reprs) == 168
+        assert hashlib.sha256(" ".join(reprs).encode()).hexdigest() == _CLI_THRESHOLDS
 
