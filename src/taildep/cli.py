@@ -3,7 +3,8 @@ plot-data emission.
 
 Subcommands: simulate | prep | support | test | diamond. Every command
 is deterministic given its flags (simulate and test take --seed); reports
-are emitted as JSON (or flattened CSV) and plot data as plain CSV.
+are emitted as JSON (or flattened CSV) and plot data as plain CSV. BLAS
+runs on one thread, so no output depends on the host's core count.
 Verdicts never affect the exit code; only failures to complete do.
 
 prep, support, test and diamond take their columns from _read_columns,
@@ -26,7 +27,15 @@ import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
+# OpenBLAS reads this once, as numpy loads it; one thread spins no idle CPU
+# and sums each dot in one order on any host. Child processes get the caller's.
+_caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
+if _caller_blas is None:
+    del os.environ["OPENBLAS_NUM_THREADS"]
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = _caller_blas
 
 from taildep.boot_tests import (
     TestConfig,
@@ -408,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--B", type=int)
     test.add_argument("--alpha-sig", type=float)
     test.add_argument("--threads", type=int, default=1,
-                      help="accepted for compatibility; the bootstrap runs on one thread")
+                      help="accepted for compatibility; the bootstrap and BLAS run on one "
+                           "thread, so outputs do not depend on the host's cores")
     test.add_argument("--output", required=True)
     test.add_argument("--format", choices=("json", "csv"), default="json")
     test.set_defaults(func=cmd_test)

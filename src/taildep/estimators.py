@@ -61,7 +61,9 @@ def _log_ratio_rows(r: np.ndarray, k: int) -> np.ndarray:
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # matmul hands each row's vector-vector product to the dot a 1-d
-    # np.dot calls, so every row rounds exactly as np.dot(a[i], b[i])
+    # np.dot calls, so every row rounds exactly as np.dot(a[i], b[i]); above
+    # 10 000 elements its bits follow the caller's BLAS thread count, as
+    # that dot splits its sum across the BLAS threads
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 

@@ -331,6 +331,8 @@ def acf(series, max_lag: int) -> np.ndarray:
 
     Uses the biased (divide-by-n) autocovariance normalized by the
     lag-0 value, the convention of standard statistical plotting tools.
+    Each sum is numpy's pairwise np.add.reduce, not a BLAS dot, so its bits
+    do not depend on how many threads the BLAS library runs.
     """
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -341,11 +343,11 @@ def acf(series, max_lag: int) -> np.ndarray:
     if n <= max_lag:
         raise ValueError("series must be longer than max_lag")
     xc = x - x.mean()
-    c0 = float(np.dot(xc, xc)) / n
+    c0 = float(np.add.reduce(xc * xc)) / n
     if c0 == 0.0:
         raise ValueError("series is constant; autocorrelation is undefined")
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     for h in range(1, max_lag + 1):
-        out[h] = float(np.dot(xc[:-h], xc[h:])) / n / c0
+        out[h] = float(np.add.reduce(xc[:-h] * xc[h:])) / n / c0
     return out

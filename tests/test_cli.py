@@ -205,6 +205,65 @@ class TestPrep:
         assert "error:" in capsys.readouterr().err
 
 
+def _child_env(blas_threads):
+    """os.environ with taildep's source on PYTHONPATH, and OPENBLAS_NUM_THREADS
+    set to blas_threads, or removed where blas_threads is None."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+class TestBlasThreads:
+    """The command loads numpy with a one-thread BLAS pool, whatever the
+    caller's OPENBLAS_NUM_THREADS, and leaves the caller's value in place."""
+
+    @pytest.mark.parametrize("cmd", ["prep", "test"])
+    def test_outputs_do_not_depend_on_blas_threads(self, ex1_csv, tmp_path, cmd):
+        # above 10 000 elements a threaded BLAS dot splits its sum across
+        # threads: prep's ACF sums 30 000 terms and --kmn 12000 scores rows
+        # of 12 000, where 300 prices or the default k_mn show nothing
+        if cmd == "prep":
+            gen = np.random.Generator(np.random.Philox(38))
+            prices = tmp_path / "prices.csv"
+            prices.write_text("price\n" + "\n".join(
+                repr(float(p)) for p in np.exp(np.cumsum(gen.normal(0, 0.01, 30000)))) + "\n")
+            args, names = ["prep", "--input", prices], ("returns.csv", "acf.csv")
+        else:
+            args = ["test", "--input", ex1_csv, "--which", "full", "--k", 100,
+                    "--mn", 25000, "--kmn", 12000, "--B", 4, "--seed", 0]
+            names = ("report.json",)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            target = out if cmd == "prep" else out / names[0]
+            done = subprocess.run(
+                [sys.executable, "-m", "taildep.cli", *map(str, args), "--output", str(target)],
+                env=_child_env(threads), capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="needs /proc/self/status")
+    @pytest.mark.parametrize("caller", [None, "3"])
+    def test_one_thread_pool_and_caller_value_kept(self, caller):
+        script = (
+            "import os\n"
+            "import taildep.cli\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print([line.split()[1] for line in f if line.startswith('Threads:')][0])\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(caller),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"1\n{caller}\n"
+
+
 class TestSupport:
     def test_example1_recovery(self, ex1_csv, tmp_path):
         out = tmp_path / "supp.json"
