@@ -59,7 +59,7 @@ from taildep.tail_core import (
     AngularCone,
     BivariateSample,
     RadialOrder,
-    _cone,
+    _instance,
     _integer,
     _pairs,
     _real,
@@ -171,11 +171,13 @@ def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
     """s prepared for the tests under cfg. A value that _prepare returned
     under cfg is returned unchanged, so a run that runs several tests can
     prepare the sample once and pass the result to each test in its place."""
+    _instance("cfg", cfg, TestConfig)
     if isinstance(s, _Prepared):
         if s.cfg != cfg:
             raise ValueError(f"the sample was prepared under {s.cfg}, not under {cfg}: "
                              "its resamples and band would not follow cfg")
         return s
+    _instance("s", s, BivariateSample)
     m, k_m = cfg.resolve(s.n)
     ordered = radial_order(s)
     value = hill(ordered, cfg.k_n).value
@@ -332,7 +334,7 @@ def strong_dependence_test(
     statistic leaves the normal band around the full-sample Hill
     estimate exceeds the significance level.
     """
-    _cone("cone", cone)
+    _instance("cone", cone, AngularCone)
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H1",))
     stats = _resample_stats(p, "H1", 0, _cone_adjusted_hill_rows, cone)
@@ -376,7 +378,7 @@ def weak_dependence_test(
     angle-weighted statistics; equal variances (ratio inside the F
     band) support the angular support being [a, b].
     """
-    _cone("cone", cone)
+    _instance("cone", cone, AngularCone)
     p = _prepare(s, cfg)
     _refuse(p, cone, ("H3",))
     stats_plain = _resample_stats(p, "H3", 1, _angle_weighted_hill_rows)

@@ -58,7 +58,7 @@ from taildep.tail_core import (
     radial_order,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
 # the most histogram bins diamond writes, as many as the resamples a test may draw
 _MAX_BINS = 10**7

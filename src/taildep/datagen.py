@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, BivariateSample, _cone, _integer, _real
+from taildep.tail_core import AngularCone, BivariateSample, _instance, _integer, _real
 
 # substream indices for the five model components
 _SUB_BERNOULLI = 0
@@ -124,7 +124,7 @@ class MixtureSpec:
     def __post_init__(self) -> None:
         for name in ("alpha_main", "alpha_hidden", "z_p", "z_q", "mix_prob"):
             _real(name, getattr(self, name))
-        _cone("cone", self.cone)
+        _instance("cone", self.cone, AngularCone)
         if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
             raise ValueError("Pareto indices must be positive")
         if self.alpha_hidden < self.alpha_main:
@@ -201,6 +201,8 @@ def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.n
 
 def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform draws on [0, a) union (b, 1], pieces weighted by length."""
+    _instance("cone", cone, AngularCone)
+    size, gen = _integer("size", size), _instance("gen", gen, np.random.Generator)
     left = cone.a
     right = 1.0 - cone.b
     total = left + right
@@ -212,6 +214,7 @@ def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> 
 
 def generate(spec: MixtureSpec, n: int, seed: int) -> BivariateSample:
     """Draw n iid points from the mixture, deterministically per seed."""
+    _instance("spec", spec, MixtureSpec)
     n, seed = _integer("n", n), _integer("seed", seed)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

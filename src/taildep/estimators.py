@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.tail_core import AngularCone, RadialOrder, _cone, _integer, _Pairs, cone_distances
+from taildep.tail_core import AngularCone, RadialOrder, _instance, _integer, _Pairs, cone_distances
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ def _check_k(ord: RadialOrder, k: int) -> None:
     """Refuse a non-integer k, k outside 1 <= k < n, and a top k whose
     ratio R_(1)/R_(k) overflows: every statistic takes its logarithm. The
     masked statistic checks its in-cone top's ratio too."""
+    _instance("ord", ord, RadialOrder)
     _integer("k", k)
     if not (1 <= k < ord.n):
         raise ValueError(f"k must satisfy 1 <= k < n = {ord.n}, got {k}")
@@ -151,7 +152,7 @@ def cone_adjusted_hill(ord: RadialOrder, k: int, cone: AngularCone) -> Statistic
     Hill estimator iff every contributing pair lies inside the cone; in
     particular the cone [0, 1] gives the Hill estimator exactly.
     """
-    return _single_row(ord, k, _cone_adjusted_hill_rows, _cone("cone", cone))
+    return _single_row(ord, k, _cone_adjusted_hill_rows, _instance("cone", cone, AngularCone))
 
 
 def angle_weighted_hill(ord: RadialOrder, k: int) -> StatisticValue:
@@ -181,7 +182,7 @@ def masked_angle_weighted_hill(
     ord.within(cone, k), which sorts in-cone points alone, about k of them
     (all of them where the cone holds fewer): it never sorts all n points.
     """
-    _cone("cone", cone)
+    _instance("cone", cone, AngularCone)
     _check_k(ord, k)
     head = ord.head(2 * k)
     inside = np.flatnonzero(cone.contains_angle(head.theta))[:k]

@@ -5,14 +5,17 @@ chisq_quantile, f_cdf and f_quantile. Self-contained series and
 continued-fraction incomplete gamma and beta make the decision thresholds
 used by the bootstrap tests bit-reproducible across platforms. They pick
 their expansion once, in _gamma_tails or _beta_tails, and return both tails
-with their absolute error and derivative in log x. A chi-square or F
-quantile is the least float at which the computed CDF reaches p, found by
-bisecting the floats' bit patterns in at most 64 tail evaluations: exact to
-the float grid, so it cannot stall. Above p = 1 - 0.02425 it is solved on
-the upper tail at 1 - p. It is refused (ArithmeticError, "... cannot be
-computed to 1e-8") at a subnormal p, or where the CDF's rounding error spans
-more than 1e-8 of it. The CDFs meet only about 3e-8 near the mode at df near
-_MAX_DF, where the front factor's exponent is summed from terms near 8e7
+with their absolute error and derivative in log x. Every quantile is the
+least float at which a computed tail reaches its target, found by bisecting
+the floats' bit patterns in at most 64 tail evaluations: exact to the float
+grid, so it cannot stall. A chi-square or F quantile solves CDF = p, on the
+upper tail at 1 - p above p = 1 - 0.02425; a normal quantile is +-sqrt(2t)
+at the root t of the one-df chi-square tail of |Z|. The one exception is the
+normal quantile at a subnormal p, which has too few digits to bisect on; a
+chi-square or F quantile is refused there (ArithmeticError, "... cannot be
+computed to 1e-8"), and where the CDF's rounding error spans more than 1e-8
+of it. The CDFs meet only about 3e-8 near the mode at df near _MAX_DF, where
+the front factor's exponent is summed from terms near 8e7
 (f_cdf(1, 1e7, 1e7) = 0.5000000150); the quantiles still meet 1e-8 there.
 
 The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError naming
@@ -35,7 +38,7 @@ _FPMIN = 1e-300
 _LEAST = math.ulp(0.0)
 # a float's bits, and the int64 they read as
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
-# above 1 - _P_LOW a quantile is taken from the tail at 1 - p, which is exact
+# above 1 - _P_LOW a chi-square or F quantile is taken from the tail at 1 - p, exact
 # there (Sterbenz): a CDF rounds near 1, and an inversion on it loses digits
 _P_LOW = 0.02425
 _SQRT2 = math.sqrt(2.0)
@@ -226,49 +229,34 @@ def normal_cdf(x: float) -> float:
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to ~1e-15."""
+    """Inverse standard normal CDF: +-sqrt(2t) at the least float t at which
+    the one-df chi-square tail of |Z| reaches 2 min(p, 1 - p): Q(1/2, t)
+    falls to it below 1/4, and P(1/2, t) rises to 1 minus it above."""
     p = _check_p(p)
-    if p > 1.0 - _P_LOW:
-        return -normal_quantile(1.0 - p)
-    # rational initial estimate (Acklam), then two Halley refinements
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
     if p < sys.float_info.min:
-        # a subnormal p has too few digits for Halley steps on normal_cdf, and
-        # exp(x^2 / 2) overflows there: take Newton steps on log Phi(x) = log p,
-        # with log Phi(x) = -x^2/2 - log(sqrt(2 pi) v) and its derivative
+        # a subnormal p has too few digits to bisect on: take Newton steps on
+        # log Phi(x) = log p, with log Phi(x) = -x^2/2 - log(sqrt(2 pi) v) and its derivative
         # v = phi(x)/Phi(x) from Laplace's continued fraction, exact to 1e-16 at x < -37
         log_p = math.log(p)
-        for _ in range(3):
+        x = -math.sqrt(-2.0 * log_p)
+        for _ in range(4):
             v = -x
             for n in range(20, 0, -1):
                 v = n / v - x
             x -= (-0.5 * x * x - math.log(_SQRT_2PI * v) - log_p) / v
         return x
-    for _ in range(2):
-        e = normal_cdf(x) - p
-        u = e * _SQRT_2PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    if p == 0.5:
+        return 0.0
+    # 1 - p and 2q are exact, and so is 1 - 2q from q = 1/4 up (Sterbenz)
+    two_q = 2.0 * min(p, 1.0 - p)
+    upper = two_q < 0.5
+    z = _solve(f"the normal quantile at p = {p}", lambda t: _gamma_tails(0.5, t), upper,
+               two_q if upper else 1.0 - two_q, sys.float_info.max, lambda t: math.sqrt(2.0 * t))
+    return z if p > 0.5 else -z
 
 
 # ---------------------------------------------------------------------------
-# bisection on the float grid, shared by chi-square and F
+# bisection on the float grid, shared by every quantile
 
 def _solve(what: str, tails, upper: bool, target: float, hi: float, quantile) -> float:
     """quantile(root) at the least float root in (0, hi] at which the computed

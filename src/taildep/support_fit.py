@@ -18,7 +18,7 @@ import numpy as np
 from taildep.estimators import (
     _check_k, _cone_adjusted_hill_rows, _head_value, _hill_rows, _log_ratios,
 )
-from taildep.tail_core import AngularCone, RadialOrder, _real
+from taildep.tail_core import AngularCone, RadialOrder, _instance, _real
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def estimate_support(
     prefer the narrowest interval, then the smallest a.
     """
     _check_k(ord, k)
-    s = _penalty_weight(opts.lam, k)
+    s = _penalty_weight(_instance("opts", opts, SupportFitOptions).lam, k)
     theta, w_hi, wt_hi, a, a_coef, wt_hi_at_a, b0 = _fit_tables(ord, k)
     # the pass below calls array and ufunc methods, not numpy's Python
     # wrappers of them (np.sort, np.searchsorted, ...): the same bits, sooner

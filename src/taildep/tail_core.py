@@ -71,10 +71,15 @@ class AngularCone:
         return (theta >= self.a) & (theta <= self.b)
 
 
-def _cone(name: str, value) -> AngularCone:
-    """value, refused, naming it, unless it is an AngularCone."""
-    if not isinstance(value, AngularCone):
-        raise ValueError(f"{name} must be an AngularCone, got {value!r}")
+def _instance(name: str, value, kind: type):
+    """value, refused, naming it, unless it is an instance of kind. The
+    message shows a short repr, and the type of a value whose repr is long,
+    as a sample's or an array's is."""
+    if not isinstance(value, kind):
+        shown = repr(value)
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got "
+                         f"{shown if len(shown) <= 40 else type(value).__name__}")
     return value
 
 
@@ -221,7 +226,7 @@ class RadialOrder:
         when the cone holds fewer). _decreasing_head sees the in-cone points
         alone, and a stable sort of a subset keeps its order, so the pairs
         are the full order's in-cone prefix, bit for bit."""
-        _cone("cone", cone)
+        _instance("cone", cone, AngularCone)
         depth = _depth(depth)
         x, _, r = self._source
         inside = np.flatnonzero(cone.contains_angle(_angles(x, r)))
@@ -251,6 +256,7 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
     slope 1/c - 1 (c == 0, or 1/c overflows) times x is +inf for x > 0 and
     0 for x == 0, so b == 0 (the theta = 0 ray) puts every x > 0 at +inf.
     """
+    _instance("cone", cone, AngularCone)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
@@ -305,6 +311,7 @@ def radial_order(s: BivariateSample) -> RadialOrder:
     result is deterministic, and every prefix is the full order's.
     Raises if every point is at the origin.
     """
+    _instance("s", s, BivariateSample)
     order = RadialOrder(s.x, s.y)
     _off_origin(order._source[2])
     return order

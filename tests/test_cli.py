@@ -270,7 +270,7 @@ class TestSupport:
         assert run(["support", "--input", ex1_csv, "--k", 100, "--lambda", 1.0,
                     "--output", out]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema_version"] == 4
+        assert rep["schema_version"] == 5
         assert rep["a_hat"] == pytest.approx(0.25, abs=0.01)
         assert rep["b_hat"] == pytest.approx(0.75, abs=0.01)
 

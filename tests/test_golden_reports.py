@@ -15,7 +15,10 @@ only the degrees test report's values moved. Schema 4 takes the chi-square
 and F thresholds by bisection on the float grid, where schema 3 took them
 by a safeguarded Newton inversion: H2's threshold and H3's band moved by
 ulps in every test report, the schema field in every report, and no
-verdict; all seven hashes were re-pinned.
+verdict; all seven hashes were re-pinned. Schema 5 takes the normal
+quantile by the same bisection, where schema 4 took it by a rational start
+and Halley steps: z(0.975) kept its bits, so at alpha = 0.05 only the
+schema field moved, in every report; all seven hashes were re-pinned.
 
 The two weak-dependence reports on the degrees input pin the masked
 statistic's edge cases under schema 3: origin points inside the cone, and
@@ -69,19 +72,19 @@ _COMMANDS = {
 
 _GOLDEN = {
     ("example1", "test"):
-        "01f06eb71111cb35fccce0052d5953b023ff63d9cd01ba5741a5feb657154b37",
+        "4fa677646cd8fc3817c0ed5e0b34686b60cc85738e39ebcb12a42a1aec25804b",
     ("example1", "support"):
-        "a7a07111c9b46121172d5f80a87a1bc895986b60954d43f08a54bc375c8b4fb2",
+        "ba44a88783e245fd59aac1831386f7208a5b0d278a4df46cb5fb65dd177b50ff",
     ("degrees", "test"):
-        "676d188fa904738033c89d44b9163cc2beab11067ce17d50f77a98aa94224765",
+        "a98df9dc1397dbdfe4b8eeb7a954a9787d5ce77e6d34f55383fb45b96eb4f161",
     ("degrees", "support"):
-        "796766b821c7f8b86de2a27860b482b0da6db2b7672d5e0b3bbcb403e09faffa",
+        "89f8f54231ab873d00ff5c77c17764802baf63255c6d31e783d6b6a6ac8a6c8e",
     ("example1_30000", "paper_test"):
-        "1e73f6bd04ddc2adea6fa50a543bf6c7f1a78eab8f86877f3a395ee3ec35b97e",
+        "2b3ee4108b56c0c3e5767c3098b21464abbf07f0bdb62e3231bc0e6f37355ede",
     ("degrees", "weak_origin_in_cone"):
-        "b5ae0bb6f525c12e726e7043dabc650dc196bf6392f2f369a667864b876a7795",
+        "8218fc055e278ab818ebc9d399088d74225b122229e6b966295c5b757061fa05",
     ("degrees", "weak_masked_convention"):
-        "291cd12cd004d3f01d5a139ec6817dff04a8540d7baeb5a8f998588c4dc92aef",
+        "27c47ea12c6d8910c3fe5b20bebfc1c79a49e4854e2128c0ec72f151e903f123",
 }
 
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,15 @@ class TestNormal:
 
     @pytest.mark.parametrize("p", [0.999, 1 - 1e-10, 1 - 1e-13, 1 - 2.0**-53])
     def test_upper_tail_against_scipy(self, p):
-        # normal_cdf rounds near 1, so Halley steps taken on it there lose ~1e-9
+        # normal_cdf rounds near 1, so an inversion on it would lose ~1e-9 here:
+        # the quantile is solved on the upper tail at 1 - p, which is exact
         assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5 + 5e-10, 0.5 - 5e-10, 0.5 + 1e-12, 0.5000001])
+    def test_near_the_median_against_scipy(self, p):
+        # the quantile is near 1e-9 here, so only a relative bound (abs=0)
+        # tells a 1e-15 error from a 1e-9 one
+        assert normal_quantile(p) == pytest.approx(scipy.special.ndtri(p), rel=1e-14, abs=0.0)
 
 
 class TestChisq:
@@ -378,6 +386,8 @@ class TestExtremes:
         (f_quantile, (0.975, 1999, 1999)),
         (f_quantile, (0.9, 1.0, 0.1)),
         (f_quantile, (2.337211554210065e-15, 0.4302742666287781, 10.557701810843925)),
+        (normal_quantile, (0.975,)),
+        (normal_quantile, (1e-300,)),
     ])
     def test_at_most_64_tail_evaluations(self, monkeypatch, fn, args):
         # the bisection halves a bracket of fewer than 2^63 floats, and
@@ -395,8 +405,8 @@ class TestExtremes:
         assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), rel=0.0, abs=1e-8)
 
     def test_normal_quantile_unmoved_down_to_1e_300(self):
-        # from the least normal float up, the Halley steps on normal_cdf give
-        # these values, bit for bit
+        # from the least normal float up, the bisection on the one-df
+        # chi-square tail gives these values, bit for bit
         assert normal_quantile(1e-300) == -37.0470962993612
         assert normal_quantile(sys.float_info.min) == -37.5193793471445
 
@@ -462,4 +472,13 @@ class TestExtremes:
                     reprs.append(repr(q))
         assert len(reprs) == 168
         assert hashlib.sha256(" ".join(reprs).encode()).hexdigest() == _CLI_THRESHOLDS
+
+    def test_every_cli_normal_threshold(self):
+        # H1's z and H2's proportion band at 1 - alpha/2, for each alpha of
+        # test_every_cli_threshold: its bits, as the other thresholds' are pinned
+        for alpha, z in ((1e-12, 7.130494613066504), (1e-6, 4.891638475714779),
+                         (0.01, 2.5758293035489), (0.05, 1.9599639845400538),
+                         (0.5, 0.6744897501960815), (0.9, 0.12566134685507407),
+                         (1 - 1e-9, 1.2533142410151735e-09)):
+            assert normal_quantile(1 - alpha / 2) == z
 
