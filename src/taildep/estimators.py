@@ -29,9 +29,10 @@ class StatisticValue:
 
 
 def _check_k(ord: RadialOrder, k: int) -> None:
-    """Refuse a non-integer k, k outside 1 <= k < n, and a top k whose
-    ratio R_(1)/R_(k) overflows: every statistic takes its logarithm. The
-    masked statistic checks its in-cone top's ratio too."""
+    """Refuse an ord that is not a RadialOrder, a non-integer k, k outside
+    1 <= k < n, and a top k whose ratio R_(1)/R_(k) overflows: every
+    statistic takes its logarithm. The masked statistic checks its in-cone
+    top's ratio too."""
     _instance("ord", ord, RadialOrder)
     _integer("k", k)
     if not (1 <= k < ord.n):
