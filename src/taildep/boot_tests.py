@@ -33,9 +33,9 @@ resample exactly as a stable sort by decreasing radius does, so a
 partition picks the k_mn largest without sorting the row. _prepare takes
 the sample's lazy radial order (the Hill estimate sorts about 2 k_n points)
 and its dense ranks by np.unique; `taildep test` prepares the sample once
-and passes it to each test. All of it runs on one thread; the taildep
-command also loads numpy with a one-thread BLAS pool, so the bootstrap's
-dots, and with them its outputs, do not depend on the host's cores.
+and passes it to each test. All of it runs on one thread, and every
+statistic sums with np.add.reduce, not BLAS, so no output depends on the
+host's cores or its BLAS kernel.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@ plot-data emission.
 
 Subcommands: simulate | prep | support | test | diamond. Every command
 is deterministic given its flags (simulate and test take --seed); reports
-are emitted as JSON (or flattened CSV) and plot data as plain CSV. BLAS
-runs on one thread, so no output depends on the host's core count.
+are emitted as JSON (or flattened CSV) and plot data as plain CSV. No
+output depends on the host's core count: nothing sums through BLAS, and
+BLAS runs on one thread only to save start-up CPU.
 Verdicts never affect the exit code; only failures to complete do.
 
 prep, support, test and diamond take their columns from _read_columns,
@@ -28,7 +29,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 # OpenBLAS reads this once, as numpy loads it; one thread spins no idle CPU
-# and sums each dot in one order on any host. Child processes get the caller's.
+# at start-up. No output depends on it. Child processes get the caller's.
 _caller_blas = os.environ.get("OPENBLAS_NUM_THREADS")
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
@@ -58,7 +59,7 @@ from taildep.tail_core import (
     radial_order,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DEFAULT_SEED_ENV = "TAILDEP_SEED"
 # the most histogram bins diamond writes, as many as the resamples a test may draw
 _MAX_BINS = 10**7
@@ -417,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--B", type=int)
     test.add_argument("--alpha-sig", type=float)
     test.add_argument("--threads", type=int, default=1,
-                      help="accepted for compatibility; the bootstrap and BLAS run on one "
-                           "thread, so outputs do not depend on the host's cores")
+                      help="accepted for compatibility; the bootstrap runs on one thread, "
+                           "so outputs do not depend on the host's cores")
     test.add_argument("--output", required=True)
     test.add_argument("--format", choices=("json", "csv"), default="json")
     test.set_defaults(func=cmd_test)

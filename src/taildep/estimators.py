@@ -8,7 +8,8 @@ Each statistic has one implementation, a row kernel that scores the log
 ratios it is given along the last axis: the public functions run it on a
 radial order's head with that order's memoized log ratios (the masked one
 on the order's in-cone pairs, padded with zeros), the bootstrap on a chunk
-of stacked resamples with theirs.
+of stacked resamples with theirs. Every sum is np.add.reduce, numpy's
+pairwise sum, so no value depends on the BLAS kernel or its threads.
 """
 
 from __future__ import annotations
@@ -61,14 +62,6 @@ def _log_ratio_rows(r: np.ndarray, k: int) -> np.ndarray:
     return logr
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # matmul hands each row's vector-vector product to the dot a 1-d
-    # np.dot calls, so every row rounds exactly as np.dot(a[i], b[i]); above
-    # 10 000 elements its bits follow the caller's BLAS thread count, as
-    # that dot splits its sum across the BLAS threads
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _check_rk(ord: RadialOrder, k: int) -> None:
     if not (rk := ord.head(k).sorted_r[k - 1]) > 0.0:
         raise ValueError(f"R_({k}) must be positive, got {rk}")
@@ -96,9 +89,9 @@ def _log_ratios(ord: RadialOrder, k: int) -> np.ndarray:
 # one convention: where R_(k) = 0 every log term is 0, and an angle-weighted
 # mean whose angles sum to 0 is 0/0 = 1. Only the masked statistic, the
 # angle-weighted kernel on the in-cone pairs with zeros after (its public
-# function and H3's masked batch), takes those values. A mean is
-# np.add.reduce(v, axis=-1) / k, the sum and division v.mean(axis=-1) makes,
-# bit for bit, without the wrapper around them.
+# function and H3's masked batch), takes those values. Every sum is
+# np.add.reduce(v, axis=-1); a mean is that sum / k, the sum and division
+# v.mean(axis=-1) makes, bit for bit, without the wrapper around them.
 
 def _hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
     return np.add.reduce(logr, axis=-1) / logr.shape[-1]
@@ -115,9 +108,9 @@ def _cone_adjusted_hill_rows(rows: _Pairs, logr: np.ndarray, cone: AngularCone) 
 
 def _angle_weighted_hill_rows(rows: _Pairs, logr: np.ndarray) -> np.ndarray:
     th = rows.theta[..., : logr.shape[-1]]
-    denom = th.sum(axis=-1)
+    denom = np.add.reduce(th, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0.0, _row_dots(th, logr) / denom, 1.0)
+        return np.where(denom > 0.0, np.add.reduce(th * logr, axis=-1) / denom, 1.0)
 
 
 def _head_value(ord: RadialOrder, k: int, kernel, *args) -> float:

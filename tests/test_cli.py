@@ -205,47 +205,88 @@ class TestPrep:
         assert "error:" in capsys.readouterr().err
 
 
-def _child_env(blas_threads):
-    """os.environ with taildep's source on PYTHONPATH, and OPENBLAS_NUM_THREADS
-    set to blas_threads, or removed where blas_threads is None."""
+def _child_env(blas_threads, coretype=None):
+    """os.environ with taildep's source on PYTHONPATH, OPENBLAS_NUM_THREADS
+    set to blas_threads and OPENBLAS_CORETYPE to coretype, each removed where
+    it is None."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    for name, value in (("OPENBLAS_NUM_THREADS", blas_threads), ("OPENBLAS_CORETYPE", coretype)):
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     return env
 
 
 class TestBlasThreads:
-    """The command loads numpy with a one-thread BLAS pool, whatever the
-    caller's OPENBLAS_NUM_THREADS, and leaves the caller's value in place."""
+    """No output depends on the BLAS library: the command loads numpy with a
+    one-thread BLAS pool, whatever the caller's OPENBLAS_NUM_THREADS, and
+    leaves the caller's value in place, and no statistic sums through BLAS."""
 
-    @pytest.mark.parametrize("cmd", ["prep", "test"])
-    def test_outputs_do_not_depend_on_blas_threads(self, ex1_csv, tmp_path, cmd):
+    # each case runs one command in two environments, (OPENBLAS_NUM_THREADS,
+    # OPENBLAS_CORETYPE), None leaving the variable unset; Prescott is the
+    # SSE3 kernel that every x86-64 host can run, and it sums a dot in
+    # another order than the kernel OpenBLAS picks for a newer CPU
+    @pytest.mark.parametrize("cmd, envs", [
+        ("prep", [("1", None), ("2", None)]),
+        ("test", [("1", None), ("2", None)]),
+        ("test", [(None, None), (None, "Prescott")]),
+        ("test_all", [(None, None), (None, "Prescott")]),
+    ], ids=["prep", "test", "test-prescott", "test_all-prescott"])
+    def test_outputs_do_not_depend_on_blas_threads(self, ex1_csv, tmp_path, cmd, envs):
         # above 10 000 elements a threaded BLAS dot splits its sum across
         # threads: prep's ACF sums 30 000 terms and --kmn 12000 scores rows
-        # of 12 000, where 300 prices or the default k_mn show nothing
+        # of 12 000, where 300 prices or the default k_mn would show no
+        # thread count; a kernel changes a dot's bits at any length
         if cmd == "prep":
             gen = np.random.Generator(np.random.Philox(38))
             prices = tmp_path / "prices.csv"
             prices.write_text("price\n" + "\n".join(
                 repr(float(p)) for p in np.exp(np.cumsum(gen.normal(0, 0.01, 30000)))) + "\n")
             args, names = ["prep", "--input", prices], ("returns.csv", "acf.csv")
-        else:
+        elif cmd == "test":
             args = ["test", "--input", ex1_csv, "--which", "full", "--k", 100,
                     "--mn", 25000, "--kmn", 12000, "--B", 4, "--seed", 0]
             names = ("report.json",)
+        else:  # the golden example1 test report's run
+            small = tmp_path / "small.csv"
+            assert run(["simulate", "--example", 1, "--n", 3000, "--seed", 0,
+                        "--output", small]) == 0
+            args = ["test", "--input", small, "--which", "all", "--B", 200, "--seed", 0]
+            names = ("report.json",)
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
+        for i, env in enumerate(envs):
+            out = tmp_path / str(i)
             target = out if cmd == "prep" else out / names[0]
             done = subprocess.run(
                 [sys.executable, "-m", "taildep.cli", *map(str, args), "--output", str(target)],
-                env=_child_env(threads), capture_output=True, text=True, timeout=120)
+                env=_child_env(*env), capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             outputs.append([(out / name).read_bytes() for name in names])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("envs", [
+        [("1", None), ("2", None)],
+        [(None, None), (None, "Prescott")],
+    ], ids=["threads", "prescott"])
+    def test_library_bits_do_not_depend_on_blas(self, envs):
+        # in a fresh interpreter numpy's BLAS library takes the caller's
+        # thread count and kernel; a row of 12 000 is above the 10 000
+        # elements at which a threaded BLAS dot splits its sum
+        script = (
+            "from taildep.datagen import example1\n"
+            "from taildep.estimators import angle_weighted_hill\n"
+            "from taildep.tail_core import radial_order\n"
+            "print(angle_weighted_hill(radial_order(example1(100000, 3)), 12000).value.hex())\n"
+        )
+        values = []
+        for env in envs:
+            done = subprocess.run([sys.executable, "-c", script], env=_child_env(*env),
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            values.append(done.stdout)
+        assert values[0] == values[1]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="needs /proc/self/status")
@@ -270,7 +311,7 @@ class TestSupport:
         assert run(["support", "--input", ex1_csv, "--k", 100, "--lambda", 1.0,
                     "--output", out]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema_version"] == 5
+        assert rep["schema_version"] == 6
         assert rep["a_hat"] == pytest.approx(0.25, abs=0.01)
         assert rep["b_hat"] == pytest.approx(0.75, abs=0.01)
 

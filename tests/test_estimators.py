@@ -10,7 +10,6 @@ from taildep.estimators import (
     _cone_adjusted_hill_rows,
     _hill_rows,
     _log_ratio_rows,
-    _row_dots,
     angle_weighted_hill,
     cone_adjusted_hill,
     hill,
@@ -199,7 +198,7 @@ def full_row_masked(ord, k, cone):
     top = np.argsort(-r, kind="stable")[:k]
     r, th = r[top], th[top]
     logr = np.log(r / r[-1]) if r[-1] > 0.0 else np.zeros(k)
-    return float(np.dot(th, logr) / th.sum()) if th.sum() > 0.0 else 1.0
+    return float(np.add.reduce(th * logr) / th.sum()) if th.sum() > 0.0 else 1.0
 
 
 def _bits(value):
@@ -301,20 +300,6 @@ class TestSharedProperties:
         assert v.k == 2 and v.n == 3
 
 
-class TestRowDots:
-    @pytest.mark.parametrize("rows, width, k", [
-        (64, 500, 25), (64, 500, 1), (1, 500, 25), (1, 500, 1), (41, 60, 9), (3, 3, 3),
-    ])
-    def test_each_row_is_a_1d_dot(self, rows, width, k):
-        # the kernels pass [:, :k] slices of (rows, m) arrays: strided rows
-        gen = stream(31, rows, width, k)
-        a = gen.random((rows, width)) * 10.0 ** gen.uniform(-3.0, 3.0, (rows, width))
-        b = np.log1p(gen.pareto(2.0, (rows, width)))
-        a, b = a[:, :k], b[:, :k]
-        expected = np.array([np.dot(u, v) for u, v in zip(a, b)])
-        assert _row_dots(a, b).tolist() == expected.tolist()
-
-
 class TestUndefinedValues:
     # the row kernels score these rows by a convention; the public
     # estimators refuse them, and only the masked statistic takes it
@@ -373,10 +358,10 @@ class TestRatioOverflow:
 
 
 class TestReductionBits:
-    # the Hill and cone-adjusted kernels sum with np.add.reduce and divide by
-    # k: bit for bit np.mean of the same terms, on 1-d heads and on stacks
-    # of rows, at every width up to 200, where R_(k) = 0 and where a ratio
-    # R_(1)/R_(k) overflows
+    # every kernel sums with np.add.reduce, and the Hill and cone-adjusted
+    # kernels divide by k: bit for bit np.mean of the same terms, on 1-d
+    # heads and on stacks of rows, at every width up to 200, where R_(k) = 0
+    # and where a ratio R_(1)/R_(k) overflows
     CONE = AngularCone(0.25, 0.75)
 
     @staticmethod
@@ -413,6 +398,19 @@ class TestReductionBits:
                         _bits(v) for v in np.ravel(e)], k
             values = _hill_rows(stacked, _log_ratio_rows(stacked.sorted_r, k))
             assert values[1] == 0.0 and (k == 1 or values[2] == math.inf), k
+
+    def test_angle_weighted_rows_are_1d_sums(self):
+        # the angle-weighted kernel sums with np.add.reduce too: each row of a
+        # stack gives, bit for bit, the quotient of its own 1-d sums, so no
+        # value depends on the chunk of rows or on the BLAS library
+        for k in range(1, 201):
+            stacked = self.stack(k)
+            logr = _log_ratio_rows(stacked.sorted_r, k)
+            with np.errstate(invalid="ignore"):
+                got = _angle_weighted_hill_rows(stacked, logr)
+                expected = [np.sum(th[:k] * lr) / np.sum(th[:k]) if np.sum(th[:k]) > 0.0 else 1.0
+                            for th, lr in zip(stacked.theta, logr)]
+            assert [_bits(v) for v in got] == [_bits(v) for v in expected], k
 
 
 class TestOneCallShape:

@@ -3,22 +3,31 @@
 paper-scale `taildep test --which all` run.
 
 The small inputs' hashes were computed with the argsort-based radial
-order that the packed-key sort replaced, and the paper-scale one with the
-slot draws that repaired a rejected half by a stable argsort and redrew
-short rows with more words (numpy 2.4.6, x86-64). So they hold the
-byte-identity contract: a change to the sort, the slot draws, the support
-fit or a test statistic that moves any report value, tie order included,
-fails here. A deliberate change to a report bumps SCHEMA_VERSION and
-re-pins them. Schema 3 scores a degenerate resample once, by the
-estimators' convention, where schema 2 drew it again: of the five reports
-only the degrees test report's values moved. Schema 4 takes the chi-square
-and F thresholds by bisection on the float grid, where schema 3 took them
-by a safeguarded Newton inversion: H2's threshold and H3's band moved by
-ulps in every test report, the schema field in every report, and no
-verdict; all seven hashes were re-pinned. Schema 5 takes the normal
-quantile by the same bisection, where schema 4 took it by a rational start
-and Halley steps: z(0.975) kept its bits, so at alpha = 0.05 only the
-schema field moved, in every report; all seven hashes were re-pinned.
+order that the packed-key sort replaced, and the paper-scale one with
+the slot draws that repaired a rejected half by a stable argsort and
+redrew short rows with more words (numpy 2.4.6, x86-64). The pins assume
+an x86-64 host on which numpy dispatches its AVX-512 (SVML) loops for
+log, log1p, exp and power: with that dispatch switched off, as on a host
+without AVX-512, Example 1 draws other bits, and the example1 test,
+example1 support and paper_test hashes change while the four degrees
+hashes hold. No pin depends on the BLAS library, its kernel or its
+thread count. So they hold the byte-identity contract: a change to the
+sort, the slot draws, the support fit or a test statistic that moves any
+report value, tie order included, fails here. A deliberate change to a
+report bumps SCHEMA_VERSION and re-pins them. Schema 3 scores a
+degenerate resample once, by the estimators' convention, where schema 2
+drew it again: of the five reports only the degrees test report's values
+moved. Schema 4 takes the chi-square and F thresholds by bisection on
+the float grid, where schema 3 took them by a safeguarded Newton
+inversion: H2's threshold and H3's band moved by ulps in every test
+report, the schema field in every report, and no verdict; all seven
+hashes were re-pinned. Schema 5 takes the normal quantile by the same
+bisection, where schema 4 took it by a rational start and Halley steps:
+z(0.975) kept its bits, so at alpha = 0.05 only the schema field moved,
+in every report; all seven hashes were re-pinned. Schema 6 sums the
+angle-weighted statistic with np.add.reduce: H2's and H3's per-resample
+values moved by ulps, and no verdict changed; all seven hashes were
+re-pinned.
 
 The two weak-dependence reports on the degrees input pin the masked
 statistic's edge cases under schema 3: origin points inside the cone, and
@@ -72,19 +81,19 @@ _COMMANDS = {
 
 _GOLDEN = {
     ("example1", "test"):
-        "4fa677646cd8fc3817c0ed5e0b34686b60cc85738e39ebcb12a42a1aec25804b",
+        "843b96b51e87a48fcc1b9317a494554deb122e2175340f80e1bfea8403eae6e5",
     ("example1", "support"):
-        "ba44a88783e245fd59aac1831386f7208a5b0d278a4df46cb5fb65dd177b50ff",
+        "8bd3a65f9802f8befa487c0b986c8dce4c9be3637b8cd1de3ff34aff6c0b6ac5",
     ("degrees", "test"):
-        "a98df9dc1397dbdfe4b8eeb7a954a9787d5ce77e6d34f55383fb45b96eb4f161",
+        "99bcc423e4ddc9a3766d25eb31f355ea5627b6c27869e7ebbdc9b677e74b2a7e",
     ("degrees", "support"):
-        "89f8f54231ab873d00ff5c77c17764802baf63255c6d31e783d6b6a6ac8a6c8e",
+        "a918002914189cb537083909371681539c9a0788d5ce0a132780570650d2e607",
     ("example1_30000", "paper_test"):
-        "2b3ee4108b56c0c3e5767c3098b21464abbf07f0bdb62e3231bc0e6f37355ede",
+        "16b4a67d4c86ad00cf5fdb759560069e54c6ca6f5aacb2bc8c146d81a3146873",
     ("degrees", "weak_origin_in_cone"):
-        "8218fc055e278ab818ebc9d399088d74225b122229e6b966295c5b757061fa05",
+        "6f010d00cb133cf84f3bd63f51d9aeec6d278cc71ab01d48310955d3155b44aa",
     ("degrees", "weak_masked_convention"):
-        "27c47ea12c6d8910c3fe5b20bebfc1c79a49e4854e2128c0ec72f151e903f123",
+        "c8546bc4c727d97efdaa795b68972d984c9431fc67ae536e6eaacbb4da6b71f1",
 }
 
 

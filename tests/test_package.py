@@ -1,5 +1,7 @@
-"""The package holds no re-exports: each module loads only what it imports."""
+"""The package holds no re-exports, each module loads only what it imports,
+and no module calls a BLAS product."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,18 @@ def test_core_modules_load_no_bootstrap_module():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
+
+
+def test_no_module_calls_a_blas_product():
+    # OpenBLAS picks a dot's summation order by CPU and thread count, so
+    # every sum is np.add.reduce
+    products = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+    found = []
+    for path in sorted(Path(taildep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in products
+                    or isinstance(node, ast.alias) and node.name in products
+                    or isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []
