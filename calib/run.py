@@ -38,14 +38,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from taildep.boot_tests import (  # noqa: E402
-    REJECT,
-    TestConfig,
-    _prepare,
-    full_dependence_test,
-    strong_dependence_test,
-    weak_dependence_test,
-)
+from taildep.boot_tests import REJECT, TestConfig  # noqa: E402
+from taildep.cli import _run_tests  # noqa: E402
 from taildep.datagen import EXAMPLE1_SPEC, EXAMPLE2_SPEC, MixtureSpec, generate  # noqa: E402
 from taildep.tail_core import AngularCone  # noqa: E402
 
@@ -64,16 +58,14 @@ DATA = {
 
 
 def run_seed(spec: MixtureSpec, seed: int) -> tuple:
-    """The H1, H2 and H3 reports on one seed of a data set; H3 is None
-    where the data set's cone is a ray. The sample is prepared once for
-    all three tests, as `taildep test` prepares it."""
+    """The H1, H2 and H3 reports on one seed of a data set, run on its true
+    cone as `taildep test --cone` runs them; H3 is None where the cone is a ray."""
     cone = spec.cone
     cfg = TestConfig(k_n=SETTINGS["k_n"], seed=seed, m_n=SETTINGS["m_n"],
                      k_mn=SETTINGS["k_mn"], B=SETTINGS["B"], alpha_sig=SETTINGS["alpha"])
-    s = _prepare(generate(spec, N, seed), cfg)
-    h1 = strong_dependence_test(s, cone, cfg)
-    h2 = full_dependence_test(s, cfg)
-    return h1, h2, weak_dependence_test(s, cone, cfg) if cone.a < cone.b else None
+    tests = ("H1", "H2", "H3") if cone.a < cone.b else ("H1", "H2")
+    h1, h2, *h3 = _run_tests(generate(spec, N, seed), cfg, tests, cone)[1]
+    return h1, h2, h3[0] if h3 else None
 
 
 def calibrate(spec: MixtureSpec, full: bool) -> dict:

@@ -281,6 +281,28 @@ def cmd_support(args) -> int:
     return 0
 
 
+def _run_tests(sample: BivariateSample, cfg: TestConfig, tests, cone: AngularCone | None,
+               fit_opts: SupportFitOptions = SupportFitOptions()) -> tuple:
+    """The cone that the tests in tests ("H1", "H2", "H3") ran on and their
+    reports, in H1, H2, H3 order: the run that `taildep test` and calib/run.py
+    share. The sample is prepared once; with no cone, one is fitted at cfg.k_n
+    if H1 or H3 needs it, and _refuse checks every test before any resamples.
+    The names called are cli's, which perfbench/tracer.py wraps in spans."""
+    prepared = _prepare(sample, cfg)
+    if cone is None and ("H1" in tests or "H3" in tests):
+        est = estimate_support(prepared.ordered, cfg.k_n, fit_opts)
+        cone = AngularCone(est.a_hat, est.b_hat)
+    _refuse(prepared, cone, tests)
+    reports = []
+    if "H1" in tests:
+        reports.append(strong_dependence_test(prepared, cone, cfg))
+    if "H2" in tests:
+        reports.append(full_dependence_test(prepared, cfg))
+    if "H3" in tests:
+        reports.append(weak_dependence_test(prepared, cone, cfg))
+    return cone, reports
+
+
 def cmd_test(args) -> int:
     fit_opts = SupportFitOptions(**_given(args, "lam"))
     if args.threads < 1:
@@ -292,30 +314,12 @@ def cmd_test(args) -> int:
         raise ValueError(f"k_n must be at least 2, got {k} from the default "
                          f"min(ceil(n/10), 100) with n = {sample.n}: give --k")
     cfg = TestConfig(k_n=k, seed=args.seed, **_given(args, "m_n", "k_mn", "B", "alpha_sig"))
-    tests = _TESTS[args.which]
-    # one radial order serves the support fit and every test
-    prepared = _prepare(sample, cfg)
-    cone = args.cone
-    cone_source = "flag"
-    if cone is None and ("H1" in tests or "H3" in tests):
-        est = estimate_support(prepared.ordered, k, fit_opts)
-        cone = AngularCone(est.a_hat, est.b_hat)
-        cone_source = "estimated"
-    # the checks that need no resampling run before the first test resamples
-    _refuse(prepared, cone, tests)
-
-    reports = []
-    if "H1" in tests:
-        reports.append(strong_dependence_test(prepared, cone, cfg))
-    if "H2" in tests:
-        reports.append(full_dependence_test(prepared, cfg))
-    if "H3" in tests:
-        reports.append(weak_dependence_test(prepared, cone, cfg))
+    cone, reports = _run_tests(sample, cfg, _TESTS[args.which], args.cone, fit_opts)
 
     payload = {
         "which": args.which,
         "cone": [cone.a, cone.b] if cone is not None else None,
-        "cone_source": cone_source if cone is not None else None,
+        "cone_source": None if cone is None else "flag" if args.cone is not None else "estimated",
         "config": {**asdict(cfg), "lambda": fit_opts.lam},
         # a report's own fields; asdict would deep-copy each per-resample float
         "reports": [vars(r) for r in reports],
