@@ -24,6 +24,17 @@ Tests, each given the data set's true cone where it takes one:
 Each entry records the reject count and every seed's statistic; "null"
 says whether the data satisfy that test's null hypothesis, so the count is
 a size (against alpha * seeds) or a power.
+
+Each data set's "estimated_cone" block runs `taildep test`'s default on
+the same seeds: the cone fitted at k_n with lambda 1, then H1, H2 and H3
+on it (H3 on the rays too). It holds the fitted a and b per seed, each
+test's entry as above without "null" (whether a fitted cone holds the
+support is not known), and how many seeds take each provisional class,
+once by H2's chi-square rule and once by its proportion rule: full where
+H2 does not reject, else strong where H3 does not reject, else weak. H2
+reads no cone, so its entries equal the true-cone ones.
+
+Both paths run through cli._run_tests, the run that `taildep test` makes.
 """
 
 from __future__ import annotations
@@ -57,35 +68,56 @@ DATA = {
 }
 
 
-def run_seed(spec: MixtureSpec, seed: int) -> tuple:
-    """The H1, H2 and H3 reports on one seed of a data set, run on its true
-    cone as `taildep test --cone` runs them; H3 is None where the cone is a ray."""
-    cone = spec.cone
+def run_seed(spec: MixtureSpec, seed: int, cone: AngularCone | None) -> tuple:
+    """The cone the tests ran on and the H1, H2 and H3 reports on one seed of
+    a data set, run as `taildep test` runs them: on cone, or with cone None
+    on the cone fitted at k_n with the default lambda. H3 is None where the
+    given cone is a ray."""
     cfg = TestConfig(k_n=SETTINGS["k_n"], seed=seed, m_n=SETTINGS["m_n"],
                      k_mn=SETTINGS["k_mn"], B=SETTINGS["B"], alpha_sig=SETTINGS["alpha"])
-    tests = ("H1", "H2", "H3") if cone.a < cone.b else ("H1", "H2")
-    h1, h2, *h3 = _run_tests(generate(spec, N, seed), cfg, tests, cone)[1]
-    return h1, h2, h3[0] if h3 else None
+    tests = ("H1", "H2", "H3") if cone is None or cone.a < cone.b else ("H1", "H2")
+    cone, (h1, h2, *h3) = _run_tests(generate(spec, N, seed), cfg, tests, cone)
+    return cone, h1, h2, h3[0] if h3 else None
 
 
-def calibrate(spec: MixtureSpec, full: bool) -> dict:
-    """Every test's per-seed statistic and reject count on one data set."""
-    cone = spec.cone
-    proper = cone.a < cone.b
-    h1, h2, h3 = zip(*(run_seed(spec, seed) for seed in SEEDS))
+def _entries(h1, h2, h3) -> dict:
+    """Each test's reject count and per-seed statistic over the seeds' reports."""
     out = {
-        "spec": {**vars(spec), "cone": [cone.a, cone.b]},
-        "H1": {"null": True, "rejects": sum(r.verdict == REJECT for r in h1),
+        "H1": {"rejects": sum(r.verdict == REJECT for r in h1),
                "rejection_rate": [r.statistic for r in h1]},
-        "H2": {"null": full,
-               "chi_square_rejects": sum(r.verdict == REJECT for r in h2),
+        "H2": {"chi_square_rejects": sum(r.verdict == REJECT for r in h2),
                "proportion_rejects": sum(r.auxiliary["proportion_rule_reject"] for r in h2),
                "statistic": [r.statistic for r in h2],
                "proportion_rule_rate": [r.auxiliary["proportion_rule_rate"] for r in h2]},
     }
-    if proper:
-        out["H3"] = {"null": True, "rejects": sum(r.verdict == REJECT for r in h3),
+    if h3[0] is not None:
+        out["H3"] = {"rejects": sum(r.verdict == REJECT for r in h3),
                      "statistic": [r.statistic for r in h3]}
+    return out
+
+
+def _classes(h2_rejects, h3) -> dict:
+    """How many seeds each class takes: full where H2 does not reject,
+    else strong where H3 does not reject, else weak."""
+    found = ["full" if not r2 else "weak" if r3.verdict == REJECT else "strong"
+             for r2, r3 in zip(h2_rejects, h3)]
+    return {c: found.count(c) for c in ("full", "strong", "weak")}
+
+
+def calibrate(spec: MixtureSpec, full: bool) -> dict:
+    """Every test's per-seed statistic and reject count on one data set, on
+    its true cone and on the cone fitted to each seed's sample."""
+    cone = spec.cone
+    _, *true = zip(*(run_seed(spec, seed, cone) for seed in SEEDS))
+    fitted, h1, h2, h3 = zip(*(run_seed(spec, seed, None) for seed in SEEDS))
+    out = {"spec": {**vars(spec), "cone": [cone.a, cone.b]}}
+    for test, entry in _entries(*true).items():
+        out[test] = {"null": full if test == "H2" else True, **entry}
+    out["estimated_cone"] = {
+        "a": [c.a for c in fitted], "b": [c.b for c in fitted], **_entries(h1, h2, h3),
+        "classes": {"chi_square": _classes([r.verdict == REJECT for r in h2], h3),
+                    "proportion": _classes([r.auxiliary["proportion_rule_reject"] for r in h2], h3)},
+    }
     return out
 
 
@@ -98,10 +130,13 @@ def main() -> int:
     text = json.dumps(table, indent=1, sort_keys=True, allow_nan=False) + "\n"
     (ROOT / "CALIB.json").write_text(text, encoding="utf-8")
     for name, row in table["data"].items():
-        h3 = row.get("H3", {}).get("rejects", "-")
-        print(f"{name:9s} H1 {row['H1']['rejects']:2d}  H2 chi-square "
-              f"{row['H2']['chi_square_rejects']:2d}  proportion "
-              f"{row['H2']['proportion_rejects']:2d}  H3 {h3}  (of {len(SEEDS)})")
+        for path, block in (("true cone", row), ("fitted cone", row["estimated_cone"])):
+            classes = [f"{rule} {'/'.join(map(str, c.values()))}"
+                       for rule, c in block.get("classes", {}).items()]
+            print(f"{name:9s} {path:11s} H1 {block['H1']['rejects']:2d}  H2 chi-square "
+                  f"{block['H2']['chi_square_rejects']:2d}  proportion "
+                  f"{block['H2']['proportion_rejects']:2d}  H3 {block.get('H3', {}).get('rejects', '-')}"
+                  f"  (of {len(SEEDS)})", *classes)
     return 0
 
 
