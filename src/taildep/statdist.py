@@ -19,7 +19,9 @@ the front factor's exponent is summed from terms near 8e7
 (f_cdf(1, 1e7, 1e7) = 0.5000000150); the quantiles still meet 1e-8 there.
 
 The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError naming
-the bound outside it, and a subnormal df refused by name. The tests take
+the bound outside it, and a subnormal df refused by name. An argument that
+is not a number (a str, None, a complex) is refused by a ValueError that
+names it. The tests take
 their thresholds at df = B - 1, and TestConfig caps B at _MAX_DF. A quantile
 beyond the float range is +inf, and one below the least positive float 0.0.
 """
@@ -47,7 +49,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # p and df are compared before float(), which overflows on an int above 1e308
 
+def _number(name: str, value) -> None:
+    """Refuse, naming it, a value that does not compare with a float, as a
+    str, None or a complex does; every real number compares: an int beyond
+    the float range, a numpy scalar, a Fraction, a Decimal."""
+    try:
+        value < 0.0
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def _check_p(p: float, what: str = "") -> float:
+    _number("p", p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     # a subnormal p has fewer than 53 significant bits to solve a quantile on
@@ -57,6 +70,7 @@ def _check_p(p: float, what: str = "") -> float:
 
 
 def _check_df(df: float, name: str = "df") -> float:
+    _number(name, df)
     if not (0.0 < df <= _MAX_DF):
         raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {df}")
     # a subnormal df has fewer than 53 significant bits: it broke the series
@@ -68,11 +82,13 @@ def _check_df(df: float, name: str = "df") -> float:
 def _check_x(x: float) -> float:
     """A CDF's x as a float, refused if NaN; beyond the float range (an int
     that float() cannot take) it is +-inf."""
+    _number("x", x)
     if x != x:
         raise ValueError(f"x must be a number, got {x}")
-    if abs(x) > sys.float_info.max:
+    try:
+        return float(x)
+    except OverflowError:
         return math.inf if x > 0 else -math.inf
-    return float(x)
 
 
 def _budget(shape: float) -> int:
