@@ -1,41 +1,38 @@
 """Pinned report bytes: the sha256 of `taildep test --which all` and
-`taildep support` reports on two small fixed inputs, and of one
+`taildep support` reports on two small fixed inputs, of two
+`taildep test --which weak` reports on one of them, and of one
 paper-scale `taildep test --which all` run.
 
-The small inputs' hashes were computed with the argsort-based radial
-order that the packed-key sort replaced, and the paper-scale one with
-the slot draws that repaired a rejected half by a stable argsort and
-redrew short rows with more words (numpy 2.4.6, x86-64). The pins assume
-an x86-64 host on which numpy dispatches its AVX-512 (SVML) loops for
-log, log1p, exp and power: with that dispatch switched off, as on a host
-without AVX-512, Example 1 draws other bits, and the example1 test,
-example1 support and paper_test hashes change while the four degrees
-hashes hold. No pin depends on the BLAS library, its kernel or its
-thread count. So they hold the byte-identity contract: a change to the
-sort, the slot draws, the support fit or a test statistic that moves any
-report value, tie order included, fails here. A deliberate change to a
-report bumps SCHEMA_VERSION and re-pins them. Schema 3 scores a
-degenerate resample once, by the estimators' convention, where schema 2
-drew it again: of the five reports only the degrees test report's values
-moved. Schema 4 takes the chi-square and F thresholds by bisection on
-the float grid, where schema 3 took them by a safeguarded Newton
-inversion: H2's threshold and H3's band moved by ulps in every test
-report, the schema field in every report, and no verdict; all seven
-hashes were re-pinned. Schema 5 takes the normal quantile by the same
-bisection, where schema 4 took it by a rational start and Halley steps:
-z(0.975) kept its bits, so at alpha = 0.05 only the schema field moved,
-in every report; all seven hashes were re-pinned. Schema 6 sums the
-angle-weighted statistic with np.add.reduce: H2's and H3's per-resample
-values moved by ulps, and no verdict changed; all seven hashes were
-re-pinned.
+Each pin holds every byte of its report as this tree writes it under
+SCHEMA_VERSION 6 (numpy 2.4.6, x86-64): the radial order with its tie
+order, the bootstrap's slot draws, the support fit, each statistic and
+threshold, and each verdict. A change that moves any report value fails
+here; a deliberate change to a report bumps SCHEMA_VERSION and re-pins
+them. No pin depends on the BLAS library, its kernel or its thread
+count. The pins do assume an x86-64 host on which numpy dispatches its
+AVX-512 (SVML) loops for log, log1p, exp and power: with that dispatch
+switched off, as on a host without AVX-512, Example 1 draws other bits,
+and the example1 test, example1 support and paper_test hashes change
+while the four degrees hashes hold.
+
+Schema 3 scores a degenerate resample once, by the estimators'
+convention, where schema 2 drew it again: of the five reports only the
+degrees test report's values moved. Schema 4 takes the chi-square and F
+thresholds by bisection on the float grid, where schema 3 took them by a
+safeguarded Newton inversion: H2's threshold and H3's band moved by ulps
+in every test report, the schema field in every report, and no verdict;
+all seven hashes were re-pinned. Schema 5 takes the normal quantile by
+the same bisection, where schema 4 took it by a rational start and
+Halley steps: z(0.975) kept its bits, so at alpha = 0.05 only the schema
+field moved, in every report; all seven hashes were re-pinned. Schema 6
+sums the angle-weighted statistic with np.add.reduce: H2's and H3's
+per-resample values moved by ulps, and no verdict changed; all seven
+hashes were re-pinned.
 
 The two weak-dependence reports on the degrees input pin the masked
-statistic's edge cases under schema 3: origin points inside the cone, and
-a cone whose every masked slot takes the convention (k-th masked radius 0,
-or no in-cone angle mass). They were computed with the masked statistic's
-own row kernel, which re-sorted each resample by the cone mask and
-clamped its log ratios at 0, before it became the angle-weighted kernel
-on the sample with out-of-cone points moved to the origin.
+statistic's edge cases: origin points inside the cone, and a cone whose
+every masked slot takes the convention (k-th masked radius 0, or no
+in-cone angle mass).
 """
 
 import hashlib
