@@ -32,6 +32,8 @@ import math
 import struct
 import sys
 
+from taildep.tail_core import _shown
+
 _MAX_ITER = 1000
 # the largest df that the functions accept
 _MAX_DF = 1e7
@@ -56,7 +58,7 @@ def _number(name: str, value) -> None:
     try:
         value < 0.0
     except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+        raise ValueError(f"{name} must be a number, got {_shown(value)}") from None
 
 
 def _check_p(p: float, what: str = "") -> float:

@@ -28,11 +28,18 @@ T = TypeVar("T")
 _MISSING = object()
 
 
+def _shown(value) -> str:
+    """value as a refusal shows it: its repr if short, else its type's name,
+    as for a sample or an array."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else type(value).__name__
+
+
 def _real(name: str, value) -> None:
     """Refuse, naming it, a value that is not a real number."""
     # float first: a float passes without the slower abstract-class check
     if not isinstance(value, (float, numbers.Real)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {_shown(value)}")
 
 
 def _integer(name: str, value) -> int:
@@ -41,7 +48,7 @@ def _integer(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -72,14 +79,10 @@ class AngularCone:
 
 
 def _instance(name: str, value, kind: type):
-    """value, refused, naming it, unless it is an instance of kind. The
-    message shows a short repr, and the type of a value whose repr is long,
-    as a sample's or an array's is."""
+    """value, refused, naming it, unless it is an instance of kind."""
     if not isinstance(value, kind):
-        shown = repr(value)
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise ValueError(f"{name} must be {article} {kind.__name__}, got "
-                         f"{shown if len(shown) <= 40 else type(value).__name__}")
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {_shown(value)}")
     return value
 
 

@@ -72,7 +72,8 @@ def test_one_argument_swapped_is_refused_by_name(swap, value):
     (lambda: generate(_CONE, 10, 0), "spec must be a MixtureSpec, got AngularCone(a=0.25, b=0.75)"),
     (lambda: cone_distances(_SAMPLE.x, _SAMPLE.y, None), "cone must be an AngularCone, got None"),
     (lambda: uniform_off_cone(None, 3, stream(0)), "cone must be an AngularCone, got None"),
-    (lambda: normal_cdf("1"), "x must be a number, got '1'"),
+    (lambda: SupportFitOptions(lam=_SAMPLE.x), "lam must be a number, got ndarray"),
+    (lambda: normal_cdf(_SAMPLE), "x must be a number, got BivariateSample"),
     (lambda: normal_quantile("0.5"), "p must be a number, got '0.5'"),
     (lambda: chisq_cdf(1.0, None), "df must be a number, got None"),
     (lambda: chisq_quantile(0.5, "3"), "df must be a number, got '3'"),
@@ -80,11 +81,11 @@ def test_one_argument_swapped_is_refused_by_name(swap, value):
     (lambda: f_quantile(0.5, 2, 2j), "df2 must be a number, got 2j"),
 ], ids=["estimate_support", "hill", "radial_order", "strong_dependence_test",
         "full_dependence_test", "generate", "cone_distances", "uniform_off_cone",
-        "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile", "f_cdf", "f_quantile"])
+        "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile", "f_cdf", "f_quantile"])
 def test_wrong_type_named_with_its_type(call, error):
     # each raised an AttributeError on a missing attribute, and each statdist
     # call a TypeError from a comparison or abs(); a long repr, as a sample's
-    # or an array's is, gives way to the type's name
+    # or an array's is, gives way to the type's name, for a number too
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         call()
 
