@@ -115,8 +115,10 @@ def calibrate(spec: MixtureSpec, full: bool) -> dict:
         out[test] = {"null": full if test == "H2" else True, **entry}
     out["estimated_cone"] = {
         "a": [c.a for c in fitted], "b": [c.b for c in fitted], **_entries(h1, h2, h3),
-        "classes": {"chi_square": _classes([r.verdict == REJECT for r in h2], h3),
-                    "proportion": _classes([r.auxiliary["proportion_rule_reject"] for r in h2], h3)},
+        "classes": {
+            "chi_square": _classes([r.verdict == REJECT for r in h2], h3),
+            "proportion": _classes([r.auxiliary["proportion_rule_reject"] for r in h2], h3),
+        },
     }
     return out
 
@@ -133,10 +135,10 @@ def main() -> int:
         for path, block in (("true cone", row), ("fitted cone", row["estimated_cone"])):
             classes = [f"{rule} {'/'.join(map(str, c.values()))}"
                        for rule, c in block.get("classes", {}).items()]
+            h3 = block.get("H3", {}).get("rejects", "-")
             print(f"{name:9s} {path:11s} H1 {block['H1']['rejects']:2d}  H2 chi-square "
                   f"{block['H2']['chi_square_rejects']:2d}  proportion "
-                  f"{block['H2']['proportion_rejects']:2d}  H3 {block.get('H3', {}).get('rejects', '-')}"
-                  f"  (of {len(SEEDS)})", *classes)
+                  f"{block['H2']['proportion_rejects']:2d}  H3 {h3}  (of {len(SEEDS)})", *classes)
     return 0
 
 

@@ -7,6 +7,8 @@ are emitted as JSON (or flattened CSV) and plot data as plain CSV. No
 output depends on the host's core count: nothing sums through BLAS, and
 BLAS runs on one thread only to save start-up CPU.
 Verdicts never affect the exit code; only failures to complete do.
+test runs its tests through _run_tests, which calib/run.py calls too, so
+the calibration table measures the run that the command makes.
 
 prep, support, test and diamond take their columns from _read_columns,
 which reads through _read_csv_columns. That parses a regular file's rows

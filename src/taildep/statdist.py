@@ -18,12 +18,12 @@ of it. The CDFs meet only about 3e-8 near the mode at df near _MAX_DF, where
 the front factor's exponent is summed from terms near 8e7
 (f_cdf(1, 1e7, 1e7) = 0.5000000150); the quantiles still meet 1e-8 there.
 
-The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError naming
-the bound outside it, and a subnormal df refused by name. An argument that
-is not a number (a str, None, a complex) is refused by a ValueError that
-names it. The tests take
-their thresholds at df = B - 1, and TestConfig caps B at _MAX_DF. A quantile
-beyond the float range is +inf, and one below the least positive float 0.0.
+The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError
+naming the bound outside it, and a subnormal df refused by name. An
+argument that is not a number (a str, None, a complex) is refused by a
+ValueError that names it. The tests take their thresholds at df = B - 1,
+and TestConfig caps B at _MAX_DF. A quantile beyond the float range is
++inf, and one below the least positive float 0.0.
 """
 
 from __future__ import annotations

@@ -81,7 +81,8 @@ def test_one_argument_swapped_is_refused_by_name(swap, value):
     (lambda: f_quantile(0.5, 2, 2j), "df2 must be a number, got 2j"),
 ], ids=["estimate_support", "hill", "radial_order", "strong_dependence_test",
         "full_dependence_test", "generate", "cone_distances", "uniform_off_cone",
-        "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile", "f_cdf", "f_quantile"])
+        "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile",
+        "f_cdf", "f_quantile"])
 def test_wrong_type_named_with_its_type(call, error):
     # each raised an AttributeError on a missing attribute, and each statdist
     # call a TypeError from a comparison or abs(); a long repr, as a sample's
@@ -90,13 +91,12 @@ def test_wrong_type_named_with_its_type(call, error):
         call()
 
 
-
 # an int beyond the float range, numpy scalars, a Fraction and a Decimal each compare with a float
 @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2), Decimal("0.5")],
                          ids=repr)
 def test_statdist_takes_every_real_number(value):
-    for fn, args in [(normal_cdf, (value,)), (normal_quantile, (value / 4,)), (chisq_cdf, (value, 3)),
-                     (chisq_quantile, (0.5, value)), (f_cdf, (value, 2, 3)),
-                     (f_quantile, (0.5, 2, value))]:
+    for fn, args in [(normal_cdf, (value,)), (normal_quantile, (value / 4,)),
+                     (chisq_cdf, (value, 3)), (chisq_quantile, (0.5, value)),
+                     (f_cdf, (value, 2, 3)), (f_quantile, (0.5, 2, value))]:
         assert math.isfinite(fn(*args))
     assert normal_cdf(10**400) == chisq_cdf(10**400, value) == f_cdf(10**400, value, 3) == 1.0
