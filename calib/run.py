@@ -13,13 +13,16 @@ bootstrap seed):
   ray_hrv       the same ray with an HRV component (mix_prob 0.5)
   example1      datagen.EXAMPLE1_SPEC, cone [0.25, 0.75]
   example2      datagen.EXAMPLE2_SPEC, cone [0.25, 0.75]
+  weak          MixtureSpec(2, 4, AngularCone(0, 1), 1, 1, 1.0): support the
+                whole quadrant, so the data have weak dependence
 Settings: k_n 100, m_n 500, k_mn 25, B 2000, alpha 0.05.
 
 Tests, each given the data set's true cone where it takes one:
-  H1  strong_dependence_test, on every data set (its null holds on all four)
+  H1  strong_dependence_test, on every data set (its null holds on all five)
   H2  full_dependence_test, chi-square rule and proportion rule, on every
-      data set (its null holds on the rays; the Examples are alternatives)
-  H3  weak_dependence_test, on the Examples only (a ray is not a proper cone)
+      data set (its null holds on the rays; the others are alternatives)
+  H3  weak_dependence_test, on the Examples only (it takes a proper cone
+      other than [0, 1], and a ray is not proper)
 
 Each entry records the reject count and every seed's statistic; "null"
 says whether the data satisfy that test's null hypothesis, so the count is
@@ -35,10 +38,12 @@ H2 does not reject, else strong where H3 does not reject, else weak. H2
 reads no cone, so its entries equal the true-cone ones.
 
 Both paths run through cli._run_tests, the run that `taildep test` makes.
+The run prints each block's counts and the sha256 of the CALIB.json it wrote.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import sys
@@ -65,6 +70,7 @@ DATA = {
     "ray_hrv": (MixtureSpec(2.0, 4.0, RAY, 1.0, 1.0, 0.5), True),
     "example1": (EXAMPLE1_SPEC, False),
     "example2": (EXAMPLE2_SPEC, False),
+    "weak": (MixtureSpec(2.0, 4.0, AngularCone(0.0, 1.0), 1.0, 1.0, 1.0), False),
 }
 
 
@@ -72,10 +78,11 @@ def run_seed(spec: MixtureSpec, seed: int, cone: AngularCone | None) -> tuple:
     """The cone the tests ran on and the H1, H2 and H3 reports on one seed of
     a data set, run as `taildep test` runs them: on cone, or with cone None
     on the cone fitted at k_n with the default lambda. H3 is None where the
-    given cone is a ray."""
+    given cone is a ray or [0, 1], on which weak_dependence_test is undefined."""
     cfg = TestConfig(k_n=SETTINGS["k_n"], seed=seed, m_n=SETTINGS["m_n"],
                      k_mn=SETTINGS["k_mn"], B=SETTINGS["B"], alpha_sig=SETTINGS["alpha"])
-    tests = ("H1", "H2", "H3") if cone is None or cone.a < cone.b else ("H1", "H2")
+    proper = cone is None or (cone.a < cone.b and not cone.is_full)
+    tests = ("H1", "H2", "H3") if proper else ("H1", "H2")
     cone, (h1, h2, *h3) = _run_tests(generate(spec, N, seed), cfg, tests, cone)
     return cone, h1, h2, h3[0] if h3 else None
 
@@ -139,6 +146,7 @@ def main() -> int:
             print(f"{name:9s} {path:11s} H1 {block['H1']['rejects']:2d}  H2 chi-square "
                   f"{block['H2']['chi_square_rejects']:2d}  proportion "
                   f"{block['H2']['proportion_rejects']:2d}  H3 {h3}  (of {len(SEEDS)})", *classes)
+    print(f"CALIB.json sha256 {hashlib.sha256(text.encode('utf-8')).hexdigest()}")
     return 0
 
 

@@ -110,9 +110,10 @@ class TestConfig:
             raise ValueError(f"B must be at most {_MAX_B}, got {self.B}")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
-        if 1.0 - self.alpha_sig / 2.0 == 1.0:
-            raise ValueError(f"alpha_sig = {self.alpha_sig} is too small: 1 - alpha_sig/2 "
-                             "rounds to 1, where the tests' upper quantiles are infinite")
+        # z and H3's band are solved at alpha/2; only H2's bound is taken at 1 - alpha
+        if 1.0 - self.alpha_sig == 1.0:
+            raise ValueError(f"alpha_sig = {self.alpha_sig} is too small: 1 - alpha_sig rounds "
+                             "to 1, where H2's chi-square bound is infinite")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Return (m_n, k_mn) with defaults filled in; validates against n."""
@@ -188,7 +189,7 @@ def _prepare(s: BivariateSample | _Prepared, cfg: TestConfig) -> _Prepared:
         )
     # 0 at the largest radius; a dense rank does not depend on how np.unique orders ties
     rank = np.unique(-s.radii, return_inverse=True)[1]
-    band = normal_quantile(1.0 - cfg.alpha_sig / 2.0) * value / math.sqrt(k_m)
+    band = -normal_quantile(cfg.alpha_sig / 2.0) * value / math.sqrt(k_m)
     return _Prepared(s, cfg, m, k_m, ordered, rank, value, band)
 
 
@@ -358,6 +359,8 @@ def full_dependence_test(s: BivariateSample, cfg: TestConfig) -> TestReport:
     stats = _resample_stats(p, "H2", 0, _angle_weighted_hill_rows)
     se_boot = float(np.std(stats, ddof=1))
     statistic = p.k_mn * se_boot**2 / p.hill**2
+    # statdist's quantiles take a lower-tail p: this bound alone is solved at
+    # the level that 1 - alpha rounds to, not at alpha
     threshold = chisq_quantile(1.0 - cfg.alpha_sig, cfg.B - 1) / (cfg.B - 1)
     proportion = float(np.mean(np.abs(stats - p.hill) > p.band))
     verdict = REJECT if statistic > threshold else FAIL_TO_REJECT
@@ -398,8 +401,9 @@ def weak_dependence_test(
             "so the masked statistic has zero variance and the F ratio is undefined"
         )
     statistic = var_plain / var_masked
+    # F(B - 1, B - 1) is the law of its own reciprocal, so the band's upper end is 1/lo
     lo = f_quantile(cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)
-    hi = f_quantile(1.0 - cfg.alpha_sig / 2.0, cfg.B - 1, cfg.B - 1)
+    hi = 1.0 / lo
     verdict = REJECT if (statistic < lo or statistic > hi) else FAIL_TO_REJECT
     return _report(
         p, "H3", "weak_dependence", verdict, statistic, (lo, hi), stats_plain,

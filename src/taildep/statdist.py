@@ -20,10 +20,10 @@ the front factor's exponent is summed from terms near 8e7
 
 The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError
 naming the bound outside it, and a subnormal df refused by name. An
-argument that is not a number (a str, None, a complex) is refused by a
-ValueError that names it. The tests take their thresholds at df = B - 1,
-and TestConfig caps B at _MAX_DF. A quantile beyond the float range is
-+inf, and one below the least positive float 0.0.
+argument that is not one number (a str, None, a complex, an array) is
+refused by a ValueError that names it. The tests take their thresholds at
+df = B - 1, and TestConfig caps B at _MAX_DF. A quantile beyond the float
+range is +inf, and one below the least positive float 0.0.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 import struct
 import sys
+
+import numpy as np
 
 from taildep.tail_core import _shown
 
@@ -49,19 +51,32 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-# p and df are compared before float(), which overflows on an int above 1e308
-
 def _number(name: str, value) -> None:
-    """Refuse, naming it, a value that does not compare with a float, as a
-    str, None or a complex does; every real number compares: an int beyond
-    the float range, a numpy scalar, a Fraction, a Decimal."""
+    """Refuse, naming it, a value that does not compare with a float as one
+    number does: a str, None or a complex, which do not compare, and an
+    array, which compares elementwise. Every real number compares to one
+    truth value: an int beyond the float range, a numpy scalar, a Fraction,
+    a Decimal."""
     try:
-        value < 0.0
+        below = value < 0.0
     except TypeError:
-        raise ValueError(f"{name} must be a number, got {_shown(value)}") from None
+        below = None
+    if not isinstance(below, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {_shown(value)}")
+
+
+def _float(name: str, value) -> float:
+    """value, refused by name unless it is a number, as a float: +-inf beyond
+    the float range (an int that float() cannot take)."""
+    _number(name, value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_p(p: float, what: str = "") -> float:
+    # compared as given: a p in (0, 1) that rounds to 0 or 1 is not refused as out of range
     _number("p", p)
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
@@ -72,25 +87,21 @@ def _check_p(p: float, what: str = "") -> float:
 
 
 def _check_df(df: float, name: str = "df") -> float:
-    _number(name, df)
-    if not (0.0 < df <= _MAX_DF):
+    # compared as a float: numpy would cast _MAX_DF to a float16 df's type, where it overflows
+    value = _float(name, df)
+    if not (0.0 < value <= _MAX_DF):
         raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {df}")
     # a subnormal df has fewer than 53 significant bits: it broke the series
-    if df < sys.float_info.min:
+    if value < sys.float_info.min:
         raise ValueError(f"{name} must not be subnormal, got {df}")
-    return float(df)
+    return value
 
 
 def _check_x(x: float) -> float:
-    """A CDF's x as a float, refused if NaN; beyond the float range (an int
-    that float() cannot take) it is +-inf."""
-    _number("x", x)
-    if x != x:
+    """A CDF's x as a float, refused if NaN; beyond the float range it is +-inf."""
+    if (value := _float("x", x)) != value:
         raise ValueError(f"x must be a number, got {x}")
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+    return value
 
 
 def _budget(shape: float) -> int:

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -21,6 +22,7 @@ from taildep.estimators import (
     cone_adjusted_hill,
     masked_angle_weighted_hill,
 )
+from taildep.statdist import normal_quantile
 from taildep.tail_core import AngularCone, BivariateSample, RadialOrder, radial_order
 
 CONE = AngularCone(0.25, 0.75)
@@ -68,10 +70,12 @@ class TestConfigAndReport:
         assert Config(k_n=10, B=10**7).B == 10**7
         with pytest.raises(ValueError):
             Config(k_n=10, alpha_sig=1.0)
-        # 1 - 1e-17/2 rounds to 1: the refusal names alpha_sig, not a quantile
-        with pytest.raises(ValueError, match=r"^alpha_sig = 1e-17 is too small"):
+        # 1 - 1e-17 rounds to 1: the refusal names alpha_sig, not a quantile
+        with pytest.raises(ValueError, match=r"^alpha_sig = 1e-17 is too small: 1 - alpha_sig "):
             Config(k_n=10, alpha_sig=1e-17)
         assert Config(k_n=10, alpha_sig=1e-15).alpha_sig == 1e-15
+        # 1 - 1e-16/2 rounds to 1, but no threshold is solved at 1 - alpha/2
+        assert Config(k_n=10, alpha_sig=1e-16).alpha_sig == 1e-16
         with pytest.raises(ValueError, match="^alpha_sig must be a number, got None$"):
             Config(k_n=10, alpha_sig=None)
         with pytest.raises(ValueError):
@@ -199,6 +203,39 @@ def test_cone_that_is_not_an_angular_cone_refused(test, cone):
     # refused before the sample is prepared, naming the argument
     with pytest.raises(ValueError, match=f"^cone must be an AngularCone, got {re.escape(repr(cone))}$"):
         test(example1(300, 0), cone, Config(k_n=20, seed=0, m_n=100, k_mn=10, B=20))
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The name and p of each normal or F quantile that boot_tests solves, in
+    order, wrapped where boot_tests binds them, as perfbench/tracer.py wraps them."""
+    calls = []
+    for name in ("normal_quantile", "f_quantile"):
+        def counted(p, *args, _fn=getattr(boot_tests, name), _name=name):
+            calls.append((_name, p))
+            return _fn(p, *args)
+        monkeypatch.setattr(boot_tests, name, counted)
+    return calls
+
+
+class TestThresholds:
+    """Each two-sided band is solved once, on its lower tail at alpha/2:
+    z = -Phi^-1(alpha/2), and H3's F(B - 1, B - 1) band is (lo, 1/lo), as
+    that law is the law of its own reciprocal."""
+
+    def test_each_band_is_solved_once_at_half_alpha(self, solved):
+        cfg = Config(k_n=50, seed=6, B=100, alpha_sig=0.1)
+        rep = weak_dependence_test(example2(2000, 6), CONE, cfg)
+        # _prepare's z, then H3's lower F bound
+        assert solved == [("normal_quantile", 0.05), ("f_quantile", 0.05)]
+        lo, hi = rep.threshold
+        assert hi == 1.0 / lo
+
+    def test_band_halfwidth_is_z_times_the_hill_scale(self):
+        cfg = Config(k_n=50, seed=6, B=100, alpha_sig=0.1)
+        aux = strong_dependence_test(example2(2000, 6), CONE, cfg).auxiliary
+        z = -normal_quantile(0.05)
+        assert aux["band_halfwidth"] == z * aux["hill"] / math.sqrt(aux["k_mn"])
 
 
 class TestFullDependence:

@@ -17,7 +17,7 @@ from taildep import cli
 from taildep.datagen import EXAMPLE1_SPEC
 
 ROOT = Path(__file__).resolve().parents[1]
-NAMES = ["bare_ray", "ray_hrv", "example1", "example2"]
+NAMES = ["bare_ray", "ray_hrv", "example1", "example2", "weak"]
 TESTS = ["strong_dependence_test", "full_dependence_test", "weak_dependence_test"]
 
 

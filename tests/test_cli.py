@@ -311,7 +311,7 @@ class TestSupport:
         assert run(["support", "--input", ex1_csv, "--k", 100, "--lambda", 1.0,
                     "--output", out]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema_version"] == 6
+        assert rep["schema_version"] == 7
         assert rep["a_hat"] == pytest.approx(0.25, abs=0.01)
         assert rep["b_hat"] == pytest.approx(0.75, abs=0.01)
 

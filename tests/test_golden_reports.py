@@ -4,7 +4,7 @@
 paper-scale `taildep test --which all` run.
 
 Each pin holds every byte of its report as this tree writes it under
-SCHEMA_VERSION 6 (numpy 2.4.6, x86-64): the radial order with its tie
+SCHEMA_VERSION 7 (numpy 2.4.6, x86-64): the radial order with its tie
 order, the bootstrap's slot draws, the support fit, each statistic and
 threshold, and each verdict. A change that moves any report value fails
 here; a deliberate change to a report bumps SCHEMA_VERSION and re-pins
@@ -27,7 +27,13 @@ Halley steps: z(0.975) kept its bits, so at alpha = 0.05 only the schema
 field moved, in every report; all seven hashes were re-pinned. Schema 6
 sums the angle-weighted statistic with np.add.reduce: H2's and H3's
 per-resample values moved by ulps, and no verdict changed; all seven
-hashes were re-pinned.
+hashes were re-pinned. Schema 7 solves each two-sided band once, on its
+lower tail at alpha/2: z is -Phi^-1(alpha/2), not Phi^-1(1 - alpha/2),
+and H3's upper F bound is 1/lo, F(B - 1, B - 1) being the law of its own
+reciprocal. H1's band_halfwidth moved by ulps in every test report, H3's
+threshold[1] by 2 ulps at B = 200 and not at B = 2000, and the schema
+field in every report; no statistic, rate, per-resample value or verdict
+moved. All seven hashes were re-pinned.
 
 The two weak-dependence reports on the degrees input pin the masked
 statistic's edge cases: origin points inside the cone, and a cone whose
@@ -78,19 +84,19 @@ _COMMANDS = {
 
 _GOLDEN = {
     ("example1", "test"):
-        "843b96b51e87a48fcc1b9317a494554deb122e2175340f80e1bfea8403eae6e5",
+        "6aa3bd112afcec786ec26af1935b8875684ae53250bb589d620cd33e7f23ae67",
     ("example1", "support"):
-        "8bd3a65f9802f8befa487c0b986c8dce4c9be3637b8cd1de3ff34aff6c0b6ac5",
+        "9840b6e53a6d063dcf87bb91c4129a24221f0873851871361415a272c5761709",
     ("degrees", "test"):
-        "99bcc423e4ddc9a3766d25eb31f355ea5627b6c27869e7ebbdc9b677e74b2a7e",
+        "05cfa5f17573313d5e61aa316f1920d212d4b81ef20e0f337121920bca11a480",
     ("degrees", "support"):
-        "a918002914189cb537083909371681539c9a0788d5ce0a132780570650d2e607",
+        "02f6148e32b196aadafaac6b633b6edadb4de8c1dc0fc316b6e73b4fe0d3b05f",
     ("example1_30000", "paper_test"):
-        "16b4a67d4c86ad00cf5fdb759560069e54c6ca6f5aacb2bc8c146d81a3146873",
+        "5f0e29bdc981e1feee181ffed5208949055524e773cec31d542f385879cc06e7",
     ("degrees", "weak_origin_in_cone"):
-        "6f010d00cb133cf84f3bd63f51d9aeec6d278cc71ab01d48310955d3155b44aa",
+        "279d5dad73b2b30feaffcff12641fd679d74e78a7ec3f78c7c175e6ec911ed35",
     ("degrees", "weak_masked_convention"):
-        "c8546bc4c727d97efdaa795b68972d984c9431fc67ae536e6eaacbb4da6b71f1",
+        "722d6fc44870dc6a48b1beed8b0805bf6c68f911e9de0eef2581018f3bd21064",
 }
 
 

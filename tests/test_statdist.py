@@ -21,7 +21,7 @@ from taildep.statdist import (
 )
 
 # the sha256 of the 168 thresholds' reprs in test_every_cli_threshold
-_CLI_THRESHOLDS = "363e1434497b67249a6a1599e6e452995dbfc0c5535ae905c6479f55f72dd55f"
+_CLI_THRESHOLDS = "c01a83c3f64a76628bca44dfce46e4ea1dad20b1a4d7023a17410be52a4511b0"
 
 
 class TestNormal:
@@ -456,16 +456,18 @@ class TestExtremes:
 
     def test_every_cli_threshold(self):
         # the three thresholds the bootstrap tests take, at df = B - 1, for any
-        # B and alpha the CLI accepts; the sha256 of their reprs pins their bits
+        # B and alpha the CLI accepts: H2's chi-square bound at 1 - alpha and
+        # H3's band (lo, 1/lo), F(df, df) being the law of its own reciprocal;
+        # the sha256 of their reprs pins their bits
         reprs = []
         for B in (2, 3, 10, 2000, 10**4, 10**5, 10**6, 10**7):
             df = B - 1
             for alpha in (1e-12, 1e-6, 0.01, 0.05, 0.5, 0.9, 1 - 1e-9):
+                lo = f_quantile(alpha / 2, df, df)
                 for cdf, q, p in (
                     (lambda x: chisq_cdf(x, df), chisq_quantile(1 - alpha, df), 1 - alpha),
-                    (lambda x: f_cdf(x, df, df), f_quantile(alpha / 2, df, df), alpha / 2),
-                    (lambda x: f_cdf(x, df, df), f_quantile(1 - alpha / 2, df, df),
-                     1 - alpha / 2),
+                    (lambda x: f_cdf(x, df, df), lo, alpha / 2),
+                    (lambda x: f_cdf(x, df, df), 1.0 / lo, 1 - alpha / 2),
                 ):
                     assert math.isfinite(q) and q > 0.0
                     assert cdf(q) == pytest.approx(p, abs=1e-7)
@@ -474,11 +476,11 @@ class TestExtremes:
         assert hashlib.sha256(" ".join(reprs).encode()).hexdigest() == _CLI_THRESHOLDS
 
     def test_every_cli_normal_threshold(self):
-        # H1's z and H2's proportion band at 1 - alpha/2, for each alpha of
-        # test_every_cli_threshold: its bits, as the other thresholds' are pinned
-        for alpha, z in ((1e-12, 7.130494613066504), (1e-6, 4.891638475714779),
-                         (0.01, 2.5758293035489), (0.05, 1.9599639845400538),
-                         (0.5, 0.6744897501960815), (0.9, 0.12566134685507407),
-                         (1 - 1e-9, 1.2533142410151735e-09)):
-            assert normal_quantile(1 - alpha / 2) == z
-
+        # H1's z and H2's proportion band, -normal_quantile(alpha/2), for each
+        # alpha of test_every_cli_threshold: its bits, as the other thresholds' are pinned
+        for alpha, z in ((1e-12, 7.130506848171325), (1e-6, 4.89163847569859),
+                         (0.01, 2.5758293035489004), (0.05, 1.9599639845400545),
+                         (0.5, 0.6744897501960815), (0.9, 0.12566134685507396),
+                         (1 - 1e-9, 1.253314101869353e-09)):
+            assert -normal_quantile(alpha / 2) == z
+            assert normal_cdf(-z) == pytest.approx(alpha / 2, abs=1e-7)

@@ -30,7 +30,7 @@ _ORDER = radial_order(_SAMPLE)
 _CONE = AngularCone(0.25, 0.75)
 _CFG = Config(k_n=20, seed=0, m_n=100, k_mn=10, B=20)
 # one value of each kind the entry points take, and two they never do
-_POOL = [None, 0.5, (_SAMPLE.x, _SAMPLE.y), _CONE, _SAMPLE, _ORDER, {}]
+_POOL = [None, 0.5, np.array([0.2, 0.3]), (_SAMPLE.x, _SAMPLE.y), _CONE, _SAMPLE, _ORDER, {}]
 # each entry point with valid arguments, by name
 _CALLS = [
     (estimate_support, {"ord": _ORDER, "k": 10, "opts": SupportFitOptions()}),
@@ -79,10 +79,16 @@ def test_one_argument_swapped_is_refused_by_name(swap, value):
     (lambda: chisq_quantile(0.5, "3"), "df must be a number, got '3'"),
     (lambda: f_cdf(None, 2, 2), "x must be a number, got None"),
     (lambda: f_quantile(0.5, 2, 2j), "df2 must be a number, got 2j"),
+    # an array compares elementwise, so "truth value ... is ambiguous" named no argument
+    (lambda: normal_quantile(np.array([0.2, 0.3])), "p must be a number, got array([0.2, 0.3])"),
+    (lambda: chisq_quantile(0.5, np.array([3, 4])), "df must be a number, got array([3, 4])"),
+    (lambda: f_quantile(0.5, 2, np.array([2.0, 3.0])), "df2 must be a number, got array([2., 3.])"),
+    (lambda: normal_cdf(np.array([0.1, 0.2])), "x must be a number, got array([0.1, 0.2])"),
 ], ids=["estimate_support", "hill", "radial_order", "strong_dependence_test",
         "full_dependence_test", "generate", "cone_distances", "uniform_off_cone",
         "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile",
-        "f_cdf", "f_quantile"])
+        "f_cdf", "f_quantile", "normal_quantile_array", "chisq_quantile_array",
+        "f_quantile_array", "normal_cdf_array"])
 def test_wrong_type_named_with_its_type(call, error):
     # each raised an AttributeError on a missing attribute, and each statdist
     # call a TypeError from a comparison or abs(); a long repr, as a sample's
@@ -91,9 +97,10 @@ def test_wrong_type_named_with_its_type(call, error):
         call()
 
 
-# an int beyond the float range, numpy scalars, a Fraction and a Decimal each compare with a float
-@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2), Decimal("0.5")],
-                         ids=repr)
+# an int beyond the float range, numpy scalars, a Fraction and a Decimal each compare with a
+# float; a float16 df is compared as a float, not _MAX_DF as a float16, where it overflows
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float16(0.5), np.int64(3), Fraction(1, 2),
+                                   Decimal("0.5")], ids=repr)
 def test_statdist_takes_every_real_number(value):
     for fn, args in [(normal_cdf, (value,)), (normal_quantile, (value / 4,)),
                      (chisq_cdf, (value, 3)), (chisq_quantile, (0.5, value)),
