@@ -370,10 +370,12 @@ def _low_bits(n):
     return (1 << max(1, (n - 1).bit_length())) - 1
 
 
-class TestDecreasingOrderOnLowBitRuns:
+class TestPackedKeySort:
     """Runs of values that differ only in their low bits, among ties, zeros
-    and integer degrees: _decreasing_order and its heads, whose partition
-    threshold falls inside such runs, are the stable argsort's."""
+    and integer degrees: the decreasing order and its heads, whose partition
+    threshold falls inside such runs, are the stable argsort's. The class
+    keeps the name of the sort these runs were written against; they check
+    _decreasing_order, whatever sort it uses."""
 
     # b grows by one bit from 1024 to 1025 and from 65536 to 65537 values
     @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 65536, 65537])
