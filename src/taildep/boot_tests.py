@@ -97,13 +97,13 @@ class TestConfig:
             value = getattr(self, name)
             if value is None and name in ("m_n", "k_mn"):
                 continue
-            _integer(name, value)
+            object.__setattr__(self, name, value := _integer(name, value))
             if name in ("k_n", "k_mn") and value < 2:
                 raise ValueError(f"{name} must be at least 2, got {value}: on one radius every "
                                  "Hill-type statistic is log(R_(1)/R_(1)) = 0")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        _real("alpha_sig", self.alpha_sig)
+        object.__setattr__(self, "alpha_sig", _real("alpha_sig", self.alpha_sig))
         if self.B < 2:
             raise ValueError("B must be at least 2")
         if self.B > _MAX_B:

@@ -123,7 +123,7 @@ class MixtureSpec:
 
     def __post_init__(self) -> None:
         for name in ("alpha_main", "alpha_hidden", "z_p", "z_q", "mix_prob"):
-            _real(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         _instance("cone", self.cone, AngularCone)
         if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
             raise ValueError("Pareto indices must be positive")

@@ -14,13 +14,15 @@ at the root t of the one-df chi-square tail of |Z|. The one exception is the
 normal quantile at a subnormal p, which has too few digits to bisect on; a
 chi-square or F quantile is refused there (ArithmeticError, "... cannot be
 computed to 1e-8"), and where the CDF's rounding error spans more than 1e-8
-of it. The CDFs meet only about 3e-8 near the mode at df near _MAX_DF, where
+of it; every quantile is refused so at a p in (0, 1) whose float is 0 or 1.
+The CDFs meet only about 3e-8 near the mode at df near _MAX_DF, where
 the front factor's exponent is summed from terms near 8e7
 (f_cdf(1, 1e7, 1e7) = 0.5000000150); the quantiles still meet 1e-8 there.
 
 The domain is the bootstrap's: df in (0, _MAX_DF], with ValueError
-naming the bound outside it, and a subnormal df refused by name. An
-argument that is not one number (a str, None, a complex, an array) is
+naming the bound outside it, and a subnormal df refused by name. Every
+argument is read by tail_core._real, the library's one rule for a real
+number: it reads as a float, and a str, None, a complex or an array is
 refused by a ValueError that names it. The tests take their thresholds at
 df = B - 1, and TestConfig caps B at _MAX_DF. A quantile beyond the float
 range is +inf, and one below the least positive float 0.0.
@@ -32,9 +34,7 @@ import math
 import struct
 import sys
 
-import numpy as np
-
-from taildep.tail_core import _shown
+from taildep.tail_core import _real, _shown
 
 _MAX_ITER = 1000
 # the largest df that the functions accept
@@ -51,56 +51,33 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _number(name: str, value) -> None:
-    """Refuse, naming it, a value that does not compare with a float as one
-    number does: a str, None or a complex, which do not compare, and an
-    array, which compares elementwise. Every real number compares to one
-    truth value: an int beyond the float range, a numpy scalar, a Fraction,
-    a Decimal."""
-    try:
-        below = value < 0.0
-    except TypeError:
-        below = None
-    if not isinstance(below, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {_shown(value)}")
-
-
-def _float(name: str, value) -> float:
-    """value, refused by name unless it is a number, as a float: +-inf beyond
-    the float range (an int that float() cannot take)."""
-    _number(name, value)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _check_p(p: float, what: str = "") -> float:
-    # compared as given: a p in (0, 1) that rounds to 0 or 1 is not refused as out of range
-    _number("p", p)
+def _check_p(p: float, what: str, least: float = sys.float_info.min) -> float:
+    # compared as given; the quantile what is refused at a p whose float is 1
+    # or below least, as a subnormal p has fewer than 53 significant bits to solve on
+    value = _real("p", p)
     if not (0.0 < p < 1.0):
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    # a subnormal p has fewer than 53 significant bits to solve a quantile on
-    if what and p < sys.float_info.min:
-        raise ArithmeticError(f"{what} cannot be computed to 1e-8: p is subnormal")
-    return float(p)
+        raise ValueError(f"probability must lie in (0, 1), got {_shown(p)}")
+    if not (least <= value < 1.0):
+        why = "p is subnormal" if 0.0 < value < least else f"p rounds to {value:g}"
+        raise ArithmeticError(f"{what} cannot be computed to 1e-8: {why}")
+    return value
 
 
 def _check_df(df: float, name: str = "df") -> float:
     # compared as a float: numpy would cast _MAX_DF to a float16 df's type, where it overflows
-    value = _float(name, df)
+    value = _real(name, df)
     if not (0.0 < value <= _MAX_DF):
-        raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {df}")
+        raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {_shown(df)}")
     # a subnormal df has fewer than 53 significant bits: it broke the series
     if value < sys.float_info.min:
-        raise ValueError(f"{name} must not be subnormal, got {df}")
+        raise ValueError(f"{name} must not be subnormal, got {_shown(df)}")
     return value
 
 
 def _check_x(x: float) -> float:
     """A CDF's x as a float, refused if NaN; beyond the float range it is +-inf."""
-    if (value := _float("x", x)) != value:
-        raise ValueError(f"x must be a number, got {x}")
+    if (value := _real("x", x)) != value:
+        raise ValueError(f"x must be a number, got {_shown(x)}")
     return value
 
 
@@ -261,7 +238,8 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF: +-sqrt(2t) at the least float t at which
     the one-df chi-square tail of |Z| reaches 2 min(p, 1 - p): Q(1/2, t)
     falls to it below 1/4, and P(1/2, t) rises to 1 minus it above."""
-    p = _check_p(p)
+    what = f"the normal quantile at p = {_shown(p)}"
+    p = _check_p(p, what, _LEAST)
     if p < sys.float_info.min:
         # a subnormal p has too few digits to bisect on: take Newton steps on
         # log Phi(x) = log p, with log Phi(x) = -x^2/2 - log(sqrt(2 pi) v) and its derivative
@@ -279,7 +257,7 @@ def normal_quantile(p: float) -> float:
     # 1 - p and 2q are exact, and so is 1 - 2q from q = 1/4 up (Sterbenz)
     two_q = 2.0 * min(p, 1.0 - p)
     upper = two_q < 0.5
-    z = _solve(f"the normal quantile at p = {p}", lambda t: _gamma_tails(0.5, t), upper,
+    z = _solve(what, lambda t: _gamma_tails(0.5, t), upper,
                two_q if upper else 1.0 - two_q, sys.float_info.max, lambda t: math.sqrt(2.0 * t))
     return z if p > 0.5 else -z
 
@@ -331,7 +309,7 @@ def chisq_cdf(x: float, df: float) -> float:
 def chisq_quantile(p: float, df: float) -> float:
     """Inverse chi-square CDF: twice the least float t at which P(df/2, t)
     (Q above 1 - _P_LOW) reaches p."""
-    what = f"the chi-square quantile at p = {p}, df = {df}"
+    what = f"the chi-square quantile at p = {_shown(p)}, df = {_shown(df)}"
     p = _check_p(p, what)
     half = 0.5 * _check_df(df)
     upper = p > 1.0 - _P_LOW
@@ -360,7 +338,7 @@ def _ratio(num: float, den: float) -> float:
 
 def f_quantile(p: float, df1: float, df2: float) -> float:
     """Inverse F CDF: F at the least float root y of I_y(df1/2, df2/2) = p (1 - y near 1)."""
-    what = f"the F quantile at p = {p}, df1 = {df1}, df2 = {df2}"
+    what = f"the F quantile at p = {_shown(p)}, df1 = {_shown(df1)}, df2 = {_shown(df2)}"
     p = _check_p(p, what)
     df1, df2 = _check_df(df1, "df1"), _check_df(df2, "df2")
     if p > 1.0 - _P_LOW:

@@ -26,9 +26,10 @@ class SupportFitOptions:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        _real("lam", self.lam)
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        lam = _real("lam", self.lam)
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        object.__setattr__(self, "lam", lam)
 
 
 def _penalty_weight(lam: float, k: int) -> float:
@@ -53,8 +54,7 @@ def support_objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) 
     D >= H always, so the absolute value is the cone-adjustment gap.
     """
     _check_k(ord, k)
-    _real("lam", lam)
-    return _objective(ord, k, a, b, lam)
+    return _objective(ord, k, a, b, _real("lam", lam))
 
 
 def _objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) -> float:
@@ -62,8 +62,8 @@ def _objective(ord: RadialOrder, k: int, a: float, b: float, lam: float) -> floa
     fit at every lambda and each distinct cone score them once; H refuses
     R_(k) = 0 before lambda * sqrt(k) is checked, as the estimators would."""
     h = _head_value(ord, k, _hill_rows)
-    d = _head_value(ord, k, _cone_adjusted_hill_rows, AngularCone(a, b))
-    return (b - a) + _penalty_weight(lam, k) * abs(d - h)
+    d = _head_value(ord, k, _cone_adjusted_hill_rows, cone := AngularCone(a, b))
+    return (cone.b - cone.a) + _penalty_weight(lam, k) * abs(d - h)
 
 
 # s times a finite sum of weights may overflow: that candidate is +inf and loses

@@ -16,7 +16,7 @@ across threads: a race on either only computes the same value twice.
 
 from __future__ import annotations
 
-import numbers
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, TypeVar
@@ -35,11 +35,26 @@ def _shown(value) -> str:
     return shown if len(shown) <= 40 else type(value).__name__
 
 
-def _real(name: str, value) -> None:
-    """Refuse, naming it, a value that is not a real number."""
-    # float first: a float passes without the slower abstract-class check
-    if not isinstance(value, (float, numbers.Real)):
+def _real(name: str, value) -> float:
+    """value as a float, by the library's one rule for a real argument: a
+    number is a scalar that compares with a float as one truth value (a bool,
+    an int, a numpy scalar, a 0-d array, a Fraction, a Decimal) and reads as
+    +-inf beyond the float range. Anything else is refused by a ValueError
+    that names it: a str, None, a complex (numpy's too), an array."""
+    if type(value) is float:  # the common case
+        return value
+    try:
+        below = value < 0.0
+    except (TypeError, ArithmeticError):  # a Decimal NaN raises InvalidOperation
+        below = None
+    # an array compares elementwise, and a numpy complex by its real part
+    kind = getattr(getattr(value, "dtype", None), "kind", "")
+    if not isinstance(below, (bool, np.bool_)) or kind == "c":
         raise ValueError(f"{name} must be a number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return -math.inf if below else math.inf
 
 
 def _integer(name: str, value) -> int:
@@ -64,10 +79,11 @@ class AngularCone:
     b: float
 
     def __post_init__(self) -> None:
-        _real("cone endpoint a", self.a)
-        _real("cone endpoint b", self.b)
-        if not (0.0 <= self.a <= self.b <= 1.0):
-            raise ValueError(f"cone requires 0 <= a <= b <= 1, got [{self.a}, {self.b}]")
+        a, b = _real("cone endpoint a", self.a), _real("cone endpoint b", self.b)
+        if not (0.0 <= a <= b <= 1.0):
+            raise ValueError(f"cone requires 0 <= a <= b <= 1, got [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def is_full(self) -> bool:
@@ -272,7 +288,7 @@ def cone_distances(x, y, cone: AngularCone) -> np.ndarray:
 def _slope_times(c: float, x: np.ndarray) -> np.ndarray:
     """(1/c - 1) * x, with 1/0 = +inf, 0 (not inf * 0 = nan) where x == 0
     and +inf where the product overflows."""
-    slope = np.inf if c == 0.0 else 1.0 / float(c) - 1.0
+    slope = np.inf if c == 0.0 else 1.0 / c - 1.0
     if slope < np.inf:
         return slope * x
     return np.multiply(slope, x, out=np.zeros(x.shape), where=x != 0.0)
