@@ -93,21 +93,16 @@ class TestConfig:
     alpha_sig: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("k_n", "seed", "m_n", "k_mn", "B"):
+        for name, least, most in (("k_n", None, None), ("seed", 0, None), ("m_n", None, None),
+                                  ("k_mn", None, None), ("B", 2, _MAX_B)):
             value = getattr(self, name)
             if value is None and name in ("m_n", "k_mn"):
                 continue
-            object.__setattr__(self, name, value := _integer(name, value))
+            object.__setattr__(self, name, value := _integer(name, value, least, most))
             if name in ("k_n", "k_mn") and value < 2:
                 raise ValueError(f"{name} must be at least 2, got {value}: on one radius every "
                                  "Hill-type statistic is log(R_(1)/R_(1)) = 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "alpha_sig", _real("alpha_sig", self.alpha_sig))
-        if self.B < 2:
-            raise ValueError("B must be at least 2")
-        if self.B > _MAX_B:
-            raise ValueError(f"B must be at most {_MAX_B}, got {self.B}")
         if not (0.0 < self.alpha_sig < 1.0):
             raise ValueError("alpha_sig must lie in (0, 1)")
         # z and H3's band are solved at alpha/2; only H2's bound is taken at 1 - alpha

@@ -55,6 +55,7 @@ from taildep.tail_core import (
     BivariateSample,
     _angles,
     _decreasing_head,
+    _integer,
     _off_origin,
     acf,
     log_returns,
@@ -243,8 +244,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_prep(args) -> int:
-    if args.max_lag < 1:
-        raise ValueError(f"max_lag must be a positive integer, got {args.max_lag}")
+    _integer("max_lag", args.max_lag, least=1)
     (prices,) = _read_columns(args.input, [args.price_col] if args.price_col else None, 1)
     returns = log_returns(prices, args.stride)
     abs_returns = np.abs(returns)
@@ -331,10 +331,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_diamond(args) -> int:
-    if args.bins < 1:
-        raise ValueError(f"bins must be a positive integer, got {args.bins}")
-    if args.bins > _MAX_BINS:
-        raise ValueError(f"bins must be at most {_MAX_BINS}, got {args.bins}")
+    _integer("bins", args.bins, least=1, most=_MAX_BINS)
     x, y = _read_columns(args.input, args.cols.split(",") if args.cols else None, 2)
     # the L1 norm |x| + |y| is the radius of (|x|, |y|); one that overflows is refused
     sample = BivariateSample(np.abs(x), np.abs(y))

@@ -33,6 +33,7 @@ _SUB_THETA_OFF = 4
 
 def stream(*entropy: int) -> np.random.Generator:
     """Philox generator keyed by a tuple of nonnegative integers."""
+    entropy = tuple(_integer("entropy", e, least=0) for e in entropy)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -49,12 +50,12 @@ def _entropy_words(value) -> list:
     uint32 words (0 is one word); an array of ints below 2**32 is one
     word per row."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu":
+            raise ValueError(f"array entropy must hold integers, got {value.dtype}")
         if value.size and (value.min() < 0 or value.max() > _MASK32):
             raise ValueError("array entropy must lie in [0, 2**32)")
         return [value.astype(np.uint32)]
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"entropy must be non-negative, got {value}")
+    value = _integer("entropy", value, least=0)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -165,6 +166,8 @@ EXAMPLE2_SPEC = MixtureSpec(
 
 def pareto(alpha: float, size: int, gen: np.random.Generator) -> np.ndarray:
     """Standard Pareto draws with P(R > x) = x^(-alpha), x >= 1."""
+    alpha, size = _real("alpha", alpha), _integer("size", size, least=0)
+    gen = _instance("gen", gen, np.random.Generator)
     if not alpha > 0:  # NaN fails too
         raise ValueError(f"alpha must be positive, got {alpha}")
     with np.errstate(over="ignore"):
@@ -183,6 +186,8 @@ def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.n
     -1075 log 2 - E / a, E standard exponential, and its row takes the
     ratio from the log difference.
     """
+    p, q, size = _real("p", p), _real("q", q), _integer("size", size, least=0)
+    gen = _instance("gen", gen, np.random.Generator)
     if not (p > 0 and q > 0):  # NaN fails too
         raise ValueError(f"shapes must be positive, got p={p}, q={q}")
     if math.isinf(p) or math.isinf(q):  # a gamma draw at shape inf is inf, and inf / inf NaN
@@ -202,7 +207,7 @@ def sample_beta(p: float, q: float, size: int, gen: np.random.Generator) -> np.n
 def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform draws on [0, a) union (b, 1], pieces weighted by length."""
     _instance("cone", cone, AngularCone)
-    size, gen = _integer("size", size), _instance("gen", gen, np.random.Generator)
+    size, gen = _integer("size", size, least=0), _instance("gen", gen, np.random.Generator)
     left = cone.a
     right = 1.0 - cone.b
     total = left + right
@@ -215,11 +220,7 @@ def uniform_off_cone(cone: AngularCone, size: int, gen: np.random.Generator) -> 
 def generate(spec: MixtureSpec, n: int, seed: int) -> BivariateSample:
     """Draw n iid points from the mixture, deterministically per seed."""
     _instance("spec", spec, MixtureSpec)
-    n, seed = _integer("n", n), _integer("seed", seed)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    n, seed = _integer("n", n, least=1), _integer("seed", seed, least=0)
     on_cone = stream(seed, _SUB_BERNOULLI).random(n) < spec.mix_prob
     z = sample_beta(spec.z_p, spec.z_q, n, stream(seed, _SUB_Z))
     theta1 = spec.cone.a + (spec.cone.b - spec.cone.a) * z

@@ -64,11 +64,13 @@ def _check_p(p: float, what: str, least: float = sys.float_info.min) -> float:
 
 
 def _check_df(df: float, name: str = "df") -> float:
-    # compared as a float: numpy would cast _MAX_DF to a float16 df's type, where it overflows
+    # 0 < df compared as given, as _check_p does; the cap as a float: numpy would cast
+    # _MAX_DF to a float16 df's type, where it overflows
     value = _real(name, df)
-    if not (0.0 < value <= _MAX_DF):
+    if not (0.0 < df and value <= _MAX_DF):
         raise ValueError(f"{name} must lie in (0, {_MAX_DF:g}], got {_shown(df)}")
-    # a subnormal df has fewer than 53 significant bits: it broke the series
+    # a subnormal df, or a positive one whose float is 0, has fewer than 53
+    # significant bits: it broke the series
     if value < sys.float_info.min:
         raise ValueError(f"{name} must not be subnormal, got {_shown(df)}")
     return value

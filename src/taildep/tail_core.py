@@ -30,8 +30,11 @@ _MISSING = object()
 
 def _shown(value) -> str:
     """value as a refusal shows it: its repr if short, else its type's name,
-    as for a sample or an array."""
-    shown = repr(value)
+    as for a sample, an array or an int past Python's 4300-digit str limit."""
+    try:
+        shown = repr(value)
+    except ValueError:  # repr raises it past that limit
+        return type(value).__name__
     return shown if len(shown) <= 40 else type(value).__name__
 
 
@@ -57,13 +60,24 @@ def _real(name: str, value) -> float:
         return -math.inf if below else math.inf
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a ValueError names a value that is not an integer
-    (numpy integers are)."""
+def _integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as an int, by the library's one rule for an integer argument:
+    an integer is what operator.index takes (a bool, an int, a numpy
+    integer), and least <= value <= most where a bound is given. Each
+    refusal is a ValueError that names it: "must be an integer" for a
+    float, a str, None or an array; "must be non-negative" below a least
+    of 0, "must be a positive integer" below 1, "must be at least {least}"
+    below any other, and "must be at most {most}" above most."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {_shown(value)}") from None
+    if least is not None and value < least:
+        bound = {0: "non-negative", 1: "a positive integer"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {_shown(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -343,8 +357,7 @@ def log_returns(prices, stride: int) -> np.ndarray:
     floor((len(prices) - 1) / stride) entries.
     """
     p = np.asarray(prices, dtype=float)
-    if (stride := _integer("stride", stride)) < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
+    stride = _integer("stride", stride, least=1)
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise ValueError("prices must be positive and finite")
     if p.size <= stride:
@@ -363,8 +376,7 @@ def acf(series, max_lag: int) -> np.ndarray:
     x = np.asarray(series, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
-    if (max_lag := _integer("max_lag", max_lag)) < 1:
-        raise ValueError(f"max_lag must be a positive integer, got {max_lag}")
+    max_lag = _integer("max_lag", max_lag, least=1)
     n = x.size
     if n <= max_lag:
         raise ValueError("series must be longer than max_lag")

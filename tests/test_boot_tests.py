@@ -62,7 +62,7 @@ class TestConfigAndReport:
     def test_validation(self):
         with pytest.raises(ValueError):
             Config(k_n=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^B must be at least 2, got 1$"):
             Config(k_n=10, B=1)
         # the thresholds' df = B - 1 stay inside statdist's domain
         with pytest.raises(ValueError, match=r"^B must be at most 10000000, got 10000001$"):

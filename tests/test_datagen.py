@@ -129,6 +129,11 @@ class TestUniformOffCone:
         with pytest.raises(ValueError):
             uniform_off_cone(AngularCone(0.0, 1.0), 10, stream(13))
 
+    def test_negative_size_refused_by_name(self):
+        # numpy's "negative dimensions are not allowed" named no argument
+        with pytest.raises(ValueError, match="^size must be non-negative, got -3$"):
+            uniform_off_cone(AngularCone(0.25, 0.75), -3, stream(13))
+
 
 class TestMixtureSpec:
     def test_validation(self):
@@ -228,7 +233,7 @@ class TestGenerate:
             assert np.mean(r > t) * t**2 == pytest.approx(0.5, rel=0.15)
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
             generate(EXAMPLE1_SPEC, 0, 0)
         for n, seed, message in ((10.5, 0, "n must be an integer, got 10.5"),
                                  ("10", 0, "n must be an integer, got '10'"),
@@ -276,3 +281,21 @@ class TestStreamKeys:
             stream_keys(0, 1, 0, np.array([-1, 2]), 0)
         with pytest.raises(ValueError):
             stream_keys(0, 1, 0, np.array([2**32]), 0)
+
+    def test_rejects_non_integer_entropy(self):
+        # 1.5, "3" and [1.7, 2.2] keyed entropy 1, 3 and [1, 2]; stream(1.5) raised
+        # numpy's bare TypeError "seed must be integer"
+        scalars = [(1.5, "entropy must be an integer, got 1.5"),
+                   ("3", "entropy must be an integer, got '3'"),
+                   (-1, "entropy must be non-negative, got -1")]
+        for entropy, error in [*scalars, (np.array([1.7, 2.2]),
+                                          "array entropy must hold integers, got float64")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                stream_keys(0, entropy, 0)
+        for entropy, error in [*scalars, (np.array([1, 2]),
+                                          "entropy must be an integer, got array([1, 2])")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                stream(0, entropy)
+        # a numpy integer is an integer: it keys what the int keys
+        assert np.array_equal(stream_keys(np.int64(3), 1), stream_keys(3, 1))
+        assert stream(np.uint8(3), 1).integers(0, 10**9) == stream(3, 1).integers(0, 10**9)

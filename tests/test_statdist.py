@@ -250,6 +250,8 @@ class TestSpecialFunctions:
         (chisq_quantile, (Fraction(10**400 + 1, 10**400), 3),
          "probability must lie in (0, 1), got Fraction"),
         (f_quantile, (0.5, 3, Fraction(10**400, 3)), "df2 must lie in (0, 1e+07], got Fraction"),
+        # a positive df whose float is 0 was refused as outside the range it lies in
+        (chisq_cdf, (1.0, Fraction(1, 10**400)), "df must not be subnormal, got Fraction"),
     ])
     def test_bad_arguments_refused(self, fn, args, error):
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):

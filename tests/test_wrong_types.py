@@ -1,6 +1,7 @@
 """The library's entry points refuse an argument of the wrong type with a
 ValueError that names it, not an AttributeError from deep inside."""
 
+import itertools
 import json
 import math
 import re
@@ -10,16 +11,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from taildep.boot_tests import (
     TestConfig as Config,
     full_dependence_test,
     strong_dependence_test,
     weak_dependence_test,
 )
-from taildep.datagen import EXAMPLE1_SPEC, MixtureSpec, example1, generate, stream, uniform_off_cone
+from taildep.datagen import (
+    EXAMPLE1_SPEC,
+    MixtureSpec,
+    example1,
+    generate,
+    pareto,
+    sample_beta,
+    stream,
+    uniform_off_cone,
+)
 from taildep.estimators import hill
 from taildep.statdist import (
     chisq_cdf,
@@ -49,6 +56,8 @@ _CALLS = [
     (generate, {"spec": EXAMPLE1_SPEC, "n": 10, "seed": 0}),
     (cone_distances, {"x": _SAMPLE.x, "y": _SAMPLE.y, "cone": _CONE}),
     (uniform_off_cone, {"cone": _CONE, "size": 3, "gen": stream(0)}),
+    (pareto, {"alpha": 2.0, "size": 3, "gen": stream(0)}),
+    (sample_beta, {"p": 1.0, "q": 2.0, "size": 3, "gen": stream(0)}),
     (normal_cdf, {"x": 0.5}),
     (normal_quantile, {"p": 0.25}),
     (chisq_cdf, {"x": 2.0, "df": 3}),
@@ -61,17 +70,16 @@ _SWAPS = [(fn, args, name) for fn, args in _CALLS for name in args
           if fn is not cone_distances or name == "cone"]
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.sampled_from(_SWAPS), st.sampled_from(_POOL))
-def test_one_argument_swapped_is_refused_by_name(swap, value):
-    fn, args, name = swap
-    try:
-        fn(**{**args, name: value})
-    except ValueError as exc:
-        assert str(exc).startswith(f"{name} must be "), str(exc)
-    else:
-        # a numpy complex compares with a float, by its real part, but is no real number
-        assert not isinstance(value, np.complexfloating), f"{name} took {value!r}"
+def test_one_argument_swapped_is_refused_by_name():
+    # every (swap, value) pair, once each
+    for (fn, args, name), value in itertools.product(_SWAPS, _POOL):
+        try:
+            fn(**{**args, name: value})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{name} must be "), (fn.__name__, str(exc))
+        else:
+            # a numpy complex compares with a float, by its real part, but is no real number
+            assert not isinstance(value, np.complexfloating), f"{fn.__name__} {name} took {value!r}"
 
 
 @pytest.mark.parametrize("call, error", [
@@ -100,12 +108,27 @@ def test_one_argument_swapped_is_refused_by_name(swap, value):
      "p must be a number, got np.complex128(0.5+0.3j)"),
     # a Decimal NaN raises decimal.InvalidOperation on comparison, which named no argument
     (lambda: chisq_cdf(Decimal("NaN"), 3), "x must be a number, got Decimal('NaN')"),
+    # a str raised a bare TypeError, a str gen an AttributeError, and an array alpha
+    # numpy's "truth value ... is ambiguous"
+    (lambda: pareto("x", 5, stream(0)), "alpha must be a number, got 'x'"),
+    (lambda: pareto(2.0, "5", stream(0)), "size must be an integer, got '5'"),
+    (lambda: pareto(2.0, 5, "g"), "gen must be a Generator, got 'g'"),
+    (lambda: pareto(np.array([2.0, 3.0]), 5, stream(0)),
+     "alpha must be a number, got array([2., 3.])"),
+    (lambda: sample_beta(1.0, 1.0, 5.5, stream(0)), "size must be an integer, got 5.5"),
+    (lambda: sample_beta(1.0, "2", 5, stream(0)), "q must be a number, got '2'"),
+    # an int past Python's 4300-digit str limit: its repr raised a ValueError that
+    # named no argument
+    (lambda: generate(EXAMPLE1_SPEC, 10, -10**5000), "seed must be non-negative, got int"),
+    (lambda: Config(k_n=20, B=10**5000), "B must be at most 10000000, got int"),
 ], ids=["estimate_support", "hill", "radial_order", "strong_dependence_test",
         "full_dependence_test", "generate", "cone_distances", "uniform_off_cone",
         "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile",
         "f_cdf", "f_quantile", "normal_quantile_array", "chisq_quantile_array",
         "f_quantile_array", "normal_cdf_array", "normal_quantile_complex",
-        "chisq_cdf_decimal_nan"])
+        "chisq_cdf_decimal_nan", "pareto_str_alpha", "pareto_str_size", "pareto_str_gen",
+        "pareto_array_alpha", "sample_beta_float_size", "sample_beta_str_q",
+        "generate_long_seed", "TestConfig_long_B"])
 def test_wrong_type_named_with_its_type(call, error):
     # each raised an AttributeError on a missing attribute, and each statdist
     # call a TypeError from a comparison or abs(); a long repr, as a sample's
@@ -125,6 +148,10 @@ _REAL_ARGS = [
                       ("mix_prob", 0.5)]),
     ("alpha_sig", lambda v: Config(k_n=20, alpha_sig=v).alpha_sig, 0.05, None),
     ("lam", lambda v: SupportFitOptions(lam=v).lam, 0.5, 1),
+    # a draw as a list of floats, whose repr shows every bit
+    ("pareto alpha", lambda v: pareto(v, 5, stream(0)).tolist(), 1.7, 3),
+    ("sample_beta p", lambda v: sample_beta(v, 2.0, 5, stream(0)).tolist(), 0.05, 1),
+    ("sample_beta q", lambda v: sample_beta(1.0, v, 5, stream(0)).tolist(), 0.1, 2),
     ("support_objective a", lambda v: support_objective(_ORDER, 10, v, 0.75, 1.0), 0.25, 0),
     ("support_objective b", lambda v: support_objective(_ORDER, 10, 0.0, v, 1.0), 0.75, 1),
     ("support_objective lam", lambda v: support_objective(_ORDER, 10, 0.25, 0.75, v), 0.5, 1),
