@@ -104,7 +104,7 @@ class TestConfig:
                                  "Hill-type statistic is log(R_(1)/R_(1)) = 0")
         object.__setattr__(self, "alpha_sig", _real("alpha_sig", self.alpha_sig))
         if not (0.0 < self.alpha_sig < 1.0):
-            raise ValueError("alpha_sig must lie in (0, 1)")
+            raise ValueError(f"alpha_sig must lie in (0, 1), got {self.alpha_sig}")
         # z and H3's band are solved at alpha/2; only H2's bound is taken at 1 - alpha
         if 1.0 - self.alpha_sig == 1.0:
             raise ValueError(f"alpha_sig = {self.alpha_sig} is too small: 1 - alpha_sig rounds "

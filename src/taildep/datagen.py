@@ -127,16 +127,17 @@ class MixtureSpec:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         _instance("cone", self.cone, AngularCone)
         if not (self.alpha_main > 0 and self.alpha_hidden > 0):  # NaN fails too
-            raise ValueError("Pareto indices must be positive")
+            raise ValueError(f"Pareto indices must be positive, got alpha_main={self.alpha_main}, "
+                             f"alpha_hidden={self.alpha_hidden}")
         if self.alpha_hidden < self.alpha_main:
             raise ValueError("off-cone tail must be at least as light as the on-cone tail")
         if not (self.z_p > 0 and self.z_q > 0):
-            raise ValueError("Beta shapes must be positive")
+            raise ValueError(f"Beta shapes must be positive, got z_p={self.z_p}, z_q={self.z_q}")
         if math.isinf(self.z_p) or math.isinf(self.z_q):  # inf / inf is NaN in sample_beta
             raise ValueError(f"Beta shapes must be positive and finite, got z_p={self.z_p}, "
                              f"z_q={self.z_q}")
         if not (0.0 < self.mix_prob <= 1.0):
-            raise ValueError("mix_prob must lie in (0, 1]")
+            raise ValueError(f"mix_prob must lie in (0, 1], got {self.mix_prob}")
         if self.mix_prob < 1.0 and self.cone.is_full:
             raise ValueError("off-cone component requires a proper cone [a, b]")
 

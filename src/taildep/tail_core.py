@@ -80,6 +80,33 @@ def _integer(name: str, value, least: int | None = None, most: int | None = None
     return value
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """value as a 1-d float64 array, by the library's one rule for a data
+    array: an array or a list of bools, integers or real floats of any width
+    reads as float64 (a float64 array is not copied), and an object array
+    element by element by _real's rule, as a list of Fractions or of ints
+    past int64 is. Anything else is refused by a ValueError that names it:
+    an array of str, bytes, complex, datetime or timedelta, a dict, a 0-d
+    or 2-d value, or an object array holding what _real refuses."""
+    try:
+        arr = np.asarray(value)
+        if arr.ndim == 1 and arr.dtype.kind in "biuf":
+            return arr.astype(float, copy=False)
+        if arr.ndim == 1 and arr.dtype.kind == "O":
+            return np.array([_real(name, v) for v in arr], dtype=float)
+    except ValueError:  # a ragged list, or an element _real refuses
+        pass
+    raise ValueError(f"{name} must be a 1-d array of real numbers, got {_shown(value)}")
+
+
+def _xy(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' x and y, each read by _reals, refused unless of one length."""
+    x, y = _reals("x", x), _reals("y", y)
+    if x.size != y.size:
+        raise ValueError(f"x and y must be of equal length, got {x.size} and {y.size}")
+    return x, y
+
+
 @dataclass(frozen=True)
 class AngularCone:
     """Closed angular interval [a, b] in [0, 1].
@@ -122,10 +149,7 @@ class BivariateSample:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y) -> None:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-            raise ValueError("x and y must be 1-d arrays of equal length")
+        x, y = _xy(x, y)
         if x.size < 1:
             raise ValueError("sample must contain at least one point")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -210,9 +234,13 @@ class RadialOrder:
     identity. The radii sorted_r and angles theta of what it reads come
     from _pairs, so neither can disagree with the pairs.
 
-    It keeps read-only views of x and y as floats (a copy only of pairs
-    given in another dtype) and their radii as its source, so the caller's
-    arrays stay writeable; a caller must not write to them afterwards. It
+    It reads x and y by _reals (a copy only of pairs given in another dtype
+    than float64) and keeps read-only views of them and their radii as its
+    source, so the caller's arrays stay writeable; a caller must not write to
+    them afterwards. It checks the type and shape of the pairs, not their
+    values: a negative, infinite or NaN pair is taken as given, and what is
+    read from it means nothing. radial_order(s) is the checked path, as a
+    BivariateSample refuses such pairs. It
     is read only through n, head(depth) and within(cone, depth). It sorts
     nothing until it is read, and then only as deep as it is read: a
     head(L) deeper than the prefix held sorts the top 2 max(L, held)
@@ -232,9 +260,7 @@ class RadialOrder:
     __slots__ = ("_source", "_top", "_heads", "_memo")
 
     def __init__(self, x, y) -> None:
-        x, y = np.asarray(x, dtype=float).view(), np.asarray(y, dtype=float).view()
-        if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-            raise ValueError("a radial order's x and y must be 1-d arrays of equal length")
+        x, y = (arr.view() for arr in _xy(x, y))
         # the unsorted (x, y, r) that head and within select from
         self._source = _read_only(x, y, x + y)
         self._top, self._heads, self._memo = _pairs(x[:0], y[:0]), {}, {}
@@ -356,7 +382,7 @@ def log_returns(prices, stride: int) -> np.ndarray:
     A trailing partial stride window is dropped, so the result has
     floor((len(prices) - 1) / stride) entries.
     """
-    p = np.asarray(prices, dtype=float)
+    p = _reals("prices", prices)
     stride = _integer("stride", stride, least=1)
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise ValueError("prices must be positive and finite")
@@ -373,7 +399,7 @@ def acf(series, max_lag: int) -> np.ndarray:
     Each sum is numpy's pairwise np.add.reduce, not a BLAS dot, so its bits
     do not depend on how many threads the BLAS library runs.
     """
-    x = np.asarray(series, dtype=float)
+    x = _reals("series", series)
     if not np.all(np.isfinite(x)):
         raise ValueError("series must be finite")
     max_lag = _integer("max_lag", max_lag, least=1)

@@ -68,7 +68,7 @@ class TestConfigAndReport:
         with pytest.raises(ValueError, match=r"^B must be at most 10000000, got 10000001$"):
             Config(k_n=10, B=10**7 + 1)
         assert Config(k_n=10, B=10**7).B == 10**7
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha_sig must lie in \(0, 1\), got 1.0$"):
             Config(k_n=10, alpha_sig=1.0)
         # 1 - 1e-17 rounds to 1: the refusal names alpha_sig, not a quantile
         with pytest.raises(ValueError, match=r"^alpha_sig = 1e-17 is too small: 1 - alpha_sig "):

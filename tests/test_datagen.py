@@ -143,10 +143,13 @@ class TestMixtureSpec:
         nan = math.nan
         for alpha_main, alpha_hidden in ((0.0, 4.0), (-1.0, 4.0), (2.0, 0.0), (nan, 4.0),
                                          (2.0, nan)):
-            with pytest.raises(ValueError, match="^Pareto indices must be positive$"):
+            error = (f"Pareto indices must be positive, got alpha_main={alpha_main}, "
+                     f"alpha_hidden={alpha_hidden}")
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 MixtureSpec(alpha_main, alpha_hidden, cone, 1.0, 1.0, 0.5)
         for z_p, z_q in ((nan, 1.0), (1.0, nan)):
-            with pytest.raises(ValueError, match="^Beta shapes must be positive$"):
+            error = f"Beta shapes must be positive, got z_p={z_p}, z_q={z_q}"
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 MixtureSpec(2.0, 4.0, cone, z_p, z_q, 0.5)
         with pytest.raises(ValueError, match="^alpha must be positive, got nan$"):
             pareto(nan, 10, stream(15))
@@ -154,7 +157,7 @@ class TestMixtureSpec:
             sample_beta(nan, 1.0, 10, stream(15))
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 4.0, cone, 0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mix_prob must lie in \(0, 1\], got 0.0$"):
             MixtureSpec(2.0, 4.0, cone, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             MixtureSpec(2.0, 4.0, AngularCone(0.0, 1.0), 1.0, 1.0, 0.5)

@@ -263,8 +263,9 @@ class TestRadialOrder:
         (5.0, 5.0),
     ])
     def test_only_one_row_of_pairs(self, x, y):
-        with pytest.raises(ValueError, match="^a radial order's x and y must be 1-d arrays of equal "
-                                             "length$"):
+        # BivariateSample's refusals: a radial order has no shape rule of its own
+        with pytest.raises(ValueError, match=r"^(x must be a 1-d array of real numbers, got .*|"
+                                             r"x and y must be of equal length, got 3 and 2)$"):
             RadialOrder(x, y)
 
     @pytest.mark.parametrize("read", [lambda o, depth: o.head(depth),

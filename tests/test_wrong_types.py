@@ -4,6 +4,7 @@ ValueError that names it, not an AttributeError from deep inside."""
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import asdict, replace
 from decimal import Decimal
@@ -11,6 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from taildep import boot_tests, datagen, estimators, statdist, support_fit, tail_core
 from taildep.boot_tests import (
     TestConfig as Config,
     full_dependence_test,
@@ -21,13 +26,19 @@ from taildep.datagen import (
     EXAMPLE1_SPEC,
     MixtureSpec,
     example1,
+    example2,
     generate,
     pareto,
     sample_beta,
     stream,
     uniform_off_cone,
 )
-from taildep.estimators import hill
+from taildep.estimators import (
+    angle_weighted_hill,
+    cone_adjusted_hill,
+    hill,
+    masked_angle_weighted_hill,
+)
 from taildep.statdist import (
     chisq_cdf,
     chisq_quantile,
@@ -37,7 +48,15 @@ from taildep.statdist import (
     normal_quantile,
 )
 from taildep.support_fit import SupportFitOptions, estimate_support, support_objective
-from taildep.tail_core import AngularCone, cone_distances, radial_order
+from taildep.tail_core import (
+    AngularCone,
+    BivariateSample,
+    RadialOrder,
+    acf,
+    cone_distances,
+    log_returns,
+    radial_order,
+)
 
 _SAMPLE = example1(300, 0)
 _ORDER = radial_order(_SAMPLE)
@@ -64,6 +83,20 @@ _CALLS = [
     (chisq_quantile, {"p": 0.95, "df": 3}),
     (f_cdf, {"x": 2.0, "df1": 2, "df2": 3}),
     (f_quantile, {"p": 0.95, "df1": 2, "df2": 3}),
+    (BivariateSample, {"x": _SAMPLE.x, "y": _SAMPLE.y}),
+    (RadialOrder, {"x": _SAMPLE.x, "y": _SAMPLE.y}),
+    (log_returns, {"prices": [1.0, 2.0, 4.0], "stride": 1}),
+    (acf, {"series": [1.0, 3.0, 2.0, 5.0], "max_lag": 1}),
+    (cone_adjusted_hill, {"ord": _ORDER, "k": 5, "cone": _CONE}),
+    (angle_weighted_hill, {"ord": _ORDER, "k": 5}),
+    (masked_angle_weighted_hill, {"ord": _ORDER, "k": 5, "cone": _CONE}),
+    (weak_dependence_test, {"s": _SAMPLE, "cone": _CONE, "cfg": _CFG}),
+    (Config, {"k_n": 20, "seed": 0, "m_n": 100, "k_mn": 10, "B": 20, "alpha_sig": 0.05}),
+    (MixtureSpec, {"alpha_main": 0.5, "alpha_hidden": 1.0, "cone": _CONE, "z_p": 1.0,
+                   "z_q": 2.0, "mix_prob": 0.5}),
+    (SupportFitOptions, {"lam": 0.5}),
+    (example1, {"n": 10, "seed": 0}),
+    (example2, {"n": 10, "seed": 0}),
 ]
 # cone_distances' x and y are any array-like, so only its cone is swapped
 _SWAPS = [(fn, args, name) for fn, args in _CALLS for name in args
@@ -73,6 +106,8 @@ _SWAPS = [(fn, args, name) for fn, args in _CALLS for name in args
 def test_one_argument_swapped_is_refused_by_name():
     # every (swap, value) pair, once each
     for (fn, args, name), value in itertools.product(_SWAPS, _POOL):
+        if fn in (BivariateSample, RadialOrder) and np.ndim(value) == 1:
+            continue  # the equal-length refusal names x and y both: a named case takes it
         try:
             fn(**{**args, name: value})
         except ValueError as exc:
@@ -121,6 +156,31 @@ def test_one_argument_swapped_is_refused_by_name():
     # named no argument
     (lambda: generate(EXAMPLE1_SPEC, 10, -10**5000), "seed must be non-negative, got int"),
     (lambda: Config(k_n=20, B=10**5000), "B must be at most 10000000, got int"),
+    # the equal-length refusal names x and y both, so the swap loop leaves these pairs here
+    (lambda: BivariateSample(np.array([0.2, 0.3]), _SAMPLE.y),
+     "x and y must be of equal length, got 2 and 300"),
+    (lambda: RadialOrder(_SAMPLE.x, np.array([0.2, 0.3])),
+     "x and y must be of equal length, got 300 and 2"),
+    # a complex array lost its imaginary part with a ComplexWarning, a list of str was
+    # parsed, and a datetime column read as days since 1970
+    (lambda: BivariateSample(np.array([1 + 5j, 2]), [1.0, 2.0]),
+     "x must be a 1-d array of real numbers, got array([1.+5.j, 2.+0.j])"),
+    (lambda: BivariateSample(["1", "2"], [1.0, 2.0]),
+     "x must be a 1-d array of real numbers, got ['1', '2']"),
+    (lambda: BivariateSample([1.0, 2.0], np.array(["2020-01-01", "2020-01-02"], "datetime64[D]")),
+     "y must be a 1-d array of real numbers, got ndarray"),
+    (lambda: RadialOrder(["1", "2"], [1.0, 2.0]),
+     "x must be a 1-d array of real numbers, got ['1', '2']"),
+    (lambda: RadialOrder([1.0, 2.0], np.array([1, 2], "timedelta64[s]")),
+     "y must be a 1-d array of real numbers, got array([1, 2], dtype='timedelta64[s]')"),
+    (lambda: BivariateSample([Fraction(1, 2), "a"], [1.0, 2.0]),
+     "x must be a 1-d array of real numbers, got [Fraction(1, 2), 'a']"),
+    # a 2-d price array gave returns row by row, and a 2-d series or a dict raised a
+    # bare TypeError
+    (lambda: log_returns(np.ones((3, 4)), 1), "prices must be a 1-d array of real numbers, got ndarray"),
+    (lambda: acf(np.ones((3, 4)), 1), "series must be a 1-d array of real numbers, got ndarray"),
+    (lambda: log_returns({}, 1), "prices must be a 1-d array of real numbers, got {}"),
+    (lambda: acf({}, 1), "series must be a 1-d array of real numbers, got {}"),
 ], ids=["estimate_support", "hill", "radial_order", "strong_dependence_test",
         "full_dependence_test", "generate", "cone_distances", "uniform_off_cone",
         "SupportFitOptions", "normal_cdf", "normal_quantile", "chisq_cdf", "chisq_quantile",
@@ -128,7 +188,11 @@ def test_one_argument_swapped_is_refused_by_name():
         "f_quantile_array", "normal_cdf_array", "normal_quantile_complex",
         "chisq_cdf_decimal_nan", "pareto_str_alpha", "pareto_str_size", "pareto_str_gen",
         "pareto_array_alpha", "sample_beta_float_size", "sample_beta_str_q",
-        "generate_long_seed", "TestConfig_long_B"])
+        "generate_long_seed", "TestConfig_long_B", "BivariateSample_length",
+        "RadialOrder_length", "BivariateSample_complex", "BivariateSample_str",
+        "BivariateSample_datetime", "RadialOrder_str", "RadialOrder_timedelta",
+        "BivariateSample_fraction_and_str", "log_returns_2d", "acf_2d", "log_returns_dict",
+        "acf_dict"])
 def test_wrong_type_named_with_its_type(call, error):
     # each raised an AttributeError on a missing attribute, and each statdist
     # call a TypeError from a comparison or abs(); a long repr, as a sample's
@@ -194,3 +258,77 @@ def test_numpy_typed_arguments_give_strict_json():
                weak_dependence_test(_SAMPLE, cone, cfg)]
     for value in [asdict(cfg), vars(estimate), *map(vars, reports)]:
         json.dumps(value, allow_nan=False)
+
+
+# every 1-d array dtype the readers take as float64
+_ARRAY_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                 np.uint32, np.uint64, np.float16, np.float32, np.float64]
+# the four readers of a data array, each as the arrays it returns
+_ARRAY_READERS = [
+    lambda v: operator.attrgetter("x", "y")(BivariateSample(v, v)),
+    lambda v: RadialOrder(v, v).head(len(v)),
+    lambda v: (log_returns(v, 1),),
+    lambda v: (acf(v, 1),),
+]
+
+
+def _in_range_arrays(dtype):
+    """1-d arrays of dtype, non-negative, so most calls answer."""
+    if np.dtype(dtype).kind == "f":
+        elements = st.floats(0.0, min(1e9, float(np.finfo(dtype).max)),
+                             width=np.finfo(dtype).bits)
+    elif np.dtype(dtype).kind == "b":
+        elements = st.booleans()
+    else:
+        elements = st.integers(0, int(np.iinfo(dtype).max))
+    return hnp.arrays(dtype, st.integers(2, 12), elements=elements)
+
+
+# one strategy per accepted kind: each dtype, and lists of Fractions or of ints past int64
+_IN_RANGE_ARRAYS = [*map(_in_range_arrays, _ARRAY_DTYPES),
+                    st.lists(st.fractions(0, 10**6), min_size=2, max_size=12),
+                    st.lists(st.integers(2**63, 2**80), min_size=2, max_size=12)]
+
+
+def _outcome(read, v):
+    """The bytes of each array that read(v) returns, or its refusal."""
+    try:
+        return [arr.tobytes() for arr in read(v)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.data())
+def test_array_readers_take_every_real_dtype(data):
+    # each reader answers, or refuses, as it does on the float64 array that
+    # np.asarray(v, dtype=float) reads: no bit of an in-range value moves
+    for kind in _IN_RANGE_ARRAYS:
+        v = data.draw(kind)
+        for read in _ARRAY_READERS:
+            assert _outcome(read, v) == _outcome(read, np.asarray(v, dtype=float))
+
+
+# the public callables that the swap loop does not call, each with its reason
+_NOT_SWAPPED = {
+    "tail_core.AngularCone": "it names its endpoints 'cone endpoint a' and 'b'; "
+                             "_REAL_ARGS reads both",
+    "support_fit.support_objective": "its a and b are read as an AngularCone's endpoints; "
+                                     "_REAL_ARGS reads a, b and lam",
+    "datagen.stream": "its *entropy has no keyword to swap; test_datagen refuses each kind",
+    "datagen.stream_keys": "its *entropy has no keyword to swap; test_datagen refuses each kind",
+    "estimators.StatisticValue": "a result record, which the library builds",
+    "support_fit.SupportEstimate": "a result record, which the library builds",
+    "boot_tests.TestReport": "a result record, which the library builds",
+}
+
+
+def test_every_public_callable_is_swapped_or_exempt():
+    # a new entry point cannot skip the refusal suite
+    public = {f"{mod.__name__.removeprefix('taildep.')}.{name}"
+              for mod in (tail_core, estimators, support_fit, statdist, boot_tests, datagen)
+              for name, obj in vars(mod).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == mod.__name__}
+    swapped = {f"{fn.__module__.removeprefix('taildep.')}.{fn.__name__}" for fn, _ in _CALLS}
+    assert public - swapped == set(_NOT_SWAPPED)
